@@ -12,19 +12,21 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegenerateSteadyStateError, GeomworkError,
                      IntegrationFailureError, InvalidParametersError,
-                     NoSteadyStateError, StepTooLargeError)
+                     NoSteadyStateError, OneFormResidualError,
+                     StepTooLargeError)
 from .operators import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                         LindbladModel, ParamHamiltonian, dissipator,
                         lindblad_rhs, pauli, tls_family, tls_hamiltonian,
                         tls_hamiltonian_grad, tls_model,
                         validate_density_matrix)
-from .steadystate import (BlochVector, bloch_components, density_from_bloch,
-                          dissipator_superop, hamiltonian_superop,
-                          liouvillian_matrix, steady_state,
-                          tls_steady_closed_form)
+from .steadystate import (Batch, BlochVector, bloch_components,
+                          density_from_bloch, dissipator_superop,
+                          hamiltonian_superop, liouvillian_matrix,
+                          steady_state, steady_states, tls_steady_closed_form)
 from .geometry import (CurvatureField, GridSpec, coherence,
                        curvature_closed_form_tls, curvature_fd,
-                       curvature_field, default_fd_step, work_one_form)
+                       curvature_field, curvatures_fd, default_fd_step,
+                       work_one_form, work_one_forms)
 from .cycles import (Circle, Cycle, Rectangle, WorkResult, cycle_from_json,
                      cycle_to_json, cycle_work, flux_work,
                      gauge_shift_residual, line_integral_work, reverse)
@@ -37,16 +39,18 @@ from .ssh import (ssh_curvature, ssh_family, ssh_hamiltonian,
 __all__ = [
     "__version__",
     "GeomworkError", "InvalidParametersError", "DegenerateSteadyStateError",
-    "NoSteadyStateError", "StepTooLargeError", "IntegrationFailureError",
-    "ConfigError",
+    "NoSteadyStateError", "OneFormResidualError", "StepTooLargeError",
+    "IntegrationFailureError", "ConfigError",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_MINUS", "IDENTITY_2",
     "pauli", "tls_hamiltonian", "tls_hamiltonian_grad", "tls_family",
     "ParamHamiltonian", "LindbladModel", "tls_model", "dissipator",
     "lindblad_rhs", "validate_density_matrix",
     "BlochVector", "hamiltonian_superop", "dissipator_superop",
-    "liouvillian_matrix", "steady_state", "bloch_components",
+    "liouvillian_matrix", "Batch", "steady_state", "steady_states",
+    "bloch_components",
     "density_from_bloch", "tls_steady_closed_form",
-    "work_one_form", "curvature_closed_form_tls", "curvature_fd",
+    "work_one_form", "work_one_forms", "curvature_closed_form_tls",
+    "curvature_fd", "curvatures_fd",
     "default_fd_step", "coherence", "GridSpec", "CurvatureField",
     "curvature_field",
     "Circle", "Rectangle", "Cycle", "reverse", "cycle_to_json",

@@ -3,6 +3,10 @@
     geomwork field|loops|orientation|quasistatic|scaling|ssh
              [--config cfg.json] --out DIR [--threads N]
 
+Evaluation is single-threaded: each line integral, flux and finite-difference
+field evaluates all of its control points in one batched steady-state call.
+``--threads`` is accepted for compatibility and ignored.
+
 Each run writes ``config_echo.json`` (the fully resolved configuration,
 defaults applied), ``metadata.json`` (run provenance; its ``created``
 timestamp is the only non-deterministic field) and one CSV per data product.
@@ -21,7 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -48,7 +51,7 @@ DEFAULT_GRID = {"lo": [-3.0, 0.05], "hi": [3.0, 3.0], "shape": [61, 60]}
 DEFAULT_PERIODS = [100.0, 1000.0, 10000.0]
 DEFAULT_GAMMA2_SWEEP = [1e2, 10**2.5, 1e3, 10**3.5, 1e4]
 DEFAULT_SCALING_POINT = [0.5, 0.8]
-DEFAULT_SCALING_WINDOWS = {"F": [-2.1, -1.9], "x": [-1.1, -0.9], "y": [-1.1, -0.9]}
+DEFAULT_SCALING_WINDOWS = {"F": [-1.1, -0.9], "x": [-2.1, -1.9], "y": [-1.1, -0.9]}
 DEFAULT_SSH_K_VALUES = np.linspace(0.0, np.pi, 21).tolist()
 DEFAULT_SSH_POINT = [1.0, 0.5]
 
@@ -66,14 +69,6 @@ def _write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _pmap(fn, items, threads: int):
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------- validation
@@ -303,12 +298,11 @@ def _metadata(resolved: dict, extra: dict) -> dict:
     }
 
 
-def _cmd_field(resolved: dict, outdir: str, threads: int) -> int:
+def _cmd_field(resolved: dict, outdir: str) -> int:
     model = _build_model(resolved["model"])
     grid = GridSpec(tuple(resolved["grid"]["lo"]), tuple(resolved["grid"]["hi"]),
                     tuple(resolved["grid"]["shape"]))
-    field = curvature_field(model, grid, method=resolved["method"],
-                            h=resolved["h"], threads=threads)
+    field = curvature_field(model, grid, method=resolved["method"], h=resolved["h"])
     field.write_csv(os.path.join(outdir, "field.csv"))
     if field.failed_nodes == field.values.size:
         print("numeric failure: every grid node failed", file=sys.stderr)
@@ -321,20 +315,24 @@ def _cmd_field(resolved: dict, outdir: str, threads: int) -> int:
     return 0
 
 
-def _cmd_loops(resolved: dict, outdir: str, threads: int) -> int:
+def _cells(resolved: dict):
+    """(gamma_phi, loop id, model, cycle) for every cell of a loop study,
+    gamma_phi-major, one model per gamma_phi."""
     cycles = [(spec["id"], cycle_from_json({k: v for k, v in spec.items() if k != "id"}))
               for spec in resolved["cycles"]]
-    cells = [(gp, loop_id, cycle)
-             for gp in resolved["gamma_phi_sweep"] for loop_id, cycle in cycles]
-
-    def cell(args):
-        gp, loop_id, cycle = args
+    for gp in resolved["gamma_phi_sweep"]:
         model = _build_model(resolved["model"], gamma_phi=gp)
+        for loop_id, cycle in cycles:
+            yield gp, loop_id, model, cycle
+
+
+def _cmd_loops(resolved: dict, outdir: str) -> int:
+    rows = []
+    for gp, loop_id, model, cycle in _cells(resolved):
         wr = cycle_work(model, cycle, n_path=resolved["n_path"],
                         m_quad=resolved["m_quad"], h=resolved["h"])
-        return f"{_fmt(gp)},{loop_id},{_fmt(wr.w_line)},{_fmt(wr.w_flux)},{_fmt(wr.stokes_residual)}"
-
-    rows = _pmap(cell, cells, threads)
+        rows.append(f"{_fmt(gp)},{loop_id},{_fmt(wr.w_line)},{_fmt(wr.w_flux)},"
+                    f"{_fmt(wr.stokes_residual)}")
     _write_csv(os.path.join(outdir, "loops.csv"),
                "gamma_phi,loop_id,w_line,w_flux,stokes_residual", rows)
     _write_json(os.path.join(outdir, "metadata.json"),
@@ -345,20 +343,12 @@ def _cmd_loops(resolved: dict, outdir: str, threads: int) -> int:
     return 0
 
 
-def _cmd_orientation(resolved: dict, outdir: str, threads: int) -> int:
-    cycles = [(spec["id"], cycle_from_json({k: v for k, v in spec.items() if k != "id"}))
-              for spec in resolved["cycles"]]
-    cells = [(gp, loop_id, cycle)
-             for gp in resolved["gamma_phi_sweep"] for loop_id, cycle in cycles]
-
-    def cell(args):
-        gp, loop_id, cycle = args
-        model = _build_model(resolved["model"], gamma_phi=gp)
+def _cmd_orientation(resolved: dict, outdir: str) -> int:
+    results = []
+    for gp, loop_id, model, cycle in _cells(resolved):
         w_fwd = line_integral_work(model, cycle, resolved["n_path"])
         w_rev = line_integral_work(model, reverse(cycle), resolved["n_path"])
-        return gp, loop_id, w_fwd, w_rev, abs(w_fwd + w_rev)
-
-    results = _pmap(cell, cells, threads)
+        results.append((gp, loop_id, w_fwd, w_rev, abs(w_fwd + w_rev)))
     rows = [f"{_fmt(gp)},{loop_id},{_fmt(wf)},{_fmt(wr)},{_fmt(res)}"
             for gp, loop_id, wf, wr, res in results]
     _write_csv(os.path.join(outdir, "orientation.csv"),
@@ -375,12 +365,11 @@ def _cmd_orientation(resolved: dict, outdir: str, threads: int) -> int:
     return 0
 
 
-def _cmd_quasistatic(resolved: dict, outdir: str, threads: int) -> int:
+def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
     model = _build_model(resolved["model"])
     cycle = cycle_from_json(resolved["cycle"])
     points = quasistatic_convergence(model, cycle, resolved["periods"],
-                                     n_path=resolved["n_path"], dt=resolved["dt"],
-                                     threads=threads)
+                                     n_path=resolved["n_path"], dt=resolved["dt"])
     rows = [f"{_fmt(p.period)},{_fmt(p.w_dyn)},{_fmt(p.w_geom)},{_fmt(p.abs_error)}"
             for p in points]
     _write_csv(os.path.join(outdir, "quasistatic.csv"),
@@ -406,7 +395,7 @@ def _cmd_quasistatic(resolved: dict, outdir: str, threads: int) -> int:
     return 0
 
 
-def _cmd_scaling(resolved: dict, outdir: str, threads: int) -> int:
+def _cmd_scaling(resolved: dict, outdir: str) -> int:
     gamma = resolved["model"]["gamma"]
     delta, omega = resolved["point"]
 
@@ -417,7 +406,7 @@ def _cmd_scaling(resolved: dict, outdir: str, threads: int) -> int:
         b = tls_steady_closed_form(delta, omega, gamma, gp)
         return g2, abs(f_closed), abs(f_fd), abs(b.x), abs(b.y)
 
-    results = _pmap(cell, resolved["gamma2_sweep"], threads)
+    results = [cell(g2) for g2 in resolved["gamma2_sweep"]]
     rows = [f"{_fmt(g2)},{_fmt(af)},{_fmt(ax)},{_fmt(ay)}"
             for g2, af, _aff, ax, ay in results]
     _write_csv(os.path.join(outdir, "scaling.csv"), "gamma2,abs_F,abs_x,abs_y", rows)
@@ -446,7 +435,7 @@ def _cmd_scaling(resolved: dict, outdir: str, threads: int) -> int:
     return 0
 
 
-def _cmd_ssh(resolved: dict, outdir: str, threads: int) -> int:
+def _cmd_ssh(resolved: dict, outdir: str) -> int:
     t1, t2 = resolved["point"]
     mspec = resolved["model"]
 
@@ -454,7 +443,7 @@ def _cmd_ssh(resolved: dict, outdir: str, threads: int) -> int:
         f = ssh_curvature(t1, t2, k, mspec["gamma"], mspec["gamma_phi"], h=resolved["h"])
         return f"{_fmt(k)},{_fmt(t1)},{_fmt(t2)},{_fmt(f)}"
 
-    rows = _pmap(cell, resolved["k_values"], threads)
+    rows = [cell(k) for k in resolved["k_values"]]
     _write_csv(os.path.join(outdir, "ssh.csv"), "k,t1,t2,F", rows)
     _write_json(os.path.join(outdir, "metadata.json"),
                 _metadata(resolved, {"h": resolved["h"], "point": resolved["point"]}))
@@ -513,8 +502,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", help="JSON experiment configuration (defaults apply if omitted)")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                         help="worker threads for independent sweep cells")
+        cmd.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility and ignored: evaluation is "
+                              "batched and single-threaded")
     return parser
 
 
@@ -528,9 +518,8 @@ def main(argv=None) -> int:
         return 2
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "config_echo.json"), resolved)
-    threads = max(1, args.threads)
     try:
-        return _COMMANDS[args.command](resolved, args.out, threads)
+        return _COMMANDS[args.command](resolved, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,9 @@ the curvature through the enclosed region. Smooth closed paths use the
 periodic composite trapezoid rule (spectrally accurate for smooth periodic
 integrands, no endpoint handling); rectangle perimeters are integrated edge
 by edge. Fluxes use tensor-product Gauss-Legendre quadrature, mapped to the
-disk with Jacobian r1 r2 rho for circles.
+disk with Jacobian r1 r2 rho for circles. Each integral evaluates all of its
+samples or nodes in one batched call, then sums them in path or node order;
+the first failing sample, in that order, raises with its location.
 
 Positive orientation is counterclockwise in the (lambda_1, lambda_2) plane,
 and work follows the convention of work done on the system. Reversal keeps
@@ -22,8 +24,9 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigError, SteadyStateError
-from .geometry import curvature_fd, work_one_form
+from .geometry import curvatures_fd, work_one_forms
 from .operators import LindbladModel
+from .steadystate import Batch
 
 _TWO_PI = 2.0 * np.pi
 
@@ -83,36 +86,36 @@ class Rectangle:
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
 
-    def vertices(self) -> list:
-        """Corners in traversal order (closed: first vertex repeated last)."""
+    def _corners(self) -> list:
+        """The four corners, counterclockwise from lo."""
         l1, l2 = self.lo
         h1, h2 = self.hi
-        ccw = [np.array([l1, l2]), np.array([h1, l2]), np.array([h1, h2]), np.array([l1, h2])]
-        if self.orientation > 0:
-            path = ccw + [ccw[0]]
-        else:
-            path = [ccw[0], ccw[3], ccw[2], ccw[1], ccw[0]]
-        return path
+        return [np.array([l1, l2]), np.array([h1, l2]), np.array([h1, h2]), np.array([l1, h2])]
 
-    def position(self, s: float) -> np.ndarray:
+    def vertices(self) -> list:
+        """Corners in traversal order (closed: first vertex repeated last)."""
+        ccw = self._corners()
+        if self.orientation > 0:
+            return ccw + [ccw[0]]
+        return [ccw[0], ccw[3], ccw[2], ccw[1], ccw[0]]
+
+    def _edge(self, s: float):
+        """(edge index k, local parameter) of path parameter s, counterclockwise."""
         u = s if self.orientation > 0 else 1.0 - s
         u = min(max(u, 0.0), 1.0)
         k = min(int(4.0 * u), 3)
-        local = 4.0 * u - k
-        l1, l2 = self.lo
-        h1, h2 = self.hi
-        ccw = [np.array([l1, l2]), np.array([h1, l2]), np.array([h1, h2]), np.array([l1, h2])]
+        return k, 4.0 * u - k
+
+    def position(self, s: float) -> np.ndarray:
+        k, local = self._edge(s)
+        ccw = self._corners()
         a = ccw[k]
         b = ccw[(k + 1) % 4]
         return a + local * (b - a)
 
     def velocity(self, s: float) -> np.ndarray:
-        u = s if self.orientation > 0 else 1.0 - s
-        u = min(max(u, 0.0), 1.0)
-        k = min(int(4.0 * u), 3)
-        l1, l2 = self.lo
-        h1, h2 = self.hi
-        ccw = [np.array([l1, l2]), np.array([h1, l2]), np.array([h1, h2]), np.array([l1, h2])]
+        k, _ = self._edge(s)
+        ccw = self._corners()
         edge = ccw[(k + 1) % 4] - ccw[k]
         return self.orientation * 4.0 * edge
 
@@ -160,26 +163,45 @@ def _eval_covector(covector, point, where):
         raise type(exc)(f"{exc} [{where}, point={np.asarray(point).tolist()}]") from exc
 
 
-def _closed_path_integral(covector: Callable, cycle: Cycle, n: int) -> float:
-    """Integrate a covector field along the cycle with composite trapezoid rules."""
+def _raise_first_failure(batch: Batch, points: np.ndarray, where) -> None:
+    """Raise the first failed point's error, with ``where(n)`` and the point
+    appended to its message."""
+    first = batch.first_error()
+    if first is not None:
+        n, exc = first
+        raise type(exc)(f"{exc} [{where(n)}, point={points[n].tolist()}]") from exc
+
+
+def _closed_path_integral(covectors: Callable, cycle: Cycle, n: int) -> float:
+    """Integrate a covector field along the cycle with composite trapezoid rules.
+
+    ``covectors`` maps a stack of points to a Batch of covectors and is called
+    once for all path samples; the samples are then summed in path order.
+    """
     if isinstance(cycle, Rectangle):
         m = max(2, -(-n // 4))  # intervals per edge
-        total = 0.0
+        ts = [idx / m for idx in range(m + 1)]
         verts = cycle.vertices()
-        for a, b in zip(verts[:-1], verts[1:]):
-            seg = b - a
+        edges = [(a, b - a) for a, b in zip(verts[:-1], verts[1:])]
+        points = np.array([a + t * seg for a, seg in edges for t in ts])
+        batch = covectors(points)
+        _raise_first_failure(batch, points, lambda k: f"edge sample t={ts[k % (m + 1)]:.8g}")
+        values = batch.values.reshape(len(edges), m + 1, -1)
+        total = 0.0
+        for (_, seg), edge_values in zip(edges, values):
             acc = 0.0
             for idx in range(m + 1):
-                t = idx / m
-                val = _eval_covector(covector, a + t * seg, f"edge sample t={t:.8g}") @ seg
+                val = edge_values[idx] @ seg
                 acc += val if 0 < idx < m else 0.5 * val
             total += acc / m
         return float(total)
+    ss = [k / n for k in range(n)]
+    points = np.array([cycle.position(s) for s in ss])
+    batch = covectors(points)
+    _raise_first_failure(batch, points, lambda k: f"path sample s={ss[k]:.8g}")
     acc = 0.0
-    for k in range(n):
-        s = k / n
-        point = cycle.position(s)
-        acc += _eval_covector(covector, point, f"path sample s={s:.8g}") @ cycle.velocity(s)
+    for s, value in zip(ss, batch.values):
+        acc += value @ cycle.velocity(s)
     return float(acc / n)
 
 
@@ -196,7 +218,7 @@ def line_integral_work(model: LindbladModel, cycle: Cycle, n: int = 1024) -> flo
     """
     if n < 8:
         raise ValueError(f"need at least 8 path samples, got {n}")
-    return _closed_path_integral(lambda p: work_one_form(model, p), cycle, n)
+    return _closed_path_integral(lambda points: work_one_forms(model, points), cycle, n)
 
 
 def _gauss(m: int, a: float, b: float):
@@ -227,28 +249,30 @@ def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64,
     """
     if m < 4:
         raise ValueError(f"need Gauss order >= 4, got {m}")
-    if curvature is None:
-        curvature = lambda p: curvature_fd(model, p, 0, 1, h=h)
-    total = 0.0
     if isinstance(cycle, Rectangle):
         x1, w1 = _gauss(m, cycle.lo[0], cycle.hi[0])
         x2, w2 = _gauss(m, cycle.lo[1], cycle.hi[1])
-        for i in range(m):
-            for j in range(m):
-                f = _eval_covector(curvature, np.array([x1[i], x2[j]]),
-                                   f"flux node ({i},{j})")
-                total += w1[i] * w2[j] * f
+        nodes = np.array([[x1[i], x2[j]] for i in range(m) for j in range(m)])
+        term = lambda i, j, f: w1[i] * w2[j] * f
     else:
         r1, r2 = cycle.radii
         c1, c2 = cycle.center
         rad, wr = _gauss(m, 0.0, 1.0)
         th, wt = _gauss(m, 0.0, _TWO_PI)
         cos_t, sin_t = np.cos(th), np.sin(th)
-        for i in range(m):
-            for j in range(m):
-                p = np.array([c1 + r1 * rad[i] * cos_t[j], c2 + r2 * rad[i] * sin_t[j]])
-                f = _eval_covector(curvature, p, f"flux node ({i},{j})")
-                total += wr[i] * wt[j] * f * r1 * r2 * rad[i]
+        nodes = np.array([[c1 + r1 * rad[i] * cos_t[j], c2 + r2 * rad[i] * sin_t[j]]
+                          for i in range(m) for j in range(m)])
+        term = lambda i, j, f: wr[i] * wt[j] * f * r1 * r2 * rad[i]
+    where = lambda k: f"flux node ({k // m},{k % m})"
+    if curvature is None:
+        batch = curvatures_fd(model, nodes, 0, 1, h=h)
+        _raise_first_failure(batch, nodes, where)
+        values = batch.values
+    else:
+        values = [_eval_covector(curvature, p, where(k)) for k, p in enumerate(nodes)]
+    total = 0.0
+    for k, f in enumerate(values):
+        total += term(*divmod(k, m), f)
     return float(cycle.orientation) * total
 
 
@@ -262,10 +286,13 @@ def gauge_shift_residual(model: LindbladModel, cycle: Cycle,
     """
     if n < 8:
         raise ValueError(f"need at least 8 path samples, got {n}")
-    base = _closed_path_integral(lambda p: work_one_form(model, p), cycle, n)
-    shifted = _closed_path_integral(
-        lambda p: work_one_form(model, p) + np.asarray(grad_chi(p), dtype=float), cycle, n)
-    return abs(shifted - base)
+    def shifted(points):
+        batch = work_one_forms(model, points)
+        grads = np.array([np.asarray(grad_chi(p), dtype=float) for p in points])
+        return batch._replace(values=batch.values + grads)
+
+    base = _closed_path_integral(lambda points: work_one_forms(model, points), cycle, n)
+    return abs(_closed_path_integral(shifted, cycle, n) - base)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ transient.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,13 +209,11 @@ def errors_decreasing(points, jitter: float = 0.10) -> bool:
 
 
 def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,
-                            n_path: int = 1024, dt: float | None = None,
-                            threads: int = 1) -> list:
+                            n_path: int = 1024, dt: float | None = None) -> list:
     """Tabulate |W_dyn(T) - W_geom| for increasing drive periods.
 
     Each run starts from the steady state at the cycle's start point, evolves
-    two periods, and measures the second (the first is transient). Runs are
-    independent and may execute in parallel.
+    two periods, and measures the second (the first is transient).
     """
     periods = [float(T) for T in periods]
     if not periods:
@@ -224,14 +221,10 @@ def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,
     if any(b <= a for a, b in zip(periods, periods[1:])):
         raise ValueError("periods must be strictly increasing")
     w_geom = line_integral_work(model, cycle, n_path)
-
-    def run(T: float) -> ConvergencePoint:
+    rho0 = steady_state(model, cycle.position(0.0))
+    points = []
+    for T in periods:
         schedule = DriveSchedule(cycle, T, repeats=2)
-        rho0 = steady_state(model, cycle.position(0.0))
         traj = evolve(model, schedule, rho0, dt=dt)
-        return ConvergencePoint(T, dynamic_work(model, traj, schedule), w_geom)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, periods))
-    return [run(T) for T in periods]
+        points.append(ConvergencePoint(T, dynamic_work(model, traj, schedule), w_geom))
+    return points

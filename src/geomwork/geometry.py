@@ -16,29 +16,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeomworkError, InvalidParametersError
+from .errors import GeomworkError, InvalidParametersError, OneFormResidualError
 from .operators import LindbladModel
-from .steadystate import steady_state
+from .steadystate import Batch, steady_states
 
 IMAG_RESIDUAL_TOL = 1e-10
 
 
-def work_one_form(model: LindbladModel, point) -> np.ndarray:
-    """One-form components A_i = Re Tr(rho_ss(point) dH/dlambda_i).
+def work_one_forms(model: LindbladModel, points) -> Batch:
+    """One-form components A_i = Re Tr(rho_ss dH/dlambda_i) at a stack of points.
 
-    The trace of a product of two Hermitian matrices is real; the imaginary
-    residual is asserted to stay below 1e-10 as a tripwire for solver defects.
-    Steady-state errors propagate.
+    Returns a Batch whose ``values`` has shape (N, n_params), with NaN rows
+    and the steady-state error where a point's steady state fails.
+
+    Raises
+    ------
+    OneFormResidualError
+        If any point's trace has an imaginary part beyond IMAG_RESIDUAL_TOL.
+        The trace of a product of two Hermitian matrices is real, so this
+        flags a non-Hermitian gradient or a solver defect.
     """
-    point = np.asarray(point, dtype=float)
-    rho = steady_state(model, point)
-    comps = np.empty(model.hamiltonian.n_params)
+    points = np.asarray(points, dtype=float)
+    states = steady_states(model, points)
+    comps = np.empty((len(points), model.hamiltonian.n_params))
     for i in range(model.hamiltonian.n_params):
-        val = np.einsum("ij,ji->", rho, model.hamiltonian.gradient(point, i))
-        assert abs(val.imag) <= IMAG_RESIDUAL_TOL, \
-            f"one-form imaginary residual {val.imag:.3e} at point {point.tolist()}"
-        comps[i] = val.real
-    return comps
+        grad = np.array([model.hamiltonian.gradient(p, i) for p in points])
+        grad = grad.reshape(states.values.shape)  # keeps an empty stack three-dimensional
+        vals = np.einsum("nij,nji->n", states.values, grad)
+        residual = np.abs(vals.imag)
+        if np.any(residual > IMAG_RESIDUAL_TOL):
+            n = int(np.nanargmax(residual))
+            raise OneFormResidualError(
+                f"one-form imaginary residual {vals[n].imag:.3e} in component {i} "
+                f"at point {points[n].tolist()}")
+        comps[:, i] = vals.real
+    return Batch(comps, states.errors)
+
+
+def work_one_form(model: LindbladModel, point) -> np.ndarray:
+    """One-form components at one point: the one-point call of `work_one_forms`.
+
+    Steady-state errors propagate; see `work_one_forms` for the residual check.
+    """
+    return work_one_forms(model, [point]).single()
 
 
 def curvature_closed_form_tls(delta: float, omega: float, gamma: float,
@@ -61,33 +81,51 @@ def curvature_closed_form_tls(delta: float, omega: float, gamma: float,
     return -2.0 * omega * gamma * num / (denom * denom)
 
 
-def default_fd_step(point, i: int) -> float:
-    """Default central-difference step for axis i: 1e-3 * max(1, |lambda_i|)."""
-    return 1e-3 * max(1.0, abs(float(point[i])))
+def default_fd_step(point, i: int):
+    """Default central-difference step for axis i: 1e-3 * max(1, |lambda_i|).
+
+    ``point`` may be one point or a stack (N, n_params); the step has the
+    matching shape.
+    """
+    return 1e-3 * np.maximum(1.0, np.abs(np.asarray(point, dtype=float)[..., i]))
 
 
-def curvature_fd(model: LindbladModel, point, i: int = 0, j: int = 1,
-                 h: float | None = None) -> float:
-    """Curvature F_ij by second-order central differences of the one-form.
+def curvatures_fd(model: LindbladModel, points, i: int = 0, j: int = 1,
+                  h: float | None = None) -> Batch:
+    """Curvature F_ij by second-order central differences at a stack of nodes.
 
     F_ij ~ [A_j(p + h_i e_i) - A_j(p - h_i e_i)] / (2 h_i)
          - [A_i(p + h_j e_j) - A_i(p - h_j e_j)] / (2 h_j)
 
-    Antisymmetric by construction: swapping (i, j) produces exactly the
-    negated value, and i == j returns exactly 0.
+    The four stencil points of every node go through one `work_one_forms`
+    call. A node fails with the error of its first failing stencil point, in
+    the order above. Antisymmetric by construction: swapping (i, j) produces
+    exactly the negated values, and i == j returns exactly 0.
     """
+    points = np.asarray(points, dtype=float)
+    n = len(points)
     if i == j:
-        return 0.0
-    point = np.asarray(point, dtype=float)
-    hi = default_fd_step(point, i) if h is None else float(h)
-    hj = default_fd_step(point, j) if h is None else float(h)
-    ei = np.zeros_like(point)
-    ei[i] = hi
-    ej = np.zeros_like(point)
-    ej[j] = hj
-    dAj = (work_one_form(model, point + ei)[j] - work_one_form(model, point - ei)[j]) / (2.0 * hi)
-    dAi = (work_one_form(model, point + ej)[i] - work_one_form(model, point - ej)[i]) / (2.0 * hj)
-    return float(dAj - dAi)
+        return Batch(np.zeros(n), (None,) * n)
+    hi = default_fd_step(points, i) if h is None else np.full(n, float(h))
+    hj = default_fd_step(points, j) if h is None else np.full(n, float(h))
+    ei = np.zeros_like(points)
+    ei[:, i] = hi
+    ej = np.zeros_like(points)
+    ej[:, j] = hj
+    stencil = work_one_forms(model, np.concatenate([points + ei, points - ei,
+                                                    points + ej, points - ej]))
+    A = stencil.values.reshape(4, n, model.hamiltonian.n_params)
+    dAj = (A[0, :, j] - A[1, :, j]) / (2.0 * hi)
+    dAi = (A[2, :, i] - A[3, :, i]) / (2.0 * hj)
+    errors = tuple(next((err for err in stencil.errors[k::n] if err is not None), None)
+                   for k in range(n))
+    return Batch(dAj - dAi, errors)
+
+
+def curvature_fd(model: LindbladModel, point, i: int = 0, j: int = 1,
+                 h: float | None = None) -> float:
+    """Curvature F_ij at one point: the one-point call of `curvatures_fd`."""
+    return float(curvatures_fd(model, [point], i, j, h).single())
 
 
 def coherence(x: float, y: float) -> float:
@@ -185,7 +223,7 @@ class CurvatureField:
 
 def curvature_field(model: LindbladModel, grid: GridSpec,
                     method: str = "finite_difference",
-                    h: float | None = None, threads: int = 1) -> CurvatureField:
+                    h: float | None = None) -> CurvatureField:
     """Sample F_12 on a grid via the closed form or the generic pipeline.
 
     Parameters
@@ -193,12 +231,10 @@ def curvature_field(model: LindbladModel, grid: GridSpec,
     model : LindbladModel
     grid : GridSpec
     method : {"finite_difference", "closed_form"}
-        The closed form applies to the TLS family only.
+        The closed form applies to the TLS family only. Finite differences
+        evaluate the whole grid in one `curvatures_fd` call.
     h : float, optional
         Central-difference step; per-axis default when omitted.
-    threads : int
-        Grid rows are independent and may be evaluated in a thread pool;
-        aggregation is index-ordered, so results do not depend on threads.
 
     Nodes where the steady state fails are recorded as NaN; the sweep never
     aborts on individual nodes.
@@ -208,26 +244,19 @@ def curvature_field(model: LindbladModel, grid: GridSpec,
     if method == "closed_form" and model.label != "tls":
         raise InvalidParametersError("closed_form curvature is only defined for the TLS family")
     ax1, ax2 = grid.axes()
-    g = model.params.get("gamma")
-    gp = model.params.get("gamma_phi", 0.0)
-
-    def node(l1, l2):
-        try:
-            if method == "closed_form":
-                return curvature_closed_form_tls(l1, l2, g, gp)
-            return curvature_fd(model, (l1, l2), h=h)
-        except GeomworkError:
-            return np.nan
-
-    def row(l1):
-        return [node(l1, l2) for l2 in ax2]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, ax1))
+    if method == "finite_difference":
+        nodes = np.stack(np.meshgrid(ax1, ax2, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = curvatures_fd(model, nodes, h=h).values.reshape(grid.shape)
     else:
-        rows = [row(l1) for l1 in ax1]
-    values = np.asarray(rows)
+        g = model.params.get("gamma")
+        gp = model.params.get("gamma_phi", 0.0)
+
+        def node(l1, l2):
+            try:
+                return curvature_closed_form_tls(l1, l2, g, gp)
+            except GeomworkError:
+                return np.nan
+
+        values = np.asarray([[node(l1, l2) for l2 in ax2] for l1 in ax1])
     return CurvatureField(grid=grid, values=values, method=method, h=h,
                           model_label=model.label, model_params=dict(model.params))

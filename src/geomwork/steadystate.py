@@ -10,8 +10,14 @@ the small dense Liouvillians targeted here (d <= ~16) and, unlike an
 eigendecomposition, does not misbehave on defective matrices. A steady state
 is only returned when it is unique: if the two smallest singular values are
 within a factor 1e-8 of each other (relative to the largest) the null space
-is considered degenerate and an error is raised instead of silently picking a
-representative.
+is considered degenerate and the point gets an error instead of a silently
+picked representative.
+
+`steady_states` solves a stack of control points: it assembles their
+Liouvillians by broadcasting and decomposes them with one stacked SVD per
+chunk of CHUNK_POINTS, reporting an error per failed point. Each point's
+arithmetic does not depend on the stack it is in, so `steady_state`, the
+one-point call, gives bit-identical states.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel
 
 DEGENERACY_RATIO = 1e-8
 NULL_RESIDUAL_RATIO = 1e-6
+CHUNK_POINTS = 256
 
 
 class BlochVector(NamedTuple):
@@ -33,11 +40,43 @@ class BlochVector(NamedTuple):
     z: float
 
 
+class Batch(NamedTuple):
+    """Per-point results over a stack of control points.
+
+    ``values[n]`` is the result at point n, or NaN where ``errors[n]`` holds
+    the error that point raises when evaluated alone; ``errors[n]`` is None
+    where the point succeeded.
+    """
+
+    values: np.ndarray
+    errors: tuple
+
+    def first_error(self):
+        """(index, error) of the first failed point in stack order, or None."""
+        for n, err in enumerate(self.errors):
+            if err is not None:
+                return n, err
+        return None
+
+    def single(self):
+        """The value of a one-point batch; raises that point's error."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return self.values[0]
+
+
 def hamiltonian_superop(H: np.ndarray) -> np.ndarray:
-    """Superoperator of the coherent part, -i(I kron H - H^T kron I)."""
-    d = H.shape[0]
+    """Superoperator of the coherent part, -i(I kron H - H^T kron I).
+
+    ``H`` is one d x d Hamiltonian or a stack (..., d, d); the result has
+    shape (..., d^2, d^2). Broadcasting forms the same products as np.kron.
+    """
+    H = np.asarray(H)
+    d = H.shape[-1]
     eye = np.eye(d)
-    return -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+    left = eye[:, None, :, None] * H[..., None, :, None, :]
+    right = H.swapaxes(-1, -2)[..., :, None, :, None] * eye[None, :, None, :]
+    return -1j * (left - right).reshape(H.shape[:-2] + (d * d, d * d))
 
 
 def dissipator_superop(model: LindbladModel) -> np.ndarray:
@@ -66,46 +105,77 @@ def liouvillian_matrix(model: LindbladModel, point) -> np.ndarray:
     return hamiltonian_superop(H) + dissipator_superop(model)
 
 
-def _steady_from_superop(L: np.ndarray, dim: int) -> np.ndarray:
-    _, s, vh = np.linalg.svd(L)
+def _null_space_error(s: np.ndarray, trace: float):
+    """The error for a Liouvillian with descending singular values ``s`` whose
+    null vector, Hermitized, has trace ``trace``; None if it has a state."""
     if s[0] == 0.0:
-        raise DegenerateSteadyStateError("Liouvillian is identically zero; every state is stationary")
+        return DegenerateSteadyStateError("Liouvillian is identically zero; every state is stationary")
     if s[-1] > NULL_RESIDUAL_RATIO * s[0]:
-        raise NoSteadyStateError(
+        return NoSteadyStateError(
             f"smallest singular value {s[-1]:.3e} exceeds {NULL_RESIDUAL_RATIO:.0e} x largest {s[0]:.3e}")
     if s[-2] < DEGENERACY_RATIO * s[0]:
-        raise DegenerateSteadyStateError(
+        return DegenerateSteadyStateError(
             f"null space not one-dimensional: two smallest singular values "
             f"{s[-1]:.3e}, {s[-2]:.3e} vs largest {s[0]:.3e}")
-    rho = vh[-1].conj().reshape((dim, dim), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.trace(rho).real)
-    if abs(tr) < 1e-12:
-        raise NoSteadyStateError("null vector is traceless and cannot be normalized to a state")
-    return rho / tr
+    if abs(trace) < 1e-12:
+        return NoSteadyStateError("null vector is traceless and cannot be normalized to a state")
+    return None
 
 
-def steady_state(model: LindbladModel, point) -> np.ndarray:
-    """Unique steady state of the model at a control point.
+def _states_from_superops(L: np.ndarray, dim: int) -> Batch:
+    """Steady states of a stack (N, d^2, d^2) of Liouvillians, one SVD call."""
+    _, s, vh = np.linalg.svd(L)
+    rho = vh[:, -1].conj().reshape((-1, dim, dim)).swapaxes(-1, -2)  # column-stacked vec
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    errors = tuple(_null_space_error(s[n], trace[n]) for n in range(len(L)))
+    ok = np.array([err is None for err in errors], dtype=bool)
+    states = np.full(rho.shape, np.nan, dtype=complex)
+    states[ok] = rho[ok] / trace[ok, None, None]
+    return Batch(states, errors)
+
+
+def steady_states(model: LindbladModel, points) -> Batch:
+    """Unique steady states of the model at a stack of control points.
 
     Parameters
     ----------
     model : LindbladModel
-    point : array-like control coordinates
+    points : array-like, shape (N, n_params)
 
     Returns
     -------
-    ndarray
-        d x d density matrix with L vec(rho) = 0, Hermitian and unit trace.
+    Batch
+        ``values`` has shape (N, d, d): Hermitian, unit-trace states with
+        L vec(rho) = 0, NaN where the point failed. ``errors[n]`` is the
+        DegenerateSteadyStateError (null space not one-dimensional) or
+        NoSteadyStateError (no numerical null vector) of a failed point.
 
-    Raises
-    ------
-    DegenerateSteadyStateError
-        If the Liouvillian null space is not one-dimensional.
-    NoSteadyStateError
-        If no numerical null vector exists.
+    The Liouvillians are assembled and decomposed CHUNK_POINTS at a time,
+    which bounds the size of the temporary stacks.
     """
-    return _steady_from_superop(liouvillian_matrix(model, point), model.dim)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points must be a (N, n_params) stack, got shape {points.shape}")
+    dsup = dissipator_superop(model)
+    states = np.empty((len(points), model.dim, model.dim), dtype=complex)
+    errors = []
+    for lo in range(0, len(points), CHUNK_POINTS):
+        chunk = points[lo:lo + CHUNK_POINTS]
+        H = np.array([model.hamiltonian.matrix(p) for p in chunk])
+        batch = _states_from_superops(hamiltonian_superop(H) + dsup, model.dim)
+        states[lo:lo + len(chunk)] = batch.values
+        errors.extend(batch.errors)
+    return Batch(states, tuple(errors))
+
+
+def steady_state(model: LindbladModel, point) -> np.ndarray:
+    """Unique steady state of the model at one control point.
+
+    The one-point call of `steady_states`; returns the d x d density matrix
+    and raises that point's DegenerateSteadyStateError or NoSteadyStateError.
+    """
+    return steady_states(model, [point]).single()
 
 
 def bloch_components(rho: np.ndarray) -> BlochVector:

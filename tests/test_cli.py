@@ -191,13 +191,13 @@ def test_quasistatic_run_with_trajectory(tmp_path, capsys):
     assert "monotone = True" in capsys.readouterr().out
 
 
-def test_scaling_default_windows_report_failure(tmp_path, capsys):
+def test_scaling_default_windows_pass(tmp_path, capsys):
     config = {"model": {"kind": "tls", "gamma": 1.0},
               "gamma2_sweep": [1e2, 1e3, 1e4]}
     code, out = run(tmp_path, "scaling", config)
-    # the exact closed form decays as Gamma_2^-1 (F) and Gamma_2^-2 (x), so
-    # the default -2 / -1 windows report a numeric failure by design
-    assert code == 1
+    # the exact closed form decays as Gamma_2^-1 (F), Gamma_2^-2 (x) and
+    # Gamma_2^-1 (y), which the default windows bracket
+    assert code == 0
     header, rows = read_csv(out / "scaling.csv")
     assert header == ["gamma2", "abs_F", "abs_x", "abs_y"]
     assert len(rows) == 3
@@ -207,7 +207,13 @@ def test_scaling_default_windows_report_failure(tmp_path, capsys):
     assert slopes["x"] == pytest.approx(-2.0, abs=0.02)
     assert slopes["y"] == pytest.approx(-1.0, abs=0.02)
     assert abs(slopes["F_pipeline"] - slopes["F"]) <= 0.01
-    assert meta["within"] == {"F": False, "x": False, "y": True}
+    assert meta["within"] == {"F": True, "x": True, "y": True}
+    assert "OUTSIDE" not in capsys.readouterr().out
+    # a window that excludes the measured slope is a numeric failure
+    code, out = run(tmp_path, "scaling", dict(config, windows={"F": [-0.9, -0.8]}))
+    assert code == 1
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["within"] == {"F": False, "x": True, "y": True}
     assert "OUTSIDE" in capsys.readouterr().out
 
 

@@ -117,13 +117,6 @@ def test_quasistatic_reversal_flips_dynamic_work():
     assert abs(rev.w_dyn + fwd.w_dyn) <= 0.02 * abs(fwd.w_geom)
 
 
-def test_quasistatic_parallel_matches_serial():
-    model = tls_model(1.0, 0.0)
-    serial = quasistatic_convergence(model, LOOP_B, [40.0, 80.0], n_path=64)
-    pooled = quasistatic_convergence(model, LOOP_B, [40.0, 80.0], n_path=64, threads=2)
-    assert [(p.period, p.w_dyn) for p in serial] == [(p.period, p.w_dyn) for p in pooled]
-
-
 def test_quasistatic_validates_periods():
     model = tls_model(1.0, 0.0)
     with pytest.raises(ValueError):

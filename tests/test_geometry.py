@@ -1,12 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geomwork import (GridSpec, InvalidParametersError, coherence,
-                      curvature_closed_form_tls, curvature_fd, curvature_field,
-                      default_fd_step, tls_model, tls_steady_closed_form,
-                      work_one_form)
+import geomwork
+from geomwork import (SIGMA_MINUS, SIGMA_Z, DegenerateSteadyStateError, GridSpec,
+                      InvalidParametersError, LindbladModel, OneFormResidualError,
+                      ParamHamiltonian, coherence, curvature_closed_form_tls,
+                      curvature_fd, curvature_field, curvatures_fd, default_fd_step,
+                      steady_state, steady_states, tls_family, tls_model,
+                      tls_steady_closed_form, work_one_form, work_one_forms)
+from geomwork.steadystate import CHUNK_POINTS
 
 
 def test_one_form_matches_closed_form_components():
@@ -131,12 +142,77 @@ def test_field_methods_agree():
     assert np.max(np.abs(closed.values - fd.values)) <= 1e-5
 
 
-def test_field_threads_do_not_change_values():
-    grid = GridSpec((-1.0, 0.2), (1.0, 1.0), (4, 4))
-    model = tls_model(1.0, 0.1)
-    serial = curvature_field(model, grid, method="finite_difference")
-    pooled = curvature_field(model, grid, method="finite_difference", threads=4)
-    np.testing.assert_array_equal(serial.values, pooled.values)
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def _error_or_value(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateSteadyStateError as exc:
+        return exc
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+_drive = st.floats(0.1, 3.0, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma=st.one_of(st.just(0.0), st.floats(0.1, 2.0)), gamma_phi=st.floats(0.1, 3.0),
+       points=st.lists(st.tuples(_coord, _drive, st.booleans()), min_size=2, max_size=6),
+       degenerate_delta=_coord, degenerate_at=st.integers(0, 6))
+def test_batched_matches_per_point(gamma, gamma_phi, points, degenerate_delta, degenerate_at):
+    # The random nodes straddle the first chunk boundary of the stacked SVD;
+    # (delta, 0) is degenerate exactly when gamma = 0 (pure dephasing, no drive).
+    model = tls_model(gamma, gamma_phi)
+    nodes = [(d, o if positive else -o) for d, o, positive in points]
+    at = degenerate_at % (len(nodes) + 1)
+    nodes.insert(at, (degenerate_delta, 0.0))
+    filler = CHUNK_POINTS - len(nodes) // 2
+    stack = np.array([(0.3, 0.7)] * filler + nodes)
+    states = steady_states(model, stack)
+    forms = work_one_forms(model, stack)
+    curvs = curvatures_fd(model, stack)
+    for n, node in enumerate(nodes, start=filler):
+        failed = gamma == 0.0 and n == filler + at
+        for batch, single in ((states, steady_state), (forms, work_one_form),
+                              (curvs, curvature_fd)):
+            one = _error_or_value(single, model, node)
+            if failed:
+                assert isinstance(one, DegenerateSteadyStateError)
+                assert type(batch.errors[n]) is type(one) and str(batch.errors[n]) == str(one)
+                assert np.all(np.isnan(batch.values[n]))
+            else:
+                assert batch.errors[n] is None
+                assert _bits(batch.values[n]) == _bits(one)
+    assert sum(err is not None for err in curvs.errors) == (gamma == 0.0)
+
+
+def test_non_hermitian_gradient_raises_typed_error():
+    # dH/domega = sigma_minus is not Hermitian: Tr(rho sigma_minus) is complex
+    family = ParamHamiltonian(dim=2, n_params=2, matrix=tls_family().matrix,
+                              gradient=lambda p, i: 0.5 * SIGMA_Z if i == 0 else SIGMA_MINUS)
+    model = LindbladModel(family, tls_model(1.0, 0.2).channels)
+    with pytest.raises(OneFormResidualError):
+        work_one_form(model, (0.3, 0.8))
+    with pytest.raises(OneFormResidualError):
+        curvature_field(model, GridSpec((-1.0, 0.2), (1.0, 1.0), (3, 3)))
+    # the check is not an assert, so it survives python -O
+    code = textwrap.dedent("""
+        import geomwork as gw
+        family = gw.ParamHamiltonian(2, 2, gw.tls_family().matrix,
+                                     lambda p, i: gw.SIGMA_MINUS)
+        model = gw.LindbladModel(family, gw.tls_model(1.0, 0.2).channels)
+        try:
+            gw.work_one_form(model, (0.3, 0.8))
+        except gw.OneFormResidualError:
+            print("raised")
+    """)
+    src = str(Path(geomwork.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_field_records_failed_nodes_as_missing():

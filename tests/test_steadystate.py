@@ -5,7 +5,7 @@ from geomwork import (DegenerateSteadyStateError, InvalidParametersError,
                       NoSteadyStateError, bloch_components, density_from_bloch,
                       lindblad_rhs, liouvillian_matrix, steady_state,
                       tls_model, tls_steady_closed_form)
-from geomwork.steadystate import _steady_from_superop
+from geomwork.steadystate import _states_from_superops
 
 
 def vec(m):
@@ -109,12 +109,12 @@ def test_degenerate_null_space_is_an_error():
 
 def test_zero_liouvillian_is_degenerate():
     with pytest.raises(DegenerateSteadyStateError):
-        _steady_from_superop(np.zeros((4, 4), dtype=complex), 2)
+        _states_from_superops(np.zeros((1, 4, 4), dtype=complex), 2).single()
 
 
 def test_missing_null_space_is_an_error():
     with pytest.raises(NoSteadyStateError):
-        _steady_from_superop(np.eye(4, dtype=complex), 2)
+        _states_from_superops(np.eye(4, dtype=complex)[None], 2).single()
 
 
 def test_bloch_round_trip():
