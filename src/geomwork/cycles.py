@@ -156,20 +156,24 @@ def cycle_from_json(obj: dict) -> Cycle:
     raise ConfigError(f"cycle.kind must be 'circle' or 'rectangle', got {kind!r}")
 
 
+def _located(exc: SteadyStateError, where: str, point) -> SteadyStateError:
+    """The same error with the sample's location and point appended."""
+    return type(exc)(f"{exc} [{where}, point={np.asarray(point).tolist()}]")
+
+
 def _eval_covector(covector, point, where):
     try:
         return covector(point)
     except SteadyStateError as exc:
-        raise type(exc)(f"{exc} [{where}, point={np.asarray(point).tolist()}]") from exc
+        raise _located(exc, where, point) from exc
 
 
 def _raise_first_failure(batch: Batch, points: np.ndarray, where) -> None:
-    """Raise the first failed point's error, with ``where(n)`` and the point
-    appended to its message."""
+    """Raise the first failed point's error, located by ``where(n)``."""
     first = batch.first_error()
     if first is not None:
         n, exc = first
-        raise type(exc)(f"{exc} [{where(n)}, point={points[n].tolist()}]") from exc
+        raise _located(exc, where(n), points[n]) from exc
 
 
 def _closed_path_integral(covectors: Callable, cycle: Cycle, n: int) -> float:

@@ -152,6 +152,12 @@ def test_steady_state_failure_names_the_sample():
     with pytest.raises(DegenerateSteadyStateError) as err:
         line_integral_work(model, cyc, 64)
     assert "sample" in str(err.value)
+    # the first failure in evaluation order names its sample or node
+    square = Rectangle((-0.5, -0.5), (0.5, 0.5))
+    with pytest.raises(DegenerateSteadyStateError, match=r"\[edge sample t=0\.5, point=\[0\.5, 0\.0\]\]"):
+        line_integral_work(model, square, 16)
+    with pytest.raises(DegenerateSteadyStateError, match=r"\[flux node \(0,2\), point="):
+        flux_work(model, square, 5)  # odd order puts a node row on omega = 0
 
 
 def test_cycle_json_round_trip():
