@@ -9,7 +9,9 @@ field evaluates all of its control points in one batched steady-state call.
 
 Each run writes ``config_echo.json`` (the fully resolved configuration,
 defaults applied), ``metadata.json`` (run provenance; its ``created``
-timestamp is the only non-deterministic field) and one CSV per data product.
+timestamp is the only non-deterministic field; ``quasistatic`` adds a
+``stats.integrator`` list with each period's step count, Hermitization
+residual and trace drift) and one CSV per data product.
 CSVs use a header row, ``,`` delimiters, ``.`` decimals, LF endings, and
 floats with 17 significant digits; identical configurations produce
 byte-identical data files.
@@ -386,7 +388,12 @@ def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
     monotone = errors_decreasing(points)
     _write_json(os.path.join(outdir, "metadata.json"),
                 _metadata(resolved, {"n_path": resolved["n_path"],
-                                     "monotone_error_decay": monotone}))
+                                     "monotone_error_decay": monotone,
+                                     "stats": {"integrator": [
+                                         {"period": p.period, "n_steps": p.n_steps,
+                                          "herm_residual": p.herm_residual,
+                                          "trace_drift": p.trace_drift}
+                                         for p in points]}}))
     print(f"quasistatic: w_geom = {_fmt(points[0].w_geom)}, final abs_error = "
           f"{_fmt(points[-1].abs_error)}, monotone = {monotone}")
     if not monotone:

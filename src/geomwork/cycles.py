@@ -55,17 +55,19 @@ class Circle:
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
 
-    def position(self, s: float) -> np.ndarray:
+    def position(self, s) -> np.ndarray:
+        """Point at path parameter s; an array of N parameters gives (N, 2)."""
         u = s if self.orientation > 0 else 1.0 - s
-        th = _TWO_PI * u
-        return np.array([self.center[0] + self.radii[0] * np.cos(th),
-                         self.center[1] + self.radii[1] * np.sin(th)])
+        th = _TWO_PI * np.asarray(u, dtype=float)
+        return np.stack([self.center[0] + self.radii[0] * np.cos(th),
+                         self.center[1] + self.radii[1] * np.sin(th)], axis=-1)
 
-    def velocity(self, s: float) -> np.ndarray:
+    def velocity(self, s) -> np.ndarray:
+        """d position / ds; an array of N parameters gives (N, 2)."""
         u = s if self.orientation > 0 else 1.0 - s
-        th = _TWO_PI * u
-        return self.orientation * np.array([-_TWO_PI * self.radii[0] * np.sin(th),
-                                            _TWO_PI * self.radii[1] * np.cos(th)])
+        th = _TWO_PI * np.asarray(u, dtype=float)
+        return self.orientation * np.stack([-_TWO_PI * self.radii[0] * np.sin(th),
+                                            _TWO_PI * self.radii[1] * np.cos(th)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -99,23 +101,26 @@ class Rectangle:
             return ccw + [ccw[0]]
         return [ccw[0], ccw[3], ccw[2], ccw[1], ccw[0]]
 
-    def _edge(self, s: float):
-        """(edge index k, local parameter) of path parameter s, counterclockwise."""
-        u = s if self.orientation > 0 else 1.0 - s
-        u = min(max(u, 0.0), 1.0)
-        k = min(int(4.0 * u), 3)
+    def _edge(self, s):
+        """(edge index k, local parameter) of path parameter s, counterclockwise;
+        arrays of both for an array of parameters."""
+        u = np.asarray(s if self.orientation > 0 else 1.0 - s, dtype=float)
+        u = np.clip(u, 0.0, 1.0)
+        k = np.minimum((4.0 * u).astype(int), 3)
         return k, 4.0 * u - k
 
-    def position(self, s: float) -> np.ndarray:
+    def position(self, s) -> np.ndarray:
+        """Point at path parameter s; an array of N parameters gives (N, 2)."""
         k, local = self._edge(s)
-        ccw = self._corners()
+        ccw = np.array(self._corners())
         a = ccw[k]
         b = ccw[(k + 1) % 4]
-        return a + local * (b - a)
+        return a + local[..., None] * (b - a)
 
-    def velocity(self, s: float) -> np.ndarray:
+    def velocity(self, s) -> np.ndarray:
+        """d position / ds; an array of N parameters gives (N, 2)."""
         k, _ = self._edge(s)
-        ccw = self._corners()
+        ccw = np.array(self._corners())
         edge = ccw[(k + 1) % 4] - ccw[k]
         return self.orientation * 4.0 * edge
 
@@ -199,13 +204,13 @@ def _closed_path_integral(covectors: Callable, cycle: Cycle, n: int) -> float:
                 acc += val if 0 < idx < m else 0.5 * val
             total += acc / m
         return float(total)
-    ss = [k / n for k in range(n)]
-    points = np.array([cycle.position(s) for s in ss])
+    ss = np.arange(n) / n
+    points = cycle.position(ss)
     batch = covectors(points)
     _raise_first_failure(batch, points, lambda k: f"path sample s={ss[k]:.8g}")
     acc = 0.0
-    for s, value in zip(ss, batch.values):
-        acc += value @ cycle.velocity(s)
+    for value, velocity in zip(batch.values, cycle.velocity(ss)):
+        acc += value @ velocity
     return float(acc / n)
 
 

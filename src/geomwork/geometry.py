@@ -23,33 +23,48 @@ from .steadystate import Batch, steady_states
 IMAG_RESIDUAL_TOL = 1e-10
 
 
-def work_one_forms(model: LindbladModel, points) -> Batch:
-    """One-form components A_i = Re Tr(rho_ss dH/dlambda_i) at a stack of points.
+def gradient_traces(model: LindbladModel, points, states, where) -> np.ndarray:
+    """Re Tr(rho_n dH/dlambda_i) for a stack of states at a stack of points.
 
-    Returns a Batch whose ``values`` has shape (N, n_params), with NaN rows
-    and the steady-state error where a point's steady state fails.
+    ``states`` is an (N, d, d) stack and the result has shape (N, n_params).
+    ``where(n)`` names sample n in the error message. Each trace sums in the
+    same order as the one-state trace np.einsum("ij,ji->", rho, grad), so
+    the values do not depend on how the samples are stacked.
 
     Raises
     ------
     OneFormResidualError
-        If any point's trace has an imaginary part beyond IMAG_RESIDUAL_TOL.
-        The trace of a product of two Hermitian matrices is real, so this
-        flags a non-Hermitian gradient or a solver defect.
+        If any trace has an imaginary part beyond IMAG_RESIDUAL_TOL. The
+        trace of a product of two Hermitian matrices is real, so this flags
+        a non-Hermitian gradient or a solver defect.
     """
-    points = np.asarray(points, dtype=float)
-    states = steady_states(model, points)
+    states = np.ascontiguousarray(states)  # the einsum's summation order follows the layout
     comps = np.empty((len(points), model.hamiltonian.n_params))
+    grad = np.empty(states.shape, dtype=complex)
     for i in range(model.hamiltonian.n_params):
-        grad = np.array([model.hamiltonian.gradient(p, i) for p in points])
-        grad = grad.reshape(states.values.shape)  # keeps an empty stack three-dimensional
-        vals = np.einsum("nij,nji->n", states.values, grad)
+        for n, p in enumerate(points):
+            grad[n] = model.hamiltonian.gradient(p, i)
+        vals = np.einsum("nij,nji->n", states, grad)
         residual = np.abs(vals.imag)
         if np.any(residual > IMAG_RESIDUAL_TOL):
             n = int(np.nanargmax(residual))
             raise OneFormResidualError(
-                f"one-form imaginary residual {vals[n].imag:.3e} in component {i} "
-                f"at point {points[n].tolist()}")
+                f"one-form imaginary residual {vals[n].imag:.3e} in component {i} at {where(n)}")
         comps[:, i] = vals.real
+    return comps
+
+
+def work_one_forms(model: LindbladModel, points) -> Batch:
+    """One-form components A_i = Re Tr(rho_ss dH/dlambda_i) at a stack of points.
+
+    Returns a Batch whose ``values`` has shape (N, n_params), with NaN rows
+    and the steady-state error where a point's steady state fails. Raises
+    OneFormResidualError as `gradient_traces` does.
+    """
+    points = np.asarray(points, dtype=float)
+    states = steady_states(model, points)
+    comps = gradient_traces(model, points, states.values,
+                            lambda n: f"point {points[n].tolist()}")
     return Batch(comps, states.errors)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geomwork.cli import main
+from geomwork.dynamics import TRACE_DRIFT_LIMIT
 
 
 def run(tmp_path, command, config, *extra):
@@ -189,6 +190,14 @@ def test_quasistatic_run_with_trajectory(tmp_path, capsys):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["monotone_error_decay"] is True
     assert "monotone = True" in capsys.readouterr().out
+    integrator = meta["stats"]["integrator"]
+    assert [entry["period"] for entry in integrator] == [40.0, 160.0]
+    for entry in integrator:
+        assert set(entry) == {"period", "n_steps", "herm_residual", "trace_drift"}
+        # two periods of at least 1000 steps each
+        assert isinstance(entry["n_steps"], int) and entry["n_steps"] >= 2000
+        assert 0.0 <= entry["trace_drift"] <= TRACE_DRIFT_LIMIT
+        assert 0.0 <= entry["herm_residual"] <= 1e-10
 
 
 def test_scaling_default_windows_pass(tmp_path, capsys):

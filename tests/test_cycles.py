@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geomwork import (Circle, ConfigError, DegenerateSteadyStateError,
-                      Rectangle, WorkResult, curvature_closed_form_tls,
+                      DriveSchedule, Rectangle, WorkResult, curvature_closed_form_tls,
                       cycle_from_json, cycle_to_json, cycle_work, flux_work,
                       gauge_shift_residual, line_integral_work, reverse,
                       tls_model)
@@ -44,6 +44,26 @@ def test_reverse_is_an_involution_and_mirrors_samples():
         rev = reverse(cyc)
         for s in (0.0, 0.2, 0.35, 0.8, 1.0):
             np.testing.assert_allclose(rev.position(s), cyc.position(1.0 - s), atol=1e-15)
+
+
+def test_array_positions_equal_scalar_calls():
+    rng = np.random.default_rng(17)
+    s = np.concatenate([np.arange(5) / 4, rng.random(200), [np.nextafter(0.25, 0.0)]])
+    rect = Rectangle((-0.5, 0.3), (0.5, 0.9))
+    for cyc in (LOOP_B, reverse(LOOP_B), rect, reverse(rect)):
+        for method in (cyc.position, cyc.velocity):
+            stacked = method(s)
+            assert stacked.shape == (len(s), 2)
+            assert method(0.3).shape == (2,)
+            for n, value in enumerate(s):
+                assert stacked[n].tobytes() == method(float(value)).tobytes()
+        schedule = DriveSchedule(cyc, 7.3, repeats=3)
+        t = np.concatenate([7.3 * np.arange(4), 21.9 * rng.random(200)])
+        for method in (schedule.point_at, schedule.velocity_at):
+            stacked = method(t)
+            assert stacked.shape == (len(t), 2)
+            for n, value in enumerate(t):
+                assert stacked[n].tobytes() == method(float(value)).tobytes()
 
 
 def test_rectangle_traversal_order():

@@ -1,13 +1,100 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomwork import (Circle, DriveSchedule, GeomworkError,
-                      IntegrationFailureError, StepTooLargeError,
-                      bloch_components, dynamic_work, errors_decreasing,
-                      evolve, quasistatic_convergence, reverse, steady_state,
-                      tls_model)
+                      IntegrationFailureError, Rectangle, StepTooLargeError,
+                      bloch_components, density_from_bloch, dynamic_work,
+                      errors_decreasing, evolve, quasistatic_convergence,
+                      reverse, steady_state, tls_model)
+from geomwork.dynamics import POSITIVITY_FLOOR, TRACE_DRIFT_LIMIT
+from geomwork.operators import validate_density_matrix
+from geomwork.steadystate import dissipator_superop, hamiltonian_superop
 
 LOOP_B = Circle((0.0, 0.6), (0.4, 0.3))
+
+
+def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
+    """Per-step oracle for `evolve`: the RK4 loop that assembles two
+    Liouvillians and runs eigvalsh at every step, and evaluates the work
+    integrand one sample at a time. Returns (times, states, work,
+    herm_residual, trace_drift, n_steps)."""
+    rho0 = validate_density_matrix(rho0)
+    d = model.dim
+    period = schedule.period
+    if dt is None:
+        hnorm = max(float(np.linalg.norm(model.hamiltonian.matrix(schedule.cycle.position(s)), 2))
+                    for s in np.linspace(0.0, 1.0, 64))
+        rate = max((r * float(np.linalg.norm(L, 2)) ** 2 for r, L in model.channels), default=0.0)
+        dt = min(period / 2000.0, 0.05 / max(hnorm, rate, 1e-12))
+    n_per = int(np.ceil(period / dt))
+    stride = max(1, n_per // max_store_per_period)
+    n_per = stride * int(np.ceil(n_per / stride))
+    step = period / n_per
+    n_steps = n_per * schedule.repeats
+    dsup = dissipator_superop(model)
+
+    def superop(t):
+        return hamiltonian_superop(model.hamiltonian.matrix(schedule.point_at(t))) + dsup
+
+    v = rho0.flatten(order="F")
+    times = [0.0]
+    states = [rho0.copy()]
+    herm_residual = 0.0
+    trace_drift = 0.0
+    l_end = superop(0.0)
+    for k in range(n_steps):
+        t = k * step
+        l_start = l_end
+        l_mid = superop(t + 0.5 * step)
+        l_end = superop(t + step)
+        k1 = l_start @ v
+        k2 = l_mid @ (v + (0.5 * step) * k1)
+        k3 = l_mid @ (v + (0.5 * step) * k2)
+        k4 = l_end @ (v + step * k3)
+        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = v.reshape((d, d), order="F")
+        rho_h = 0.5 * (rho + rho.conj().T)
+        herm_residual = max(herm_residual, float(np.max(np.abs(rho - rho_h))))
+        v = rho_h.flatten(order="F")
+        if (k + 1) % stride == 0:
+            drift = abs(float(np.trace(rho_h).real) - 1.0)
+            trace_drift = max(trace_drift, drift)
+            if not drift <= TRACE_DRIFT_LIMIT:
+                raise StepTooLargeError(
+                    f"trace drift {drift:.3e} at t={(k + 1) * step:.6g}; reduce the step")
+            lowest = float(np.linalg.eigvalsh(rho_h)[0])
+            if not lowest >= POSITIVITY_FLOOR:
+                raise IntegrationFailureError(
+                    f"state eigenvalue {lowest:.3e} at t={(k + 1) * step:.6g}")
+            times.append((k + 1) * step)
+            states.append(rho_h.copy())
+
+    times = np.asarray(times)
+    states = np.asarray(states)
+    values = np.array([reference_integrand(model, schedule, t, rho) for t, rho in zip(times, states)])
+    segments = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
+    work = np.concatenate(([0.0], np.cumsum(segments)))
+    return times, states, work, herm_residual, trace_drift, n_steps
+
+
+def reference_integrand(model, schedule, t, rho):
+    """Tr(rho dH/dlambda_i) lambda_dot_i at one sample."""
+    point = schedule.point_at(t)
+    vel = schedule.velocity_at(t)
+    total = 0.0
+    for i in range(model.hamiltonian.n_params):
+        if vel[i]:
+            grad = model.hamiltonian.gradient(point, i)
+            total += float(np.einsum("ij,ji->", rho, grad).real) * vel[i]
+    return total
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
 
 
 def frozen_schedule(point, period=20.0, repeats=1):
@@ -73,13 +160,75 @@ def test_trace_and_hermiticity_stay_controlled():
         assert np.linalg.eigvalsh(rho)[0] >= -1e-8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overlarge_step_is_rejected():
+    # the second stored state already has a negative eigenvalue; evolution
+    # stops there, before the blown-up steps overflow
     model = tls_model(4000.0, 0.0)
     sched = frozen_schedule((0.0, 1.0), period=10.0)
     rho0 = np.diag([0.0, 1.0]).astype(complex)
-    with pytest.raises((StepTooLargeError, IntegrationFailureError)):
+    with pytest.raises(IntegrationFailureError, match=r"^state eigenvalue -4\.242e\+01 at t=0\.01$"):
         evolve(model, sched, rho0, dt=0.005)
     assert issubclass(StepTooLargeError, GeomworkError)
+
+
+_circles = st.builds(Circle, st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                     st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 0.8)), st.sampled_from([1, -1]))
+_rectangles = st.builds(
+    lambda lo, size, orientation: Rectangle(lo, (lo[0] + size[0], lo[1] + size[1]), orientation),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(cycle=st.one_of(_circles, _rectangles), gamma=st.floats(0.1, 2.0),
+       gamma_phi=st.one_of(st.just(0.0), st.floats(0.05, 1.5)), period=st.floats(1.0, 20.0),
+       steps=st.one_of(st.none(), st.integers(1000, 1400)), store=st.integers(8, 1000),
+       repeats=st.integers(1, 2),
+       bloch=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+def test_chunked_evolve_matches_per_step_reference(cycle, gamma, gamma_phi, period, steps,
+                                                   store, repeats, bloch):
+    # At least 1000 steps per period span several chunks of steps; strides
+    # above 1 put stored samples on both sides of chunk boundaries, and
+    # strides above a chunk leave some chunks with none.
+    model = tls_model(gamma, gamma_phi)
+    schedule = DriveSchedule(cycle, period, repeats)
+    rho0 = density_from_bloch(bloch)
+    dt = None if steps is None else period / steps
+    traj = evolve(model, schedule, rho0, dt=dt, max_store_per_period=store)
+    times, states, work, herm_residual, trace_drift, n_steps = reference_evolve(
+        model, schedule, rho0, dt=dt, max_store_per_period=store)
+    assert _bits(traj.times) == _bits(times)
+    assert _bits(traj.states) == _bits(states)
+    assert _bits(traj.work_accumulated) == _bits(work)
+    assert traj.herm_residual == herm_residual
+    assert traj.trace_drift == trace_drift
+    assert traj.n_steps == n_steps
+    final = times >= times[-1] - period - 1e-9
+    values = [reference_integrand(model, schedule, t, rho) for t, rho in zip(times[final], states[final])]
+    assert dynamic_work(model, traj, schedule) == float(np.trapezoid(values, times[final]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma, store", [
+    (4000.0, 1000),  # negative eigenvalue at the second stored state
+    (4000.0, 10),    # overflow between stored states: NaN trace drift
+    (570.0, 1000),   # slow instability, first chunk
+    (565.0, 1000),   # slow instability, second chunk
+    (560.0, 300),    # stride 6, a later chunk
+])
+def test_failures_match_per_step_reference(gamma, store):
+    model = tls_model(gamma, 0.0)
+    sched = frozen_schedule((0.0, 1.0), period=10.0)
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    with pytest.raises((StepTooLargeError, IntegrationFailureError)) as chunked:
+        evolve(model, sched, rho0, dt=0.005, max_store_per_period=store)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises((StepTooLargeError, IntegrationFailureError)) as reference:
+            reference_evolve(model, sched, rho0, dt=0.005, max_store_per_period=store)
+    assert type(chunked.value) is type(reference.value)
+    assert str(chunked.value) == str(reference.value)
 
 
 def test_evolve_validates_inputs():

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geomwork
-from geomwork import (SIGMA_MINUS, SIGMA_Z, DegenerateSteadyStateError, GridSpec,
-                      InvalidParametersError, LindbladModel, OneFormResidualError,
-                      ParamHamiltonian, coherence, curvature_closed_form_tls,
-                      curvature_fd, curvature_field, curvatures_fd, default_fd_step,
-                      steady_state, steady_states, tls_family, tls_model,
+from geomwork import (SIGMA_MINUS, SIGMA_Z, Circle, DegenerateSteadyStateError,
+                      DriveSchedule, GridSpec, InvalidParametersError, LindbladModel,
+                      OneFormResidualError, ParamHamiltonian, coherence,
+                      curvature_closed_form_tls, curvature_fd, curvature_field,
+                      curvatures_fd, default_fd_step, dynamic_work, evolve, steady_state, steady_states, tls_family, tls_model,
                       tls_steady_closed_form, work_one_form, work_one_forms)
 from geomwork.steadystate import CHUNK_POINTS
 
@@ -197,6 +197,14 @@ def test_non_hermitian_gradient_raises_typed_error():
         work_one_form(model, (0.3, 0.8))
     with pytest.raises(OneFormResidualError):
         curvature_field(model, GridSpec((-1.0, 0.2), (1.0, 1.0), (3, 3)))
+    # the driven-work integrand takes the same trace, so W_dyn is checked too
+    schedule = DriveSchedule(Circle((0.0, 0.6), (0.4, 0.3)), 5.0)
+    rho0 = steady_state(model, schedule.point_at(0.0))
+    with pytest.raises(OneFormResidualError, match=r"in component 1 at t=[0-9.e+-]+, point \["):
+        evolve(model, schedule, rho0)
+    hermitian = tls_model(1.0, 0.2)
+    with pytest.raises(OneFormResidualError):
+        dynamic_work(model, evolve(hermitian, schedule, rho0), schedule)
     # the check is not an assert, so it survives python -O
     code = textwrap.dedent("""
         import geomwork as gw
