@@ -1,6 +1,7 @@
 """Geometric structure of quasistatic work in driven open quantum steady states.
 
-The pipeline: Lindblad models with analytic Hamiltonian gradients
+The pipeline: Lindblad models over affine Hamiltonian families
+H = H_0 + sum_i lambda_i H_i, with Hermiticity checked when a family is built
 (`operators`), steady states from the Liouvillian null space (`steadystate`),
 the work one-form and curvature over control space (`geometry`), cycle work
 by line and flux integrals (`cycles`), dynamical verification of the
@@ -12,16 +13,13 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegenerateSteadyStateError, GeomworkError,
                      IntegrationFailureError, InvalidParametersError,
-                     NoSteadyStateError, OneFormResidualError,
-                     StepTooLargeError)
+                     NoSteadyStateError, StepTooLargeError)
 from .operators import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                         LindbladModel, ParamHamiltonian, dissipator,
                         lindblad_rhs, pauli, tls_family, tls_hamiltonian,
-                        tls_hamiltonian_grad, tls_model,
-                        validate_density_matrix)
+                        tls_model, validate_density_matrix)
 from .steadystate import (Batch, BlochVector, bloch_components,
-                          density_from_bloch, dissipator_superop,
-                          hamiltonian_superop, liouvillian_matrix,
+                          density_from_bloch, hamiltonian_superop, liouvillians,
                           steady_state, steady_states, tls_steady_closed_form)
 from .geometry import (CurvatureField, GridSpec, coherence,
                        curvature_closed_form_tls, curvature_fd,
@@ -31,23 +29,21 @@ from .cycles import (Circle, Cycle, Rectangle, WorkResult, cycle_from_json,
                      cycle_to_json, cycle_work, flux_work,
                      gauge_shift_residual, line_integral_work, reverse)
 from .dynamics import (ConvergencePoint, DriveSchedule, Trajectory,
-                       default_time_step, dynamic_work, errors_decreasing,
-                       evolve, quasistatic_convergence)
-from .ssh import (ssh_curvature, ssh_family, ssh_hamiltonian,
-                  ssh_hamiltonian_grad, ssh_model)
+                       accumulated_work, default_time_step, dynamic_work,
+                       errors_decreasing, evolve, quasistatic_convergence)
+from .ssh import ssh_curvature, ssh_family, ssh_hamiltonian, ssh_model
 
 __all__ = [
     "__version__",
     "GeomworkError", "InvalidParametersError", "DegenerateSteadyStateError",
-    "NoSteadyStateError", "OneFormResidualError", "StepTooLargeError",
+    "NoSteadyStateError", "StepTooLargeError",
     "IntegrationFailureError", "ConfigError",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_MINUS", "IDENTITY_2",
-    "pauli", "tls_hamiltonian", "tls_hamiltonian_grad", "tls_family",
+    "pauli", "tls_hamiltonian", "tls_family",
     "ParamHamiltonian", "LindbladModel", "tls_model", "dissipator",
     "lindblad_rhs", "validate_density_matrix",
-    "BlochVector", "hamiltonian_superop", "dissipator_superop",
-    "liouvillian_matrix", "Batch", "steady_state", "steady_states",
-    "bloch_components",
+    "BlochVector", "hamiltonian_superop", "liouvillians", "Batch",
+    "steady_state", "steady_states", "bloch_components",
     "density_from_bloch", "tls_steady_closed_form",
     "work_one_form", "work_one_forms", "curvature_closed_form_tls",
     "curvature_fd", "curvatures_fd",
@@ -57,8 +53,8 @@ __all__ = [
     "cycle_from_json", "line_integral_work", "flux_work",
     "gauge_shift_residual", "WorkResult", "cycle_work",
     "DriveSchedule", "Trajectory", "default_time_step", "evolve",
-    "dynamic_work", "ConvergencePoint", "errors_decreasing",
+    "accumulated_work", "dynamic_work", "ConvergencePoint", "errors_decreasing",
     "quasistatic_convergence",
-    "ssh_hamiltonian", "ssh_hamiltonian_grad", "ssh_family", "ssh_model",
+    "ssh_hamiltonian", "ssh_family", "ssh_model",
     "ssh_curvature",
 ]

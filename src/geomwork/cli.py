@@ -33,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .cycles import cycle_from_json, cycle_to_json, cycle_work, line_integral_work, reverse
-from .dynamics import (DriveSchedule, dynamic_work, errors_decreasing, evolve,
-                       quasistatic_convergence)
+from .dynamics import (DriveSchedule, accumulated_work, dynamic_work, errors_decreasing,
+                       evolve, quasistatic_convergence)
 from .errors import ConfigError, GeomworkError
 from .geometry import GridSpec, curvature_closed_form_tls, curvature_fd, curvature_field
 from .operators import tls_model
@@ -381,7 +381,7 @@ def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
         rho0 = steady_state(model, cycle.position(0.0))
         traj = evolve(model, schedule, rho0, dt=resolved["dt"])
         dump = []
-        for t, rho, w in zip(traj.times, traj.states, traj.work_accumulated):
+        for t, rho, w in zip(traj.times, traj.states, accumulated_work(model, schedule, traj)):
             b = bloch_components(rho)
             dump.append(f"{_fmt(t)},{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.z)},{_fmt(w)}")
         _write_csv(os.path.join(outdir, "trajectory.csv"), "t,x,y,z,work_accumulated", dump)

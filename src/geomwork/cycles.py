@@ -166,13 +166,6 @@ def _located(exc: SteadyStateError, where: str, point) -> SteadyStateError:
     return type(exc)(f"{exc} [{where}, point={np.asarray(point).tolist()}]")
 
 
-def _eval_covector(covector, point, where):
-    try:
-        return covector(point)
-    except SteadyStateError as exc:
-        raise _located(exc, where, point) from exc
-
-
 def _raise_first_failure(batch: Batch, points: np.ndarray, where) -> None:
     """Raise the first failed point's error, located by ``where(n)``."""
     first = batch.first_error()
@@ -236,8 +229,7 @@ def _gauss(m: int, a: float, b: float):
 
 
 def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64,
-              h: float | None = None,
-              curvature: Callable | None = None) -> float:
+              h: float | None = None) -> float:
     """Cycle work as the curvature flux through the enclosed region.
 
     Parameters
@@ -248,10 +240,7 @@ def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64,
     m : int
         Gauss-Legendre order per tensor direction (>= 4).
     h : float, optional
-        Step for the default finite-difference curvature.
-    curvature : callable, optional
-        point -> F_12 override (e.g. a closed form); defaults to the generic
-        steady-state pipeline.
+        Central-difference step of the curvature; per-axis default when omitted.
 
     The sign follows the cycle orientation: positive (counterclockwise)
     orientation returns +flux.
@@ -272,15 +261,10 @@ def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64,
         nodes = np.array([[c1 + r1 * rad[i] * cos_t[j], c2 + r2 * rad[i] * sin_t[j]]
                           for i in range(m) for j in range(m)])
         term = lambda i, j, f: wr[i] * wt[j] * f * r1 * r2 * rad[i]
-    where = lambda k: f"flux node ({k // m},{k % m})"
-    if curvature is None:
-        batch = curvatures_fd(model, nodes, 0, 1, h=h)
-        _raise_first_failure(batch, nodes, where)
-        values = batch.values
-    else:
-        values = [_eval_covector(curvature, p, where(k)) for k, p in enumerate(nodes)]
+    batch = curvatures_fd(model, nodes, 0, 1, h=h)
+    _raise_first_failure(batch, nodes, lambda k: f"flux node ({k // m},{k % m})")
     total = 0.0
-    for k, f in enumerate(values):
+    for k, f in enumerate(batch.values):
         total += term(*divmod(k, m), f)
     return float(cycle.orientation) * total
 
@@ -326,12 +310,11 @@ WORK_RESULT_CSV_HEADER = "w_line,w_flux,stokes_residual,n_path,n_quad"
 
 
 def cycle_work(model: LindbladModel, cycle: Cycle, n_path: int = 1024,
-               m_quad: int = 64, h: float | None = None,
-               curvature: Callable | None = None) -> WorkResult:
+               m_quad: int = 64, h: float | None = None) -> WorkResult:
     """Evaluate the cycle work both ways and bundle the Stokes residual."""
     return WorkResult(
         w_line=line_integral_work(model, cycle, n_path),
-        w_flux=flux_work(model, cycle, m_quad, h=h, curvature=curvature),
+        w_flux=flux_work(model, cycle, m_quad, h=h),
         n_path=n_path,
         n_quad=m_quad,
     )

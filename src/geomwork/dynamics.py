@@ -14,12 +14,13 @@ stacked eigvalsh); the first failing sample raises, in sample order, with
 drift checked before positivity at each sample, so a failing run stops at
 most one chunk after the step that broke it.
 
-Dynamic work integrates Tr(rho(t) dH/dlambda_i) lambda_dot_i along the actual
-(not steady) state, evaluated over all samples of a trajectory at once.
-Driving a cycle ever slower, this converges to the geometric line integral of
-the work one-form; `quasistatic_convergence` tabulates that approach for
-increasing periods, starting each run from the steady state at the cycle's
-start point and discarding the first period as transient.
+Dynamic work integrates Tr(rho(t) H_i) lambda_dot_i along the actual (not
+steady) state, evaluated over many samples at once: `dynamic_work` over the
+final period, `accumulated_work` from t = 0 at every stored sample. Driving a
+cycle ever slower, this converges to the geometric line integral of the work
+one-form; `quasistatic_convergence` tabulates that approach for increasing
+periods, starting each run from the steady state at the cycle's start point
+and discarding the first period as transient.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .cycles import Cycle, line_integral_work
 from .errors import IntegrationFailureError, StepTooLargeError
 from .geometry import gradient_traces
 from .operators import LindbladModel, validate_density_matrix
-from .steadystate import CHUNK_POINTS, dissipator_superop, hamiltonian_superop, steady_state
+from .steadystate import CHUNK_POINTS, liouvillians, steady_state
 
 TRACE_DRIFT_LIMIT = 1e-6
 POSITIVITY_FLOOR = -1e-6
@@ -76,7 +77,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    work_accumulated: np.ndarray
     herm_residual: float
     trace_drift: float
     n_steps: int
@@ -84,10 +84,8 @@ class Trajectory:
 
 def default_time_step(model: LindbladModel, schedule: DriveSchedule, samples: int = 64) -> float:
     """Step heuristic min(T/2000, 0.05 / max(channel rate scale, max ||H||))."""
-    hnorm = max(
-        float(np.linalg.norm(model.hamiltonian.matrix(p), 2))
-        for p in schedule.cycle.position(np.linspace(0.0, 1.0, samples))
-    )
+    H = model.hamiltonian.matrices(schedule.cycle.position(np.linspace(0.0, 1.0, samples)))
+    hnorm = float(np.max(np.linalg.norm(H, 2, axis=(-2, -1))))
     rate = max((r * float(np.linalg.norm(L, 2)) ** 2 for r, L in model.channels), default=0.0)
     scale = max(hnorm, rate, 1e-12)
     return min(schedule.period / 2000.0, 0.05 / scale)
@@ -95,13 +93,8 @@ def default_time_step(model: LindbladModel, schedule: DriveSchedule, samples: in
 
 def _work_integrands(model: LindbladModel, schedule: DriveSchedule,
                      times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Tr(rho dH/dlambda_i) lambda_dot_i at a stack of (time, state) samples.
-
-    Raises OneFormResidualError where a trace is not real (see `gradient_traces`).
-    """
-    points = schedule.point_at(times)
-    comps = gradient_traces(model, points, states,
-                            lambda n: f"t={times[n]:.6g}, point {points[n].tolist()}")
+    """Tr(rho H_i) lambda_dot_i at a stack of (time, state) samples."""
+    comps = gradient_traces(model, states)
     vel = schedule.velocity_at(times)
     total = np.zeros(len(times))
     for i in range(model.hamiltonian.n_params):
@@ -171,13 +164,6 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     step = period / n_per
     n_steps = n_per * schedule.repeats
 
-    dsup = dissipator_superop(model)
-
-    def liouvillians(t):
-        """Liouvillians at a stack of times, assembled in one broadcast call."""
-        H = np.array([model.hamiltonian.matrix(p) for p in schedule.point_at(t)])
-        return hamiltonian_superop(H) + dsup
-
     # (rho^dag) in vec space: vec index i + j d holds rho[i, j]
     perm = np.arange(d * d).reshape(d, d).T.ravel()
     half = 0.5 * step
@@ -188,11 +174,12 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     states = [rho0[None]]
     herm_residual = 0.0
     trace_drift = 0.0
-    l_end = liouvillians(np.zeros(1))[0]
+    l_end = liouvillians(model, schedule.point_at(np.zeros(1)))[0]
     for lo in range(0, n_steps, chunk):
         ks = np.arange(lo, min(lo + chunk, n_steps))
         t = ks * step
-        stack = liouvillians(np.concatenate([t + 0.5 * step, t + step]))
+        mid_and_end = np.concatenate([t + 0.5 * step, t + step])
+        stack = liouvillians(model, schedule.point_at(mid_and_end))
         l_mids, l_ends = stack[:len(ks)], stack[len(ks):]
         raw = np.empty((len(ks), d * d), dtype=complex)
         herm = np.empty_like(raw)
@@ -215,13 +202,16 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
         times.append(t_stored)
         states.append(rho)
 
-    times = np.concatenate(times)
-    states = np.concatenate(states)
-    integrand = _work_integrands(model, schedule, times, states)
-    segments = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times)
-    work = np.concatenate(([0.0], np.cumsum(segments)))
-    return Trajectory(times=times, states=states, work_accumulated=work,
+    return Trajectory(times=np.concatenate(times), states=np.concatenate(states),
                       herm_residual=herm_residual, trace_drift=trace_drift, n_steps=n_steps)
+
+
+def accumulated_work(model: LindbladModel, schedule: DriveSchedule,
+                     trajectory: Trajectory) -> np.ndarray:
+    """Work done up to each stored sample of a trajectory (trapezoid rule), 0 at t = 0."""
+    integrand = _work_integrands(model, schedule, trajectory.times, trajectory.states)
+    segments = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(trajectory.times)
+    return np.concatenate(([0.0], np.cumsum(segments)))
 
 
 def dynamic_work(model: LindbladModel, trajectory: Trajectory, schedule: DriveSchedule) -> float:

@@ -21,11 +21,6 @@ class NoSteadyStateError(SteadyStateError):
     """The Liouvillian has no numerical null vector."""
 
 
-class OneFormResidualError(GeomworkError):
-    """The work one-form has an imaginary part beyond its tolerance: a
-    Hamiltonian gradient that is not Hermitian, or a solver defect."""
-
-
 class StepTooLargeError(GeomworkError):
     """Time integration produced unacceptable trace drift."""
 

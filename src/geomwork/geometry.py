@@ -1,12 +1,12 @@
 """Work one-form and curvature two-form over control-parameter space.
 
-The one-form components are A_i = Re Tr(rho_ss dH/dlambda_i), the quasistatic
-work per unit displacement of control parameter i. The curvature
-F_ij = d_i A_j - d_j A_i measures how much work fails to commute under the
-order of parameter variations; for the TLS family it is also available in
-closed form. Fields sample F_12 on a rectangular grid, recording nodes where
-the steady state does not exist as missing values (never zeros, which would
-corrupt flux integrals downstream).
+The one-form components are A_i = Re Tr(rho_ss H_i), with H_i = dH/dlambda_i
+the family's constant generator: the quasistatic work per unit displacement
+of control parameter i. The curvature F_ij = d_i A_j - d_j A_i measures how
+much work fails to commute under the order of parameter variations; for the
+TLS family it is also available in closed form. Fields sample F_12 on a
+rectangular grid, recording nodes where the steady state does not exist as
+missing values (never zeros, which would corrupt flux integrals downstream).
 """
 
 from __future__ import annotations
@@ -16,62 +16,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeomworkError, InvalidParametersError, OneFormResidualError
+from .errors import GeomworkError, InvalidParametersError
 from .operators import LindbladModel
 from .steadystate import Batch, steady_states
 
-IMAG_RESIDUAL_TOL = 1e-10
 
+def gradient_traces(model: LindbladModel, states) -> np.ndarray:
+    """Re Tr(rho_n H_i) for a stack of states and each generator H_i of the family.
 
-def gradient_traces(model: LindbladModel, points, states, where) -> np.ndarray:
-    """Re Tr(rho_n dH/dlambda_i) for a stack of states at a stack of points.
+    ``states`` is an (N, d, d) stack and the result has shape (N, n_params);
+    NaN states give NaN rows. Each trace sums in the same order as the
+    one-state trace np.einsum("ij,ji->", rho, H_i), so the values do not
+    depend on how the states are stacked.
 
-    ``states`` is an (N, d, d) stack and the result has shape (N, n_params).
-    ``where(n)`` names sample n in the error message. Each trace sums in the
-    same order as the one-state trace np.einsum("ij,ji->", rho, grad), so
-    the values do not depend on how the samples are stacked.
-
-    Raises
-    ------
-    OneFormResidualError
-        If any trace has an imaginary part beyond IMAG_RESIDUAL_TOL. The
-        trace of a product of two Hermitian matrices is real, so this flags
-        a non-Hermitian gradient or a solver defect.
+    The imaginary part is dropped unchecked. Every state reaching here is
+    Hermitized first (in `steadystate._states_from_superops` and in
+    `dynamics.evolve`), and `ParamHamiltonian` rejects non-Hermitian
+    generators at construction, so the trace of the product is real up to
+    roundoff.
     """
     states = np.ascontiguousarray(states)  # the einsum's summation order follows the layout
-    comps = np.empty((len(points), model.hamiltonian.n_params))
-    grad = np.empty(states.shape, dtype=complex)
-    for i in range(model.hamiltonian.n_params):
-        for n, p in enumerate(points):
-            grad[n] = model.hamiltonian.gradient(p, i)
-        vals = np.einsum("nij,nji->n", states, grad)
-        residual = np.abs(vals.imag)
-        if np.any(residual > IMAG_RESIDUAL_TOL):
-            n = int(np.nanargmax(residual))
-            raise OneFormResidualError(
-                f"one-form imaginary residual {vals[n].imag:.3e} in component {i} at {where(n)}")
-        comps[:, i] = vals.real
-    return comps
+    return np.stack([np.einsum("nij,nji->n", states, np.broadcast_to(g, states.shape)).real
+                     for g in model.hamiltonian.generators], axis=-1)
 
 
 def work_one_forms(model: LindbladModel, points) -> Batch:
-    """One-form components A_i = Re Tr(rho_ss dH/dlambda_i) at a stack of points.
+    """One-form components A_i = Re Tr(rho_ss H_i) at a stack of points.
 
     Returns a Batch whose ``values`` has shape (N, n_params), with NaN rows
-    and the steady-state error where a point's steady state fails. Raises
-    OneFormResidualError as `gradient_traces` does.
+    and the steady-state error where a point's steady state fails.
     """
-    points = np.asarray(points, dtype=float)
     states = steady_states(model, points)
-    comps = gradient_traces(model, points, states.values,
-                            lambda n: f"point {points[n].tolist()}")
-    return Batch(comps, states.errors)
+    return Batch(gradient_traces(model, states.values), states.errors)
 
 
 def work_one_form(model: LindbladModel, point) -> np.ndarray:
     """One-form components at one point: the one-point call of `work_one_forms`.
 
-    Steady-state errors propagate; see `work_one_forms` for the residual check.
+    Steady-state errors propagate.
     """
     return work_one_forms(model, [point]).single()
 

@@ -1,14 +1,19 @@
-"""Pauli algebra, parametrized Hamiltonian families, and the Lindblad right-hand side.
+"""Pauli algebra, affine Hamiltonian families, and the Lindblad right-hand side.
 
 All operators are dense complex numpy arrays; energies and rates are
 dimensionless (hbar = 1). The ladder convention is sigma_minus = |g><e| with
 |e> = (1, 0)^T, so pure decay drives the Bloch z component to -1.
+
+A Hamiltonian family is affine in its controls, H(lambda) = H_0 + sum_i
+lambda_i H_i: it stores H_0 and the generators H_i = dH/dlambda_i, checked
+Hermitian when the family is built, and evaluates stacks of control points
+with array arithmetic. A model's dissipator superoperator is built once,
+with the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -19,6 +24,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+HERMITICITY_TOL = 1e-12
 
 _NAMED = {
     "x": SIGMA_X,
@@ -40,43 +46,83 @@ def pauli(name: str) -> np.ndarray:
 
 
 def tls_hamiltonian(delta: float, omega: float) -> np.ndarray:
-    """Driven two-level Hamiltonian (delta/2) sigma_z + omega sigma_x."""
+    """Driven two-level Hamiltonian (delta/2) sigma_z + omega sigma_x, in
+    closed form; `tls_family` is the same family in affine form."""
     return 0.5 * delta * SIGMA_Z + omega * SIGMA_X
 
 
-def tls_hamiltonian_grad(i: int) -> np.ndarray:
-    """Derivative of the TLS Hamiltonian wrt parameter 0 (detuning) or 1 (drive)."""
-    if i == 0:
-        return 0.5 * SIGMA_Z
-    if i == 1:
-        return SIGMA_X.copy()
-    raise IndexError(f"parameter index {i} out of range for the (delta, omega) family")
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two d x d matrices: the same products, formed by broadcasting."""
+    d = len(a)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class ParamHamiltonian:
-    """A Hamiltonian family over control parameters, with analytic derivatives.
+    """An affine Hamiltonian family H(lambda) = H_0 + sum_i lambda_i H_i.
 
-    ``matrix(point)`` returns the d x d Hamiltonian at a control point and
-    ``gradient(point, i)`` returns dH/dlambda_i; both must be Hermitian at
-    every point. Gradients are analytic by construction — finite differences
-    are used only as a test oracle against them.
+    ``base`` is H_0 (d x d) and ``generators`` the stack (n_params, d, d)
+    of H_i = dH/dlambda_i, constant over control space. Both are stored as
+    read-only complex arrays. The constructor raises InvalidParametersError
+    unless every matrix is square with the base's dimension, finite, and
+    Hermitian to HERMITICITY_TOL relative to its largest entry (at least 1),
+    so every H(lambda) is Hermitian.
     """
 
-    dim: int
-    n_params: int
-    matrix: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray, int], np.ndarray]
+    base: np.ndarray
+    generators: np.ndarray
+
+    def __post_init__(self):
+        base = np.array(self.base, dtype=complex)
+        gens = [np.array(g, dtype=complex) for g in self.generators]
+        names = ["base"] + [f"generator {i}" for i in range(len(gens))]
+        if not gens:
+            raise InvalidParametersError("a family needs at least one generator")
+        d = base.shape[0] if base.ndim else 0
+        for name, m in zip(names, [base] + gens):
+            if m.shape != (d, d):
+                raise InvalidParametersError(f"{name} has shape {m.shape}, expected {(d, d)}")
+        mats = _read_only(np.stack([base] + gens))
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            raise InvalidParametersError(f"{names[np.argmin(finite)]} has non-finite entries")
+        herm = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        bad = herm > HERMITICITY_TOL * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+        if bad.any():
+            n = int(np.argmax(bad))
+            raise InvalidParametersError(
+                f"{names[n]} is not Hermitian: max |H - H^dag| = {herm[n]:.3e}")
+        object.__setattr__(self, "base", mats[0])
+        object.__setattr__(self, "generators", mats[1:])
+
+    @property
+    def dim(self) -> int:
+        return self.base.shape[0]
+
+    @property
+    def n_params(self) -> int:
+        return len(self.generators)
+
+    def matrices(self, points) -> np.ndarray:
+        """H at control points of shape (..., n_params); the result has shape (..., d, d)."""
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != (self.n_params,):
+            raise ValueError(
+                f"points must have {self.n_params} coordinates, got shape {points.shape}")
+        H = self.base
+        for i, g in enumerate(self.generators):
+            H = H + points[..., i, None, None] * g
+        return H
 
 
 def tls_family() -> ParamHamiltonian:
-    """The (delta, omega) two-level family with its exact gradients."""
-    return ParamHamiltonian(
-        dim=2,
-        n_params=2,
-        matrix=lambda p: tls_hamiltonian(p[0], p[1]),
-        gradient=lambda p, i: tls_hamiltonian_grad(i),
-    )
+    """The (delta, omega) two-level family: H_0 = 0, H_delta = sigma_z / 2, H_omega = sigma_x."""
+    return ParamHamiltonian(np.zeros((2, 2)), [0.5 * SIGMA_Z, SIGMA_X])
 
 
 @dataclass(frozen=True)
@@ -86,15 +132,21 @@ class LindbladModel:
     ``channels`` holds (rate, collapse operator) pairs entering the master
     equation as rate * D[L](rho). ``label`` and ``params`` carry the model
     identity into output metadata; they do not affect the dynamics.
+    ``dissipator`` is the read-only d^2 x d^2 superoperator of all channels
+    in the column-stacking convention of `steadystate`, built once here
+    because it does not depend on the control point.
     """
 
     hamiltonian: ParamHamiltonian
     channels: tuple
     label: str = "custom"
     params: dict = field(default_factory=dict)
+    dissipator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.hamiltonian.dim
+        eye = np.eye(d)
+        sup = np.zeros((d * d, d * d), dtype=complex)
         checked = []
         for rate, L in self.channels:
             rate = float(rate)
@@ -106,7 +158,11 @@ class LindbladModel:
             if not np.all(np.isfinite(L)):
                 raise ValueError("collapse operator has non-finite entries")
             checked.append((rate, L))
+            if rate:
+                LdL = L.conj().T @ L
+                sup += rate * (_kron(L.conj(), L) - 0.5 * _kron(eye, LdL) - 0.5 * _kron(LdL.T, eye))
         object.__setattr__(self, "channels", tuple(checked))
+        object.__setattr__(self, "dissipator", _read_only(sup))
 
     @property
     def dim(self) -> int:
@@ -145,7 +201,7 @@ def lindblad_rhs(model: LindbladModel, point, rho: np.ndarray) -> np.ndarray:
     d = model.dim
     if rho.shape != (d, d):
         raise ValueError(f"state shape {rho.shape} does not match model dimension {d}")
-    H = model.hamiltonian.matrix(np.asarray(point, dtype=float))
+    H = model.hamiltonian.matrices(point)
     out = -1j * (H @ rho - rho @ H)
     for rate, L in model.channels:
         if rate:

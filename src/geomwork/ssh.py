@@ -22,28 +22,16 @@ from .errors import InvalidParametersError
 
 
 def ssh_hamiltonian(t1: float, t2: float, k: float) -> np.ndarray:
-    """Bloch Hamiltonian (t1 + t2 cos k) sigma_x + (t2 sin k) sigma_y."""
+    """Bloch Hamiltonian (t1 + t2 cos k) sigma_x + (t2 sin k) sigma_y, in
+    closed form; `ssh_family` is the same family in affine form."""
     return (t1 + t2 * np.cos(k)) * SIGMA_X + (t2 * np.sin(k)) * SIGMA_Y
 
 
-def ssh_hamiltonian_grad(i: int, k: float) -> np.ndarray:
-    """dH/dt1 = sigma_x; dH/dt2 = cos k sigma_x + sin k sigma_y."""
-    if i == 0:
-        return SIGMA_X.copy()
-    if i == 1:
-        return np.cos(k) * SIGMA_X + np.sin(k) * SIGMA_Y
-    raise IndexError(f"parameter index {i} out of range for the (t1, t2) family")
-
-
 def ssh_family(k: float) -> ParamHamiltonian:
-    """The (t1, t2) hopping family at fixed momentum k."""
+    """The (t1, t2) hopping family at fixed momentum k: H_0 = 0,
+    H_t1 = sigma_x, H_t2 = cos k sigma_x + sin k sigma_y."""
     k = float(k)
-    return ParamHamiltonian(
-        dim=2,
-        n_params=2,
-        matrix=lambda p: ssh_hamiltonian(p[0], p[1], k),
-        gradient=lambda p, i: ssh_hamiltonian_grad(i, k),
-    )
+    return ParamHamiltonian(np.zeros((2, 2)), [SIGMA_X, np.cos(k) * SIGMA_X + np.sin(k) * SIGMA_Y])
 
 
 def ssh_model(gamma: float, gamma_phi: float, k: float) -> LindbladModel:

@@ -13,9 +13,11 @@ within a factor 1e-8 of each other (relative to the largest) the null space
 is considered degenerate and the point gets an error instead of a silently
 picked representative.
 
+`liouvillians` is the one assembly path: the coherent superoperators of a
+stack of Hamiltonians, formed by broadcasting, plus the model's dissipator.
 `steady_states` solves a stack of control points: it assembles their
-Liouvillians by broadcasting and decomposes them with one stacked SVD per
-chunk of CHUNK_POINTS, reporting an error per failed point. Each point's
+Liouvillians and decomposes them with one stacked SVD per chunk of
+CHUNK_POINTS, reporting an error per failed point. Each point's
 arithmetic does not depend on the stack it is in, so `steady_state`, the
 one-point call, gives bit-identical states.
 """
@@ -79,30 +81,14 @@ def hamiltonian_superop(H: np.ndarray) -> np.ndarray:
     return -1j * (left - right).reshape(H.shape[:-2] + (d * d, d * d))
 
 
-def dissipator_superop(model: LindbladModel) -> np.ndarray:
-    """Superoperator of all collapse channels; cached on the model (it is
-    independent of the control point)."""
-    cached = getattr(model, "_dissipator_super", None)
-    if cached is not None:
-        return cached
-    d = model.dim
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for rate, L in model.channels:
-        if not rate:
-            continue
-        LdL = L.conj().T @ L
-        out += rate * (np.kron(L.conj(), L)
-                       - 0.5 * np.kron(eye, LdL)
-                       - 0.5 * np.kron(LdL.T, eye))
-    object.__setattr__(model, "_dissipator_super", out)
-    return out
+def liouvillians(model: LindbladModel, points) -> np.ndarray:
+    """Dense Liouvillians L with vec(drho/dt) = L vec(rho) at control points.
 
-
-def liouvillian_matrix(model: LindbladModel, point) -> np.ndarray:
-    """Dense Liouvillian L with vec(drho/dt) = L vec(rho) (column stacking)."""
-    H = model.hamiltonian.matrix(np.asarray(point, dtype=float))
-    return hamiltonian_superop(H) + dissipator_superop(model)
+    ``points`` of shape (..., n_params) give shape (..., d^2, d^2): the
+    coherent superoperators of the family's Hamiltonians plus the model's
+    dissipator.
+    """
+    return hamiltonian_superop(model.hamiltonian.matrices(points)) + model.dissipator
 
 
 def _null_space_error(s: np.ndarray, trace: float):
@@ -157,13 +143,11 @@ def steady_states(model: LindbladModel, points) -> Batch:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be a (N, n_params) stack, got shape {points.shape}")
-    dsup = dissipator_superop(model)
     states = np.empty((len(points), model.dim, model.dim), dtype=complex)
     errors = []
     for lo in range(0, len(points), CHUNK_POINTS):
         chunk = points[lo:lo + CHUNK_POINTS]
-        H = np.array([model.hamiltonian.matrix(p) for p in chunk])
-        batch = _states_from_superops(hamiltonian_superop(H) + dsup, model.dim)
+        batch = _states_from_superops(liouvillians(model, chunk), model.dim)
         states[lo:lo + len(chunk)] = batch.values
         errors.extend(batch.errors)
     return Batch(states, tuple(errors))

@@ -118,12 +118,18 @@ def test_stokes_agreement_rectangle():
     assert abs(w_line - w_flux) <= max(1e-6, 1e-3 * abs(w_line))
 
 
-def test_flux_accepts_closed_form_curvature_override():
-    cyc = Circle((0.0, 1.0), (0.5, 0.3))
-    model = tls_model(1.0, 0.0)
-    w_fd = flux_work(model, cyc, 32)
-    w_closed = flux_work(model, cyc, 32,
-                         curvature=lambda p: curvature_closed_form_tls(p[0], p[1], 1.0, 0.0))
+def test_flux_matches_closed_form_flux():
+    # the same 32 x 32 polar Gauss-Legendre rule, summed here over the
+    # closed-form curvature instead of the finite-difference pipeline
+    (c1, c2), (r1, r2) = (0.0, 1.0), (0.5, 0.3)
+    x, w = np.polynomial.legendre.leggauss(32)
+    rad, wr = 0.5 * x + 0.5, 0.5 * w
+    th, wt = np.pi * x + np.pi, np.pi * w
+    w_closed = sum(wr[i] * wt[j] * r1 * r2 * rad[i]
+                   * curvature_closed_form_tls(c1 + r1 * rad[i] * np.cos(th[j]),
+                                               c2 + r2 * rad[i] * np.sin(th[j]), 1.0, 0.0)
+                   for i in range(32) for j in range(32))
+    w_fd = flux_work(tls_model(1.0, 0.0), Circle((c1, c2), (r1, r2)), 32)
     assert abs(w_fd - w_closed) <= 1e-6
 
 

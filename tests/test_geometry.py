@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geomwork
-from geomwork import (SIGMA_MINUS, SIGMA_Z, Circle, DegenerateSteadyStateError,
-                      DriveSchedule, GridSpec, InvalidParametersError, LindbladModel,
-                      OneFormResidualError, ParamHamiltonian, coherence,
+from geomwork import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, DegenerateSteadyStateError,
+                      GridSpec, InvalidParametersError, ParamHamiltonian, coherence,
                       curvature_closed_form_tls, curvature_fd, curvature_field,
-                      curvatures_fd, default_fd_step, dynamic_work, evolve, steady_state, steady_states, tls_family, tls_model,
+                      curvatures_fd, default_fd_step, steady_state, steady_states, tls_model,
                       tls_steady_closed_form, work_one_form, work_one_forms)
 from geomwork.steadystate import CHUNK_POINTS
 
@@ -189,31 +188,33 @@ def test_batched_matches_per_point(gamma, gamma_phi, points, degenerate_delta, d
 
 
 def test_non_hermitian_gradient_raises_typed_error():
-    # dH/domega = sigma_minus is not Hermitian: Tr(rho sigma_minus) is complex
-    family = ParamHamiltonian(dim=2, n_params=2, matrix=tls_family().matrix,
-                              gradient=lambda p, i: 0.5 * SIGMA_Z if i == 0 else SIGMA_MINUS)
-    model = LindbladModel(family, tls_model(1.0, 0.2).channels)
-    with pytest.raises(OneFormResidualError):
-        work_one_form(model, (0.3, 0.8))
-    with pytest.raises(OneFormResidualError):
-        curvature_field(model, GridSpec((-1.0, 0.2), (1.0, 1.0), (3, 3)))
-    # the driven-work integrand takes the same trace, so W_dyn is checked too
-    schedule = DriveSchedule(Circle((0.0, 0.6), (0.4, 0.3)), 5.0)
-    rho0 = steady_state(model, schedule.point_at(0.0))
-    with pytest.raises(OneFormResidualError, match=r"in component 1 at t=[0-9.e+-]+, point \["):
-        evolve(model, schedule, rho0)
-    hermitian = tls_model(1.0, 0.2)
-    with pytest.raises(OneFormResidualError):
-        dynamic_work(model, evolve(hermitian, schedule, rho0), schedule)
+    # a family is checked when it is built, so no trace of a bad generator is
+    # ever taken; dH/domega = sigma_minus is not Hermitian
+    zeros = np.zeros((2, 2))
+    with pytest.raises(InvalidParametersError, match="generator 1 is not Hermitian"):
+        ParamHamiltonian(zeros, [0.5 * SIGMA_Z, SIGMA_MINUS])
+    with pytest.raises(InvalidParametersError, match="base is not Hermitian"):
+        ParamHamiltonian(SIGMA_MINUS, [0.5 * SIGMA_Z, SIGMA_X])
+    with pytest.raises(InvalidParametersError, match="generator 1 has shape"):
+        ParamHamiltonian(zeros, [0.5 * SIGMA_Z, np.eye(3)])
+    with pytest.raises(InvalidParametersError, match=r"base has shape \(2, 3\)"):
+        ParamHamiltonian(np.zeros((2, 3)), [0.5 * SIGMA_Z])
+    with pytest.raises(InvalidParametersError, match="at least one generator"):
+        ParamHamiltonian(zeros, [])
+    with pytest.raises(InvalidParametersError, match="generator 0 has non-finite entries"):
+        ParamHamiltonian(zeros, [np.diag([np.nan, 1.0]), SIGMA_X])
+    with pytest.raises(InvalidParametersError, match="base has non-finite entries"):
+        ParamHamiltonian(np.diag([np.inf, 0.0]), [SIGMA_X])
+    # Hermitian up to roundoff passes
+    fam = ParamHamiltonian(zeros, [SIGMA_X + 1e-14j * SIGMA_MINUS])
+    assert fam.dim == 2 and fam.n_params == 1
     # the check is not an assert, so it survives python -O
     code = textwrap.dedent("""
+        import numpy as np
         import geomwork as gw
-        family = gw.ParamHamiltonian(2, 2, gw.tls_family().matrix,
-                                     lambda p, i: gw.SIGMA_MINUS)
-        model = gw.LindbladModel(family, gw.tls_model(1.0, 0.2).channels)
         try:
-            gw.work_one_form(model, (0.3, 0.8))
-        except gw.OneFormResidualError:
+            gw.ParamHamiltonian(np.zeros((2, 2)), [0.5 * gw.SIGMA_Z, gw.SIGMA_MINUS])
+        except gw.InvalidParametersError:
             print("raised")
     """)
     src = str(Path(geomwork.__file__).resolve().parent.parent)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geomwork import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                      InvalidParametersError, ParamHamiltonian, dissipator,
-                      lindblad_rhs, pauli, tls_hamiltonian,
-                      tls_hamiltonian_grad, tls_model,
-                      validate_density_matrix)
+                      InvalidParametersError, dissipator, lindblad_rhs, pauli,
+                      ssh_family, ssh_hamiltonian, tls_family, tls_hamiltonian,
+                      tls_model, validate_density_matrix)
 
 
 def random_density(rng, d):
@@ -50,44 +52,37 @@ def test_tls_hamiltonian_values():
                                np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex), atol=0)
 
 
-def test_tls_hamiltonian_grads():
-    np.testing.assert_array_equal(tls_hamiltonian_grad(0), 0.5 * SIGMA_Z)
-    np.testing.assert_array_equal(tls_hamiltonian_grad(1), SIGMA_X)
-    with pytest.raises(IndexError):
-        tls_hamiltonian_grad(2)
-
-
 def test_tls_grad_matches_central_difference():
     h = 1e-4
-    p = np.array([1.0, 1.0])
     fam = tls_model(1.0).hamiltonian
     for i, e in enumerate(np.eye(2)):
-        fd = (fam.matrix(p + h * e) - fam.matrix(p - h * e)) / (2 * h)
-        assert np.max(np.abs(fam.gradient(p, i) - fd)) <= 1e-8
+        fd = (tls_hamiltonian(*(1.0 + h * e)) - tls_hamiltonian(*(1.0 - h * e))) / (2 * h)
+        assert np.max(np.abs(fam.generators[i] - fd)) <= 1e-8
 
 
-def _bumpy_family():
-    # deliberately nonlinear so central differences carry an O(h^2) error
-    return ParamHamiltonian(
-        dim=2, n_params=2,
-        matrix=lambda p: np.sin(p[0]) * SIGMA_Z + p[1] ** 3 * SIGMA_X,
-        gradient=lambda p, i: np.cos(p[0]) * SIGMA_Z if i == 0 else 3.0 * p[1] ** 2 * SIGMA_X,
-    )
+_point_stacks = arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2)),
+                       elements=st.floats(-1e3, 1e3))
 
 
-def test_gradient_fd_error_ratio_is_second_order():
-    fam = _bumpy_family()
-    p = np.array([0.7, 0.9])
+@settings(max_examples=50, deadline=None)
+@given(points=_point_stacks, k=st.floats(-2 * np.pi, 2 * np.pi))
+def test_affine_families_equal_closed_forms(points, k):
+    # the stored generators reproduce the closed forms exactly, point by
+    # point (IEEE equality: a zero entry may differ in sign)
+    tls = np.array([tls_hamiltonian(p[0], p[1]) for p in points])
+    ssh = np.array([ssh_hamiltonian(p[0], p[1], k) for p in points])
+    np.testing.assert_array_equal(tls_family().matrices(points), tls)
+    np.testing.assert_array_equal(ssh_family(k).matrices(points), ssh)
+    np.testing.assert_array_equal(tls_family().matrices(points[0]), tls[0])
 
-    def fd_error(i, h):
-        e = np.zeros(2)
-        e[i] = h
-        fd = (fam.matrix(p + e) - fam.matrix(p - e)) / (2 * h)
-        return np.max(np.abs(fam.gradient(p, i) - fd))
 
-    for i in range(2):
-        ratio = fd_error(i, 0.05) / fd_error(i, 0.025)
-        assert 3.2 <= ratio <= 4.8
+def test_family_and_dissipator_are_read_only():
+    model = tls_model(1.0, 0.3)
+    for array in (model.hamiltonian.base, model.hamiltonian.generators, model.dissipator):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    with pytest.raises(ValueError, match="2 coordinates"):
+        model.hamiltonian.matrices(np.zeros((4, 3)))
 
 
 def test_dissipator_dephasing_fixes_maximally_mixed():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from geomwork import (SIGMA_X, SIGMA_Y, Circle, line_integral_work,
-                      ssh_curvature, ssh_family, ssh_hamiltonian,
-                      ssh_hamiltonian_grad, ssh_model)
+                      ssh_curvature, ssh_family, ssh_hamiltonian, ssh_model)
 
 
 def test_hamiltonian_reduces_at_band_edge():
@@ -26,11 +25,10 @@ def test_gradients_match_central_differences():
         p = rng.uniform(0.2, 2.0, size=2)
         h = 1e-4
         for i, e in enumerate(np.eye(2)):
-            fd = (fam.matrix(p + h * e) - fam.matrix(p - h * e)) / (2 * h)
-            assert np.max(np.abs(fam.gradient(p, i) - fd)) <= 1e-8
-    np.testing.assert_array_equal(ssh_hamiltonian_grad(0, 0.7), SIGMA_X)
-    with pytest.raises(IndexError):
-        ssh_hamiltonian_grad(2, 0.7)
+            fd = (ssh_hamiltonian(*(p + h * e), k) - ssh_hamiltonian(*(p - h * e), k)) / (2 * h)
+            assert np.max(np.abs(fam.generators[i] - fd)) <= 1e-8
+    np.testing.assert_array_equal(ssh_family(0.7).generators[0], SIGMA_X)
+    assert ssh_family(0.7).n_params == 2
 
 
 def test_model_metadata():

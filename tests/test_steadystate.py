@@ -3,7 +3,7 @@ import pytest
 
 from geomwork import (DegenerateSteadyStateError, InvalidParametersError,
                       NoSteadyStateError, bloch_components, density_from_bloch,
-                      lindblad_rhs, liouvillian_matrix, steady_state,
+                      lindblad_rhs, liouvillians, steady_state,
                       tls_model, tls_steady_closed_form)
 from geomwork.steadystate import _states_from_superops
 
@@ -20,7 +20,7 @@ def test_liouvillian_reproduces_rhs_under_vectorization():
     rng = np.random.default_rng(3)
     model = tls_model(0.9, 0.35)
     point = (0.4, 1.1)
-    L = liouvillian_matrix(model, point)
+    L = liouvillians(model, point)
     for _ in range(20):
         rho = random_matrix(rng, 2)
         lhs = L @ vec(rho)
@@ -32,12 +32,12 @@ def test_trace_functional_is_left_null_vector():
     rng = np.random.default_rng(5)
     for _ in range(10):
         model = tls_model(rng.uniform(0.1, 2.0), rng.uniform(0.0, 3.0))
-        L = liouvillian_matrix(model, rng.uniform(-2, 2, size=2))
+        L = liouvillians(model, rng.uniform(-2, 2, size=2))
         assert np.max(np.abs(vec(np.eye(2)).conj() @ L)) <= 1e-12
 
 
 def test_single_zero_eigenvalue_at_reference_point():
-    L = liouvillian_matrix(tls_model(1.0, 0.0), (0.0, 1.0))
+    L = liouvillians(tls_model(1.0, 0.0), (0.0, 1.0))
     eigs = np.linalg.eigvals(L)
     assert np.sum(np.abs(eigs) <= 1e-10) == 1
 
@@ -96,7 +96,7 @@ def test_null_space_residual_on_grid():
     model = tls_model(1.0, 0.2)
     for delta in np.linspace(-3, 3, 10):
         for omega in np.linspace(0.05, 3, 10):
-            L = liouvillian_matrix(model, (delta, omega))
+            L = liouvillians(model, (delta, omega))
             rho = steady_state(model, (delta, omega))
             assert np.linalg.norm(L @ vec(rho)) <= 1e-10
 
