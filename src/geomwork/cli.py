@@ -241,15 +241,18 @@ def _resolve_quasistatic(cfg: dict) -> dict:
     dump = cfg.get("dump_trajectory", False)
     if not isinstance(dump, bool):
         raise ConfigError("dump_trajectory: expected true or false")
-    return {
-        "command": "quasistatic",
-        "model": _resolve_model(cfg),
-        "cycle": _resolve_cycle(cfg),
-        "periods": _as_sweep(cfg.get("periods", DEFAULT_PERIODS), "periods", minimum=0.0),
-        "n_path": _as_int(cfg.get("n_path", 1024), "n_path", 8),
-        "dt": _optional_float(cfg, "dt", minimum=0.0, exclusive=True),
-        "dump_trajectory": dump,
-    }
+    model = _resolve_model(cfg)
+    cycle = _resolve_cycle(cfg)
+    periods = _as_sweep(cfg.get("periods", DEFAULT_PERIODS), "periods", minimum=0.0)
+    if periods[0] == 0.0:
+        raise ConfigError("periods[0]: must be > 0.0, got 0.0")
+    n_path = _as_int(cfg.get("n_path", 1024), "n_path", 8)
+    dt = _optional_float(cfg, "dt", minimum=0.0, exclusive=True)
+    # evolve needs dt <= period/1000 for every period
+    if dt is not None and dt > periods[0] / 1000.0:
+        raise ConfigError(f"dt: must be <= min(periods)/1000 = {periods[0] / 1000.0}, got {dt}")
+    return {"command": "quasistatic", "model": model, "cycle": cycle, "periods": periods,
+            "n_path": n_path, "dt": dt, "dump_trajectory": dump}
 
 
 def _resolve_scaling(cfg: dict) -> dict:

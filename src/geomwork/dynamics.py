@@ -2,17 +2,22 @@
 
 The integrator is classical fourth-order Runge-Kutta on the vectorized
 density matrix, with the Liouvillian rebuilt as the drive moves the control
-point. Steps run in chunks: the mid-step and end-of-step Liouvillians of a
-chunk of steps are assembled in one broadcast call (CHUNK_POINTS of them, the
-bound `steady_states` uses), and the step loop indexes that stack. Each step
-is Hermitized ((rho + rho^dag)/2, a fixed permutation in vec space); the
-pre-Hermitization residual and the trace drift are monitored throughout. The
-Lindblad right-hand side is traceless in exact arithmetic, so trace drift
-beyond roundoff signals an overlarge step. The stored states of a chunk are
-checked together after the chunk (trace drift, then positivity with one
-stacked eigvalsh); the first failing sample raises, in sample order, with
-drift checked before positivity at each sample, so a failing run stops at
-most one chunk after the step that broke it.
+point. For the linear master equation each RK4 step is a fixed matrix R_k
+applied to the state, built from the step's start, mid and end Liouvillians.
+Steps run in chunks: the mid-step and end-of-step Liouvillians of a chunk
+are assembled in one broadcast call (CHUNK_POINTS of them, the bound
+`steady_states` uses), every R_k of the chunk is formed as one stack, and an
+inclusive log-depth prefix product turns the stack into R_k ... R_0, so the
+stored states and the state carried into the next chunk are one batched
+matrix-vector product with no loop over steps. The stored states and the
+carried state are Hermitized ((rho + rho^dag)/2, a fixed permutation in vec
+space); the pre-Hermitization residual and the trace drift are monitored
+throughout. The Lindblad right-hand side is traceless in exact arithmetic,
+so trace drift beyond roundoff signals an overlarge step. The stored states
+of a chunk are checked together after the chunk (trace drift, then
+positivity with one stacked eigvalsh); the first failing sample raises, in
+sample order, with drift checked before positivity at each sample, so a
+failing run stops at most one chunk after the step that broke it.
 
 Dynamic work integrates Tr(rho(t) H_i) lambda_dot_i along the actual (not
 steady) state, evaluated over many samples at once: `dynamic_work` over the
@@ -72,8 +77,9 @@ class DriveSchedule:
 @dataclass
 class Trajectory:
     """Stored integration output at a uniform stride, with the integrator's
-    diagnostics: the largest pre-Hermitization residual over all steps, the
-    largest trace drift over the stored states, and the number of steps."""
+    diagnostics: the largest pre-Hermitization residual over the stored
+    states and the states carried between chunks, the largest trace drift
+    over the stored states, and the number of steps."""
 
     times: np.ndarray
     states: np.ndarray
@@ -143,6 +149,13 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     max_store_per_period : int
         Upper bound on stored samples per period (stride is chosen from it).
 
+    Returns
+    -------
+    Trajectory
+        Its ``herm_residual`` is the largest pre-Hermitization residual over
+        the stored states and the states carried between chunks of steps;
+        the states in between are never formed.
+
     Raises
     ------
     StepTooLargeError
@@ -166,6 +179,7 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
 
     # (rho^dag) in vec space: vec index i + j d holds rho[i, j]
     perm = np.arange(d * d).reshape(d, d).T.ravel()
+    eye = np.eye(d * d)
     half = 0.5 * step
     sixth = step / 6.0
     chunk = CHUNK_POINTS // 2  # steps per chunk: a mid and an end Liouvillian each
@@ -174,30 +188,38 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     states = [rho0[None]]
     herm_residual = 0.0
     trace_drift = 0.0
-    l_end = liouvillians(model, schedule.point_at(np.zeros(1)))[0]
+    l_end = liouvillians(model, schedule.point_at(np.zeros(1)))
     for lo in range(0, n_steps, chunk):
         ks = np.arange(lo, min(lo + chunk, n_steps))
         t = ks * step
         mid_and_end = np.concatenate([t + 0.5 * step, t + step])
         stack = liouvillians(model, schedule.point_at(mid_and_end))
         l_mids, l_ends = stack[:len(ks)], stack[len(ks):]
-        raw = np.empty((len(ks), d * d), dtype=complex)
-        herm = np.empty_like(raw)
+        l_starts = np.concatenate([l_end, l_ends[:-1]])
+        l_end = l_ends[-1:]
+        stored = (ks + 1) % stride == 0
+        # the stored steps, then the chunk's last step for the carried state
+        rows = np.append(np.flatnonzero(stored), len(ks) - 1)
         # a blown-up step overflows; _check_stored raises for it below
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, l_mid in enumerate(l_mids):
-                k1 = l_end @ v
-                k2 = l_mid @ (v + half * k1)
-                k3 = l_mid @ (v + half * k2)
-                l_end = l_ends[j]
-                k4 = l_end @ (v + step * k3)
-                raw[j] = r = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                herm[j] = v = 0.5 * (r + r[perm].conj())
+            # RK4 stages as matrices: the stages of step k are l_starts[k] v,
+            # k2[k] v, k3[k] v and k4[k] v, and prop[k] is that step's R_k
+            k2 = l_mids + half * (l_mids @ l_starts)
+            k3 = l_mids + half * (l_mids @ k2)
+            k4 = l_ends + step * (l_ends @ k3)
+            prop = eye + sixth * (l_starts + 2.0 * k2 + 2.0 * k3 + k4)
+            # inclusive prefix product: prop[j] becomes R_j ... R_0 of this chunk
+            off = 1
+            while off < len(ks):
+                prop[off:] = prop[off:] @ prop[:-off]
+                off *= 2
+            raw = prop[rows] @ v
+            herm = 0.5 * (raw + raw[:, perm].conj())
             herm_residual = max(herm_residual, float(np.max(np.abs(raw - herm))))
-        stored = (ks + 1) % stride == 0
+        v = herm[-1]
         t_stored = (ks[stored] + 1) * step
         # column-stacked vec -> C-contiguous (n, d, d) states
-        rho = np.ascontiguousarray(herm[stored].reshape(-1, d, d).swapaxes(1, 2))
+        rho = np.ascontiguousarray(herm[:-1].reshape(-1, d, d).swapaxes(1, 2))
         trace_drift = max(trace_drift, _check_stored(t_stored, rho))
         times.append(t_stored)
         states.append(rho)

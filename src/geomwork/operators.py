@@ -120,9 +120,16 @@ class ParamHamiltonian:
         return H
 
 
+_TLS_FAMILY = ParamHamiltonian(np.zeros((2, 2)), [0.5 * SIGMA_Z, SIGMA_X])
+
+
 def tls_family() -> ParamHamiltonian:
-    """The (delta, omega) two-level family: H_0 = 0, H_delta = sigma_z / 2, H_omega = sigma_x."""
-    return ParamHamiltonian(np.zeros((2, 2)), [0.5 * SIGMA_Z, SIGMA_X])
+    """The (delta, omega) two-level family: H_0 = 0, H_delta = sigma_z / 2, H_omega = sigma_x.
+
+    The family is frozen and its arrays are read-only, so every call returns
+    the same instance, built and validated once at import.
+    """
+    return _TLS_FAMILY
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,16 @@ def test_quasistatic_run_with_trajectory(tmp_path, capsys):
         assert 0.0 <= entry["herm_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"periods": [0.0, 25.0]}, "periods[0]: must be > 0.0"),
+    ({"periods": [25.0], "dt": 1.0}, "dt: must be <= min(periods)/1000 = 0.025"),
+])
+def test_quasistatic_rejects_unusable_periods_and_dt(tmp_path, capsys, config, message):
+    code, _ = run(tmp_path, "quasistatic", config)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_scaling_default_windows_pass(tmp_path, capsys):
     config = {"model": {"kind": "tls", "gamma": 1.0},
               "gamma2_sweep": [1e2, 1e3, 1e4]}
