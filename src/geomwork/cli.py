@@ -3,15 +3,16 @@
     geomwork field|loops|orientation|quasistatic|scaling|ssh
              [--config cfg.json] --out DIR [--threads N]
 
-Evaluation is single-threaded: each line integral, flux and finite-difference
+Evaluation is single-threaded: each line integral, flux and linear-response
 field evaluates all of its control points in one batched steady-state call.
 ``--threads`` is accepted for compatibility and ignored.
 
 Each run writes ``config_echo.json`` (the fully resolved configuration,
 defaults applied), ``metadata.json`` (run provenance; its ``created``
-timestamp is the only non-deterministic field; ``quasistatic`` adds a
-``stats.integrator`` list with each period's step count, Hermitization
-residual and trace drift) and one CSV per data product.
+timestamp is the only non-deterministic field; ``loops`` adds
+``max_stokes_residual``, ``quasistatic`` a ``stats.integrator`` list with each
+period's step count, Hermitization residual and trace drift) and one CSV per
+data product.
 CSVs use a header row, ``,`` delimiters, ``.`` decimals, LF endings, and
 floats with 17 significant digits; identical configurations produce
 byte-identical data files.
@@ -36,7 +37,7 @@ from .cycles import cycle_from_json, cycle_to_json, cycle_work, line_integral_wo
 from .dynamics import (DriveSchedule, accumulated_work, dynamic_work, errors_decreasing,
                        evolve, quasistatic_convergence)
 from .errors import ConfigError, GeomworkError
-from .geometry import GridSpec, curvature_closed_form_tls, curvature_fd, curvature_field
+from .geometry import GridSpec, curvature, curvature_closed_form_tls, curvature_field
 from .operators import tls_model
 from .ssh import ssh_curvature, ssh_model
 from .steadystate import bloch_components, steady_state, tls_steady_closed_form
@@ -118,12 +119,6 @@ def _as_pair(value, where: str) -> list:
     return [_as_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _optional_float(cfg, key, minimum=None, exclusive=False):
-    if cfg.get(key) is None:
-        return None
-    return _as_float(cfg[key], key, minimum=minimum, exclusive=exclusive)
-
-
 def _resolve_model(cfg: dict, kinds=("tls", "ssh"), kind="tls",
                    gamma=1.0, gamma_phi=0.0, k=0.0) -> dict:
     spec = cfg.get("model", {})
@@ -185,7 +180,7 @@ def _resolve_cycle(cfg: dict, key: str = "cycle") -> dict:
 # ----------------------------------------------------------------- resolvers
 
 def _resolve_field(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "grid", "method", "h"}, "config")
+    _check_keys(cfg, {"model", "grid", "method"}, "config")
     model = _resolve_model(cfg, gamma_phi=0.2)
     grid = cfg.get("grid", DEFAULT_GRID)
     if not isinstance(grid, dict):
@@ -200,18 +195,18 @@ def _resolve_field(cfg: dict) -> dict:
     for axis in range(2):
         if hi[axis] <= lo[axis]:
             raise ConfigError(f"grid: axis {axis} needs hi > lo, got [{lo[axis]}, {hi[axis]}]")
-    method = cfg.get("method", "closed_form" if model["kind"] == "tls" else "finite_difference")
-    if method not in ("closed_form", "finite_difference"):
-        raise ConfigError(f"method: expected closed_form or finite_difference, got {method!r}")
+    method = cfg.get("method", "closed_form" if model["kind"] == "tls" else "linear_response")
+    method = {"finite_difference": "linear_response"}.get(method, method)  # its former name
+    if method not in ("closed_form", "linear_response"):
+        raise ConfigError(f"method: expected closed_form or linear_response, got {method!r}")
     if method == "closed_form" and model["kind"] != "tls":
         raise ConfigError("method: closed_form requires the tls model")
     return {"command": "field", "model": model,
-            "grid": {"lo": lo, "hi": hi, "shape": shape},
-            "method": method, "h": _optional_float(cfg, "h", minimum=0.0, exclusive=True)}
+            "grid": {"lo": lo, "hi": hi, "shape": shape}, "method": method}
 
 
 def _resolve_loops(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "cycles", "gamma_phi_sweep", "n_path", "m_quad", "h"}, "config")
+    _check_keys(cfg, {"model", "cycles", "gamma_phi_sweep", "n_path", "m_quad"}, "config")
     return {
         "command": "loops",
         "model": _resolve_model(cfg),
@@ -220,7 +215,6 @@ def _resolve_loops(cfg: dict) -> dict:
                                      "gamma_phi_sweep", minimum=0.0),
         "n_path": _as_int(cfg.get("n_path", 1024), "n_path", 8),
         "m_quad": _as_int(cfg.get("m_quad", 64), "m_quad", 4),
-        "h": _optional_float(cfg, "h", minimum=0.0, exclusive=True),
     }
 
 
@@ -247,7 +241,7 @@ def _resolve_quasistatic(cfg: dict) -> dict:
     if periods[0] == 0.0:
         raise ConfigError("periods[0]: must be > 0.0, got 0.0")
     n_path = _as_int(cfg.get("n_path", 1024), "n_path", 8)
-    dt = _optional_float(cfg, "dt", minimum=0.0, exclusive=True)
+    dt = None if cfg.get("dt") is None else _as_float(cfg["dt"], "dt", minimum=0.0, exclusive=True)
     # evolve needs dt <= period/1000 for every period
     if dt is not None and dt > periods[0] / 1000.0:
         raise ConfigError(f"dt: must be <= min(periods)/1000 = {periods[0] / 1000.0}, got {dt}")
@@ -256,7 +250,7 @@ def _resolve_quasistatic(cfg: dict) -> dict:
 
 
 def _resolve_scaling(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "gamma2_sweep", "point", "h", "windows"}, "config")
+    _check_keys(cfg, {"model", "gamma2_sweep", "point", "windows"}, "config")
     model = _resolve_model(cfg, kinds=("tls",))
     sweep = _as_sweep(cfg.get("gamma2_sweep", DEFAULT_GAMMA2_SWEEP), "gamma2_sweep")
     if sweep[-1] < 100.0 * sweep[0]:
@@ -277,17 +271,16 @@ def _resolve_scaling(cfg: dict) -> dict:
             raise ConfigError(f"windows.{key}: needs [lo, hi] with hi > lo")
         windows[key] = [lo, hi]
     return {"command": "scaling", "model": model, "gamma2_sweep": sweep, "point": point,
-            "h": _optional_float(cfg, "h", minimum=0.0, exclusive=True), "windows": windows}
+            "windows": windows}
 
 
 def _resolve_ssh(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "k_values", "point", "h"}, "config")
+    _check_keys(cfg, {"model", "k_values", "point"}, "config")
     return {
         "command": "ssh",
         "model": _resolve_model(cfg, kinds=("ssh",), kind="ssh", gamma_phi=0.1),
         "k_values": _as_sweep(cfg.get("k_values", DEFAULT_SSH_K_VALUES), "k_values"),
         "point": _as_pair(cfg.get("point", DEFAULT_SSH_POINT), "point"),
-        "h": _optional_float(cfg, "h", minimum=0.0, exclusive=True),
     }
 
 
@@ -307,7 +300,7 @@ def _cmd_field(resolved: dict, outdir: str) -> int:
     model = _build_model(resolved["model"])
     grid = GridSpec(tuple(resolved["grid"]["lo"]), tuple(resolved["grid"]["hi"]),
                     tuple(resolved["grid"]["shape"]))
-    field = curvature_field(model, grid, method=resolved["method"], h=resolved["h"])
+    field = curvature_field(model, grid, method=resolved["method"])
     field.write_csv(os.path.join(outdir, "field.csv"))
     if field.failed_nodes == field.values.size:
         print("numeric failure: every grid node failed", file=sys.stderr)
@@ -333,16 +326,17 @@ def _cells(resolved: dict):
 
 def _cmd_loops(resolved: dict, outdir: str) -> int:
     rows = []
+    worst = 0.0
     for gp, loop_id, model, cycle in _cells(resolved):
-        wr = cycle_work(model, cycle, n_path=resolved["n_path"],
-                        m_quad=resolved["m_quad"], h=resolved["h"])
+        wr = cycle_work(model, cycle, n_path=resolved["n_path"], m_quad=resolved["m_quad"])
+        worst = max(worst, wr.stokes_residual)
         rows.append(f"{_fmt(gp)},{loop_id},{_fmt(wr.w_line)},{_fmt(wr.w_flux)},"
                     f"{_fmt(wr.stokes_residual)}")
     _write_csv(os.path.join(outdir, "loops.csv"),
                "gamma_phi,loop_id,w_line,w_flux,stokes_residual", rows)
     _write_json(os.path.join(outdir, "metadata.json"),
-                _metadata(resolved, {"n_path": resolved["n_path"],
-                                     "m_quad": resolved["m_quad"], "h": resolved["h"],
+                _metadata(resolved, {"n_path": resolved["n_path"], "m_quad": resolved["m_quad"],
+                                     "max_stokes_residual": worst,
                                      "loops": [spec["id"] for spec in resolved["cycles"]]}))
     print(f"loops: wrote {len(rows)} rows")
     return 0
@@ -412,16 +406,16 @@ def _cmd_scaling(resolved: dict, outdir: str) -> int:
     def cell(g2):
         gp = g2 - 0.5 * gamma
         f_closed = curvature_closed_form_tls(delta, omega, gamma, gp)
-        f_fd = curvature_fd(tls_model(gamma, gp), (delta, omega), h=resolved["h"])
+        f_pipeline = curvature(tls_model(gamma, gp), (delta, omega))
         b = tls_steady_closed_form(delta, omega, gamma, gp)
-        return g2, abs(f_closed), abs(f_fd), abs(b.x), abs(b.y)
+        return g2, abs(f_closed), abs(f_pipeline), abs(b.x), abs(b.y)
 
     results = [cell(g2) for g2 in resolved["gamma2_sweep"]]
     rows = [f"{_fmt(g2)},{_fmt(af)},{_fmt(ax)},{_fmt(ay)}"
-            for g2, af, _aff, ax, ay in results]
+            for g2, af, _afp, ax, ay in results]
     _write_csv(os.path.join(outdir, "scaling.csv"), "gamma2,abs_F,abs_x,abs_y", rows)
 
-    logs = np.log10([[g2, af, aff, ax, ay] for g2, af, aff, ax, ay in results])
+    logs = np.log10(results)
     slopes = {
         "F": float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0]),
         "F_pipeline": float(np.polyfit(logs[:, 0], logs[:, 2], 1)[0]),
@@ -450,13 +444,13 @@ def _cmd_ssh(resolved: dict, outdir: str) -> int:
     mspec = resolved["model"]
 
     def cell(k):
-        f = ssh_curvature(t1, t2, k, mspec["gamma"], mspec["gamma_phi"], h=resolved["h"])
+        f = ssh_curvature(t1, t2, k, mspec["gamma"], mspec["gamma_phi"])
         return f"{_fmt(k)},{_fmt(t1)},{_fmt(t2)},{_fmt(f)}"
 
     rows = [cell(k) for k in resolved["k_values"]]
     _write_csv(os.path.join(outdir, "ssh.csv"), "k,t1,t2,F", rows)
     _write_json(os.path.join(outdir, "metadata.json"),
-                _metadata(resolved, {"h": resolved["h"], "point": resolved["point"]}))
+                _metadata(resolved, {"point": resolved["point"]}))
     print(f"ssh: wrote {len(rows)} rows")
     return 0
 

@@ -24,7 +24,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigError, SteadyStateError
-from .geometry import curvatures_fd, work_one_forms
+from .geometry import curvatures, work_one_forms
 from .operators import LindbladModel
 from .steadystate import Batch
 
@@ -228,8 +228,7 @@ def _gauss(m: int, a: float, b: float):
     return 0.5 * (b - a) * nodes + 0.5 * (b + a), 0.5 * (b - a) * weights
 
 
-def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64,
-              h: float | None = None) -> float:
+def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64) -> float:
     """Cycle work as the curvature flux through the enclosed region.
 
     Parameters
@@ -239,8 +238,6 @@ def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64,
         The enclosed region is known analytically for both kinds.
     m : int
         Gauss-Legendre order per tensor direction (>= 4).
-    h : float, optional
-        Central-difference step of the curvature; per-axis default when omitted.
 
     The sign follows the cycle orientation: positive (counterclockwise)
     orientation returns +flux.
@@ -261,7 +258,7 @@ def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64,
         nodes = np.array([[c1 + r1 * rad[i] * cos_t[j], c2 + r2 * rad[i] * sin_t[j]]
                           for i in range(m) for j in range(m)])
         term = lambda i, j, f: wr[i] * wt[j] * f * r1 * r2 * rad[i]
-    batch = curvatures_fd(model, nodes, 0, 1, h=h)
+    batch = curvatures(model, nodes, 0, 1)
     _raise_first_failure(batch, nodes, lambda k: f"flux node ({k // m},{k % m})")
     total = 0.0
     for k, f in enumerate(batch.values):
@@ -310,11 +307,11 @@ WORK_RESULT_CSV_HEADER = "w_line,w_flux,stokes_residual,n_path,n_quad"
 
 
 def cycle_work(model: LindbladModel, cycle: Cycle, n_path: int = 1024,
-               m_quad: int = 64, h: float | None = None) -> WorkResult:
+               m_quad: int = 64) -> WorkResult:
     """Evaluate the cycle work both ways and bundle the Stokes residual."""
     return WorkResult(
         w_line=line_integral_work(model, cycle, n_path),
-        w_flux=flux_work(model, cycle, m_quad, h=h),
+        w_flux=flux_work(model, cycle, m_quad),
         n_path=n_path,
         n_quad=m_quad,
     )

@@ -3,10 +3,12 @@
 The one-form components are A_i = Re Tr(rho_ss H_i), with H_i = dH/dlambda_i
 the family's constant generator: the quasistatic work per unit displacement
 of control parameter i. The curvature F_ij = d_i A_j - d_j A_i measures how
-much work fails to commute under the order of parameter variations; for the
-TLS family it is also available in closed form. Fields sample F_12 on a
-rectangular grid, recording nodes where the steady state does not exist as
-missing values (never zeros, which would corrupt flux integrals downstream).
+much work fails to commute under the order of parameter variations. With
+constant generators d_i A_j = Re Tr(d_i rho_ss H_j), exact by linear
+response; for the TLS family F is also available in closed form. Fields
+sample F_12 on a rectangular grid, recording nodes where the steady state
+does not exist as missing values (never zeros, which would corrupt flux
+integrals downstream).
 """
 
 from __future__ import annotations
@@ -18,22 +20,21 @@ import numpy as np
 
 from .errors import GeomworkError, InvalidParametersError
 from .operators import LindbladModel
-from .steadystate import Batch, steady_states
+from .steadystate import Batch, steady_state_derivatives, steady_states
 
 
 def gradient_traces(model: LindbladModel, states) -> np.ndarray:
-    """Re Tr(rho_n H_i) for a stack of states and each generator H_i of the family.
+    """Re Tr(rho_n H_i) for a stack of states (or state derivatives) and each
+    generator H_i of the family.
 
     ``states`` is an (N, d, d) stack and the result has shape (N, n_params);
     NaN states give NaN rows. Each trace sums in the same order as the
     one-state trace np.einsum("ij,ji->", rho, H_i), so the values do not
     depend on how the states are stacked.
 
-    The imaginary part is dropped unchecked. Every state reaching here is
-    Hermitized first (in `steadystate._states_from_superops` and in
-    `dynamics.evolve`), and `ParamHamiltonian` rejects non-Hermitian
-    generators at construction, so the trace of the product is real up to
-    roundoff.
+    The imaginary part is dropped unchecked: the states are Hermitized, their
+    exact derivatives are Hermitian up to roundoff, and `ParamHamiltonian`
+    rejects non-Hermitian generators, so every trace is real up to roundoff.
     """
     states = np.ascontiguousarray(states)  # the einsum's summation order follows the layout
     return np.stack([np.einsum("nij,nji->n", states, np.broadcast_to(g, states.shape)).real
@@ -78,51 +79,25 @@ def curvature_closed_form_tls(delta: float, omega: float, gamma: float,
     return -2.0 * omega * gamma * num / (denom * denom)
 
 
-def default_fd_step(point, i: int):
-    """Default central-difference step for axis i: 1e-3 * max(1, |lambda_i|).
+def curvatures(model: LindbladModel, points, i: int = 0, j: int = 1) -> Batch:
+    """Exact curvature F_ij = Re Tr(d_i rho H_j) - Re Tr(d_j rho H_i) at a stack of nodes.
 
-    ``point`` may be one point or a stack (N, n_params); the step has the
-    matching shape.
+    The state derivatives come from `steady_state_derivatives`, so the whole
+    stack costs one chunked SVD and no step size enters. A node fails, with
+    NaN and the error of its steady state, only where its own steady state
+    fails, never because of a neighbouring point. Antisymmetric by
+    construction: swapping (i, j) produces exactly the negated values, and
+    i == j returns exactly 0 at every node that has a steady state.
     """
-    return 1e-3 * np.maximum(1.0, np.abs(np.asarray(point, dtype=float)[..., i]))
+    derivs = steady_state_derivatives(model, points)
+    n, d = model.hamiltonian.n_params, model.dim
+    traces = gradient_traces(model, derivs.values.reshape(-1, d, d)).reshape(-1, n, n)
+    return Batch(traces[:, i, j] - traces[:, j, i], derivs.errors)
 
 
-def curvatures_fd(model: LindbladModel, points, i: int = 0, j: int = 1,
-                  h: float | None = None) -> Batch:
-    """Curvature F_ij by second-order central differences at a stack of nodes.
-
-    F_ij ~ [A_j(p + h_i e_i) - A_j(p - h_i e_i)] / (2 h_i)
-         - [A_i(p + h_j e_j) - A_i(p - h_j e_j)] / (2 h_j)
-
-    The four stencil points of every node go through one `work_one_forms`
-    call. A node fails with the error of its first failing stencil point, in
-    the order above. Antisymmetric by construction: swapping (i, j) produces
-    exactly the negated values, and i == j returns exactly 0.
-    """
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    if i == j:
-        return Batch(np.zeros(n), (None,) * n)
-    hi = default_fd_step(points, i) if h is None else np.full(n, float(h))
-    hj = default_fd_step(points, j) if h is None else np.full(n, float(h))
-    ei = np.zeros_like(points)
-    ei[:, i] = hi
-    ej = np.zeros_like(points)
-    ej[:, j] = hj
-    stencil = work_one_forms(model, np.concatenate([points + ei, points - ei,
-                                                    points + ej, points - ej]))
-    A = stencil.values.reshape(4, n, model.hamiltonian.n_params)
-    dAj = (A[0, :, j] - A[1, :, j]) / (2.0 * hi)
-    dAi = (A[2, :, i] - A[3, :, i]) / (2.0 * hj)
-    errors = tuple(next((err for err in stencil.errors[k::n] if err is not None), None)
-                   for k in range(n))
-    return Batch(dAj - dAi, errors)
-
-
-def curvature_fd(model: LindbladModel, point, i: int = 0, j: int = 1,
-                 h: float | None = None) -> float:
-    """Curvature F_ij at one point: the one-point call of `curvatures_fd`."""
-    return float(curvatures_fd(model, [point], i, j, h).single())
+def curvature(model: LindbladModel, point, i: int = 0, j: int = 1) -> float:
+    """F_ij at one point: the one-point call of `curvatures`; errors propagate."""
+    return float(curvatures(model, [point], i, j).single())
 
 
 def coherence(x: float, y: float) -> float:
@@ -174,7 +149,6 @@ class CurvatureField:
     grid: GridSpec
     values: np.ndarray
     method: str
-    h: float | None
     model_label: str
     model_params: dict
 
@@ -194,7 +168,6 @@ class CurvatureField:
         return {
             "grid": self.grid.as_dict(),
             "method": self.method,
-            "h": self.h,
             "model": self.model_label,
             "params": dict(self.model_params),
             "failed_nodes": self.failed_nodes,
@@ -219,31 +192,28 @@ class CurvatureField:
 
 
 def curvature_field(model: LindbladModel, grid: GridSpec,
-                    method: str = "finite_difference",
-                    h: float | None = None) -> CurvatureField:
+                    method: str = "linear_response") -> CurvatureField:
     """Sample F_12 on a grid via the closed form or the generic pipeline.
 
     Parameters
     ----------
     model : LindbladModel
     grid : GridSpec
-    method : {"finite_difference", "closed_form"}
-        The closed form applies to the TLS family only. Finite differences
-        evaluate the whole grid in one `curvatures_fd` call.
-    h : float, optional
-        Central-difference step; per-axis default when omitted.
+    method : {"linear_response", "closed_form"}
+        The closed form applies to the TLS family only. Linear response
+        evaluates the whole grid in one `curvatures` call.
 
     Nodes where the steady state fails are recorded as NaN; the sweep never
     aborts on individual nodes.
     """
-    if method not in ("finite_difference", "closed_form"):
+    if method not in ("linear_response", "closed_form"):
         raise ValueError(f"unknown method {method!r}")
     if method == "closed_form" and model.label != "tls":
         raise InvalidParametersError("closed_form curvature is only defined for the TLS family")
     ax1, ax2 = grid.axes()
-    if method == "finite_difference":
+    if method == "linear_response":
         nodes = np.stack(np.meshgrid(ax1, ax2, indexing="ij"), axis=-1).reshape(-1, 2)
-        values = curvatures_fd(model, nodes, h=h).values.reshape(grid.shape)
+        values = curvatures(model, nodes).values.reshape(grid.shape)
     else:
         g = model.params.get("gamma")
         gp = model.params.get("gamma_phi", 0.0)
@@ -255,5 +225,5 @@ def curvature_field(model: LindbladModel, grid: GridSpec,
                 return np.nan
 
         values = np.asarray([[node(l1, l2) for l2 in ax2] for l1 in ax1])
-    return CurvatureField(grid=grid, values=values, method=method, h=h,
+    return CurvatureField(grid=grid, values=values, method=method,
                           model_label=model.label, model_params=dict(model.params))

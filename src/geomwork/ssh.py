@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import curvature_fd
+from .geometry import curvature
 from .operators import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel,
                         ParamHamiltonian)
 from .errors import InvalidParametersError
@@ -46,7 +46,6 @@ def ssh_model(gamma: float, gamma_phi: float, k: float) -> LindbladModel:
     )
 
 
-def ssh_curvature(t1: float, t2: float, k: float, gamma: float,
-                  gamma_phi: float, h: float | None = None) -> float:
+def ssh_curvature(t1: float, t2: float, k: float, gamma: float, gamma_phi: float) -> float:
     """Hopping-plane curvature F_{t1 t2} via the generic steady-state pipeline."""
-    return curvature_fd(ssh_model(gamma, gamma_phi, k), (t1, t2), 0, 1, h=h)
+    return curvature(ssh_model(gamma, gamma_phi, k), (t1, t2), 0, 1)

@@ -20,6 +20,13 @@ Liouvillians and decomposes them with one stacked SVD per chunk of
 CHUNK_POINTS, reporting an error per failed point. Each point's
 arithmetic does not depend on the stack it is in, so `steady_state`, the
 one-point call, gives bit-identical states.
+
+`steady_state_derivatives` reuses each chunk's SVD for the exact linear
+response: d_i rho solves L d_i rho = -G_i rho, G_i = `hamiltonian_superop(H_i)`
+(Avron, Fraas, Graf & Grech, Commun. Math. Phys. 314, 163 (2012)). The
+traceless right-hand side lies in the range of L, so the pseudo-inverse
+V S^+ U^H without the smallest singular value solves it, and subtracting
+Tr(x) rho makes the solution traceless.
 """
 
 from __future__ import annotations
@@ -108,17 +115,53 @@ def _null_space_error(s: np.ndarray, trace: float):
     return None
 
 
-def _states_from_superops(L: np.ndarray, dim: int) -> Batch:
-    """Steady states of a stack (N, d^2, d^2) of Liouvillians, one SVD call."""
-    _, s, vh = np.linalg.svd(L)
+def _states_from_svd(s: np.ndarray, vh: np.ndarray, dim: int) -> Batch:
+    """Steady states from the singular values and right vectors of a stack of Liouvillians."""
     rho = vh[:, -1].conj().reshape((-1, dim, dim)).swapaxes(-1, -2)  # column-stacked vec
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     trace = np.trace(rho, axis1=-2, axis2=-1).real
-    errors = tuple(_null_space_error(s[n], trace[n]) for n in range(len(L)))
+    errors = tuple(_null_space_error(s[n], trace[n]) for n in range(len(s)))
     ok = np.array([err is None for err in errors], dtype=bool)
     states = np.full(rho.shape, np.nan, dtype=complex)
     states[ok] = rho[ok] / trace[ok, None, None]
     return Batch(states, errors)
+
+
+def _states_from_superops(L: np.ndarray, dim: int) -> Batch:
+    """Steady states of a stack (N, d^2, d^2) of Liouvillians, one SVD call."""
+    _, s, vh = np.linalg.svd(L)
+    return _states_from_svd(s, vh, dim)
+
+
+def _derivatives_from_superops(L: np.ndarray, model: LindbladModel) -> Batch:
+    """d_i rho for each generator H_i at a stack of Liouvillians, from the one
+    SVD that also gives the states.
+
+    A failed point's state is NaN, so its right-hand side is NaN too and
+    dividing it by a vanishing singular value raises no floating-point flag.
+    """
+    u, s, vh = np.linalg.svd(L)
+    states = _states_from_svd(s, vh, model.dim)
+    rho, gens = states.values[:, None], model.hamiltonian.generators
+    rhs = 1j * (gens @ rho - rho @ gens)  # -G_i rho, shape (N, n_params, d, d)
+    b = rhs.swapaxes(-1, -2).reshape(rhs.shape[:2] + (-1,)).swapaxes(-1, -2)  # vecs as columns
+    coeffs = (u[:, :, :-1].conj().swapaxes(-1, -2) @ b) / s[:, :-1, None]
+    x = (vh[:, :-1].conj().swapaxes(-1, -2) @ coeffs).swapaxes(-1, -2)
+    x = x.reshape(rhs.shape).swapaxes(-1, -2)  # column-stacked vec
+    return Batch(x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] * rho, states.errors)
+
+
+def _solve_chunks(model: LindbladModel, points, solve) -> Batch:
+    """``solve(L)`` on the Liouvillians of each chunk of CHUNK_POINTS points,
+    joined into one Batch over the stack."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points must be a (N, n_params) stack, got shape {points.shape}")
+    # an empty stack still runs one (empty) chunk, so the values keep their shape
+    parts = [solve(liouvillians(model, points[lo:lo + CHUNK_POINTS]))
+             for lo in range(0, max(1, len(points)), CHUNK_POINTS)]
+    return Batch(np.concatenate([part.values for part in parts]),
+                 tuple(err for part in parts for err in part.errors))
 
 
 def steady_states(model: LindbladModel, points) -> Batch:
@@ -140,17 +183,7 @@ def steady_states(model: LindbladModel, points) -> Batch:
     The Liouvillians are assembled and decomposed CHUNK_POINTS at a time,
     which bounds the size of the temporary stacks.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"points must be a (N, n_params) stack, got shape {points.shape}")
-    states = np.empty((len(points), model.dim, model.dim), dtype=complex)
-    errors = []
-    for lo in range(0, len(points), CHUNK_POINTS):
-        chunk = points[lo:lo + CHUNK_POINTS]
-        batch = _states_from_superops(liouvillians(model, chunk), model.dim)
-        states[lo:lo + len(chunk)] = batch.values
-        errors.extend(batch.errors)
-    return Batch(states, tuple(errors))
+    return _solve_chunks(model, points, lambda L: _states_from_superops(L, model.dim))
 
 
 def steady_state(model: LindbladModel, point) -> np.ndarray:
@@ -160,6 +193,14 @@ def steady_state(model: LindbladModel, point) -> np.ndarray:
     and raises that point's DegenerateSteadyStateError or NoSteadyStateError.
     """
     return steady_states(model, [point]).single()
+
+
+def steady_state_derivatives(model: LindbladModel, points) -> Batch:
+    """Exact derivatives d rho_ss / d lambda_i at a stack of points, shape
+    (N, n_params, d, d), from the same chunked SVD as `steady_states`. A point
+    fails, with NaN values and the error `steady_states` gives it, only where
+    its own steady state fails."""
+    return _solve_chunks(model, points, lambda L: _derivatives_from_superops(L, model))
 
 
 def bloch_components(rho: np.ndarray) -> BlochVector:

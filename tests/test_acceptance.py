@@ -16,9 +16,12 @@ Expanding at large Gamma_2:
 
 The population response d_omega z dominates F, so the curvature decays like
 the coherence y rather than like its square. The test fits the slopes from
-the closed form and from the finite-difference pipeline, and checks the three
-leading coefficients at Gamma_2 = 1e4, where the next-order relative
-corrections are below 5e-4.
+the closed form, from the linear-response pipeline and from the
+finite-difference oracle, and checks the three leading coefficients at
+Gamma_2 = 1e4, where the next-order relative corrections are below 5e-4.
+
+The package computes the curvature by exact linear response; criteria 02,
+06 and 10 keep a central-difference oracle (`fd_oracle`) next to it.
 """
 
 import time
@@ -27,6 +30,7 @@ import numpy as np
 import pytest
 
 import geomwork as gw
+from fd_oracle import curvature_fd, curvatures_fd
 
 GAMMA_PHI_SWEEP = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
 LOOP_A = gw.Circle((2.5, 0.6), (0.4, 0.3))
@@ -62,24 +66,23 @@ def test_criterion_02_fd_curvature_matches_explicit_form():
     model = gw.tls_model(1.0, 0.2)
     deltas = np.linspace(-3, 3, 30)
     omegas = np.linspace(0.1, 3, 30)
+    nodes = np.array([(d, o) for d in deltas for o in omegas])
+    closed = np.array([gw.curvature_closed_form_tls(d, o, 1.0, 0.2) for d, o in nodes])
 
     def max_err(h):
-        worst = 0.0
-        for d in deltas:
-            for o in omegas:
-                fd = gw.curvature_fd(model, (d, o), h=h)
-                worst = max(worst, abs(fd - gw.curvature_closed_form_tls(d, o, 1.0, 0.2)))
-        return worst
+        return float(np.max(np.abs(curvatures_fd(model, nodes, h=h) - closed)))
 
     err_h = max_err(1e-3)
     err_h2 = max_err(5e-4)
     ratio = err_h / err_h2
+    err_lr = float(np.max(np.abs(gw.curvatures(model, nodes).values - closed) / np.abs(closed)))
     elapsed = time.perf_counter() - t0
-    ok = err_h <= 1e-5 and 3.2 <= ratio <= 4.8 and elapsed < 30.0
-    report(2, ok, f"max |fd - closed| = {err_h:.3e} at h=1e-3, halving ratio {ratio:.2f}, "
-                  f"{elapsed:.1f} s")
+    ok = err_h <= 1e-5 and 3.2 <= ratio <= 4.8 and err_lr <= 1e-12 and elapsed < 30.0
+    report(2, ok, f"max |fd - closed| = {err_h:.3e} at h=1e-3, halving ratio {ratio:.2f}; "
+                  f"max relative |lr - closed| = {err_lr:.1e}; {elapsed:.1f} s")
     assert err_h <= 1e-5
     assert 3.2 <= ratio <= 4.8
+    assert err_lr <= 1e-12
     assert elapsed < 30.0
 
 
@@ -101,7 +104,9 @@ def test_criterion_03_stokes_consistency_on_random_cycles():
     worst = 0.0
     for cyc in cycles:
         wr = gw.cycle_work(model, cyc, n_path=1024, m_quad=64)
-        tol = max(1e-6, 1e-3 * abs(wr.w_line))
+        # circles: both quadratures are spectral and the curvature is exact;
+        # rectangle edges use the second-order trapezoid rule
+        tol = 1e-12 if isinstance(cyc, gw.Circle) else max(1e-6, 1e-3 * abs(wr.w_line))
         worst = max(worst, wr.stokes_residual / tol)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1.0 and elapsed < 120.0
@@ -146,11 +151,12 @@ def test_criterion_06_dephasing_scaling_exponents():
     t0 = time.perf_counter()
     delta, omega, gamma = 0.5, 0.8, 1.0
     gamma2 = np.array([1e2, 10**2.5, 1e3, 10**3.5, 1e4])
-    f, f_fd, x, y = [], [], [], []
+    f, f_lr, f_fd, x, y = [], [], [], [], []
     for g2 in gamma2:
         gp = g2 - 0.5 * gamma
         f.append(gw.curvature_closed_form_tls(delta, omega, gamma, gp))
-        f_fd.append(gw.curvature_fd(gw.tls_model(gamma, gp), (delta, omega)))
+        f_lr.append(gw.curvature(gw.tls_model(gamma, gp), (delta, omega)))
+        f_fd.append(curvature_fd(gw.tls_model(gamma, gp), (delta, omega)))
         b = gw.tls_steady_closed_form(delta, omega, gamma, gp)
         x.append(b.x)
         y.append(b.y)
@@ -167,16 +173,19 @@ def test_criterion_06_dephasing_scaling_exponents():
     lead_x = g2**2 * x[-1] / (-2.0 * omega * delta)
     lead_y = g2 * y[-1] / (2.0 * omega)
     worst_lead = max(abs(v - 1.0) for v in (lead_f, lead_f_fd, lead_x, lead_y))
+    err_lr = float(np.max(np.abs(np.subtract(f_lr, f) / np.array(f))))
     elapsed = time.perf_counter() - t0
     ok = (abs(slope_f - (-1.0)) <= 0.1 and abs(slope_x - (-2.0)) <= 0.1
           and abs(slope_y - (-1.0)) <= 0.1 and abs(slope_f_fd - slope_f) <= 0.01
-          and worst_lead <= 1e-3 and elapsed < 10.0)
+          and err_lr <= 1e-11 and worst_lead <= 1e-3 and elapsed < 10.0)
     report(6, ok, f"slopes: F {slope_f:+.3f} (target -1±0.1), x {slope_x:+.3f} "
                   f"(target -2±0.1), y {slope_y:+.3f} (target -1±0.1); "
-                  f"pipeline F {slope_f_fd:+.3f}; worst leading-coefficient "
-                  f"deviation {worst_lead:.1e} at Gamma_2=1e4; {elapsed:.1f} s")
-    # the two curvature routes agree
+                  f"oracle F {slope_f_fd:+.3f}; max relative |lr - closed| {err_lr:.1e}; "
+                  f"worst leading-coefficient deviation {worst_lead:.1e} at Gamma_2=1e4; "
+                  f"{elapsed:.1f} s")
+    # the three curvature routes agree
     assert abs(slope_f_fd - slope_f) <= 0.01
+    assert err_lr <= 1e-11
     assert elapsed < 10.0
     assert abs(slope_f - (-1.0)) <= 0.1
     assert abs(slope_x - (-2.0)) <= 0.1
@@ -245,14 +254,16 @@ def test_criterion_09_gauge_invariance():
 
 def test_criterion_10_band_edge_curvature_vanishes():
     t0 = time.perf_counter()
-    worst = max(abs(gw.ssh_curvature(t1, t2, np.pi, 1.0, 0.1, h=1e-3))
-                for t1 in np.linspace(0.2, 2.0, 10)
-                for t2 in np.linspace(0.2, 2.0, 10))
+    grid = [(t1, t2) for t1 in np.linspace(0.2, 2.0, 10) for t2 in np.linspace(0.2, 2.0, 10)]
+    worst = max(abs(gw.ssh_curvature(t1, t2, np.pi, 1.0, 0.1)) for t1, t2 in grid)
+    edge = gw.ssh_model(1.0, 0.1, np.pi)
+    worst_fd = float(np.max(np.abs(curvatures_fd(edge, grid, h=1e-3))))
     f_ref = gw.ssh_curvature(1.0, 0.5, np.pi / 2, 1.0, 0.1)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and abs(f_ref) > 1e-3 and elapsed < 30.0
-    report(10, ok, f"max |F(k=pi)| = {worst:.3e} on 10x10 grid; "
+    ok = worst <= 1e-12 and worst_fd <= 1e-6 and abs(f_ref) > 1e-3 and elapsed < 30.0
+    report(10, ok, f"max |F(k=pi)| = {worst:.3e} on 10x10 grid (oracle {worst_fd:.3e}); "
                    f"|F(k=pi/2)| = {abs(f_ref):.4f}; {elapsed:.1f} s")
-    assert worst <= 1e-6
+    assert worst <= 1e-12
+    assert worst_fd <= 1e-6
     assert abs(f_ref) > 1e-3
     assert elapsed < 30.0

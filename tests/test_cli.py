@@ -64,16 +64,39 @@ def test_field_determinism_across_runs_and_threads(tmp_path):
 
 def test_field_methods_agree(tmp_path):
     code_c, out_c = run(tmp_path, "field", TINY_FIELD)
-    fd_cfg = dict(TINY_FIELD, method="finite_difference", h=1e-3)
-    cfg = tmp_path / "fd.json"
-    cfg.write_text(json.dumps(fd_cfg))
-    out_f = tmp_path / "fd_out"
-    code_f = main(["field", "--config", str(cfg), "--out", str(out_f)])
-    assert code_c == 0 and code_f == 0
+    cfg = tmp_path / "lr.json"
+    cfg.write_text(json.dumps(dict(TINY_FIELD, method="linear_response")))
+    out_l = tmp_path / "lr_out"
+    code_l = main(["field", "--config", str(cfg), "--out", str(out_l)])
+    assert code_c == 0 and code_l == 0
     _, rows_c = read_csv(out_c / "field.csv")
-    _, rows_f = read_csv(out_f / "field.csv")
-    diffs = [abs(float(a[2]) - float(b[2])) for a, b in zip(rows_c, rows_f)]
-    assert max(diffs) <= 1e-5
+    _, rows_l = read_csv(out_l / "field.csv")
+    diffs = [abs(float(a[2]) - float(b[2])) for a, b in zip(rows_c, rows_l)]
+    assert max(diffs) <= 1e-12
+
+
+def test_field_former_method_name_runs_linear_response(tmp_path):
+    code_l, out_l = run(tmp_path, "field", dict(TINY_FIELD, method="linear_response"))
+    cfg = tmp_path / "fd.json"
+    cfg.write_text(json.dumps(dict(TINY_FIELD, method="finite_difference")))
+    out_f = tmp_path / "fd_out"
+    assert code_l == 0 and main(["field", "--config", str(cfg), "--out", str(out_f)]) == 0
+    assert json.loads((out_f / "config_echo.json").read_text())["method"] == "linear_response"
+    assert (out_f / "field.csv").read_bytes() == (out_l / "field.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("field", dict(TINY_FIELD, method="linear_response")),
+    ("loops", {"n_path": 128, "m_quad": 8}),
+    ("scaling", {}),
+    ("ssh", {}),
+])
+def test_step_size_key_is_rejected(tmp_path, capsys, command, config):
+    code, out = run(tmp_path, command, dict(config, h=1e-3))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: config: unknown keys ['h']" in err
+    assert not out.exists()
 
 
 def test_field_zero_drive_row_is_zero(tmp_path):
@@ -94,7 +117,8 @@ def test_field_ssh_model(tmp_path):
     code, out = run(tmp_path, "field", config)
     assert code == 0
     echo = json.loads((out / "config_echo.json").read_text())
-    assert echo["method"] == "finite_difference"
+    assert echo["method"] == "linear_response"
+    assert "h" not in echo
     _, rows = read_csv(out / "field.csv")
     assert all(np.isfinite(float(r[2])) for r in rows)
 
@@ -150,6 +174,10 @@ def test_loops_run(tmp_path):
     assert abs(by_id[("0", "B")]) > 10.0 * abs(by_id[("0", "A")])
     echo = json.loads((out / "config_echo.json").read_text())
     assert [c["id"] for c in echo["cycles"]] == ["A", "B", "C"]
+    assert "h" not in echo
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["max_stokes_residual"] == max(float(r[4]) for r in rows)
+    assert "h" not in meta
 
 
 def test_loops_rejects_unsorted_sweep(tmp_path):

@@ -107,7 +107,7 @@ def test_stokes_agreement_circle():
     cyc = Circle((0.0, 1.0), (0.5, 0.3))
     w_line = line_integral_work(model, cyc, 1024)
     w_flux = flux_work(model, cyc, 64)
-    assert abs(w_line - w_flux) <= 1e-6
+    assert abs(w_line - w_flux) <= 1e-12
 
 
 def test_stokes_agreement_rectangle():
@@ -120,7 +120,7 @@ def test_stokes_agreement_rectangle():
 
 def test_flux_matches_closed_form_flux():
     # the same 32 x 32 polar Gauss-Legendre rule, summed here over the
-    # closed-form curvature instead of the finite-difference pipeline
+    # closed-form curvature instead of the linear-response pipeline
     (c1, c2), (r1, r2) = (0.0, 1.0), (0.5, 0.3)
     x, w = np.polynomial.legendre.leggauss(32)
     rad, wr = 0.5 * x + 0.5, 0.5 * w
@@ -129,8 +129,8 @@ def test_flux_matches_closed_form_flux():
                    * curvature_closed_form_tls(c1 + r1 * rad[i] * np.cos(th[j]),
                                                c2 + r2 * rad[i] * np.sin(th[j]), 1.0, 0.0)
                    for i in range(32) for j in range(32))
-    w_fd = flux_work(tls_model(1.0, 0.0), Circle((c1, c2), (r1, r2)), 32)
-    assert abs(w_fd - w_closed) <= 1e-6
+    w_pipeline = flux_work(tls_model(1.0, 0.0), Circle((c1, c2), (r1, r2)), 32)
+    assert abs(w_pipeline - w_closed) <= 1e-12
 
 
 def test_reversal_negates_work():

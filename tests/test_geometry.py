@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geomwork
+from fd_oracle import curvature_fd
 from geomwork import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, DegenerateSteadyStateError,
-                      GridSpec, InvalidParametersError, ParamHamiltonian, coherence,
-                      curvature_closed_form_tls, curvature_fd, curvature_field,
-                      curvatures_fd, default_fd_step, steady_state, steady_states, tls_model,
-                      tls_steady_closed_form, work_one_form, work_one_forms)
+                      GridSpec, InvalidParametersError, ParamHamiltonian, coherence, curvature,
+                      curvature_closed_form_tls, curvature_field, curvatures, ssh_model,
+                      steady_state, steady_states, tls_model, tls_steady_closed_form,
+                      work_one_form, work_one_forms)
 from geomwork.steadystate import CHUNK_POINTS
 
 
@@ -60,14 +62,17 @@ def test_curvature_parity():
         assert curvature_closed_form_tls(d, -o, g, gp) == pytest.approx(-f, rel=1e-12)
 
 
-def test_curvature_fd_antisymmetry_is_structural():
+def test_curvature_antisymmetry_is_structural():
     model = tls_model(1.0, 0.2)
-    point = (0.7, 0.9)
-    assert curvature_fd(model, point, 0, 0) == 0.0
-    assert curvature_fd(model, point, 1, 0, h=1e-3) == -curvature_fd(model, point, 0, 1, h=1e-3)
+    stack = np.array([(0.7, 0.9), (-1.3, 0.4), (2.1, -0.6)])
+    assert curvature(model, stack[0], 0, 0) == 0.0
+    np.testing.assert_array_equal(curvatures(model, stack, 1, 1).values, np.zeros(3))
+    assert _bits(curvatures(model, stack, 1, 0).values) == _bits(-curvatures(model, stack, 0, 1).values)
+    assert curvature(model, stack[0], 1, 0) == -curvature(model, stack[0], 0, 1)
 
 
 def test_curvature_fd_matches_closed_form():
+    # the finite-difference oracle itself: second order, within 1e-5 at h = 1e-3
     model = tls_model(1.0, 0.2)
     for delta in np.linspace(-2.5, 2.5, 6):
         for omega in np.linspace(0.2, 2.8, 6):
@@ -76,16 +81,57 @@ def test_curvature_fd_matches_closed_form():
             assert abs(fd - ref) <= 1e-5
 
 
-def test_curvature_fd_drive_parity():
+@settings(max_examples=40, deadline=None)
+@given(delta=st.floats(-3.0, 3.0), omega=st.floats(0.05, 3.0), negative=st.booleans(),
+       gamma=st.floats(0.1, 2.0), gamma_phi=st.floats(0.0, 5.0))
+def test_curvature_matches_closed_form(delta, omega, negative, gamma, gamma_phi):
+    # the absolute floor covers roundoff where the two trace terms of F nearly
+    # cancel (small |omega| at large |delta|): about 2e-14 over this domain
+    omega = -omega if negative else omega
+    f = curvature(tls_model(gamma, gamma_phi), (delta, omega))
+    ref = curvature_closed_form_tls(delta, omega, gamma, gamma_phi)
+    assert abs(f - ref) <= 1e-10 * abs(ref) + 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.floats(0.0, 2.0 * np.pi), t1=st.floats(0.2, 2.0), t2=st.floats(0.2, 2.0),
+       gamma_phi=st.floats(0.0, 1.0))
+def test_ssh_curvature_matches_fd_oracle(k, t1, t2, gamma_phi):
+    # the oracle's own error, estimated by step halving: its O(h^2) error at h
+    # is about 4/3 of the change from h to h/2; the floor covers roundoff
+    model = ssh_model(1.0, gamma_phi, k)
+    fd_h = curvature_fd(model, (t1, t2), h=1e-3)
+    fd_half = curvature_fd(model, (t1, t2), h=5e-4)
+    oracle_error = 4.0 / 3.0 * abs(fd_h - fd_half)
+    assert abs(curvature(model, (t1, t2)) - fd_h) <= 2.0 * oracle_error + 1e-9
+
+
+def test_curvature_drive_parity():
     model = tls_model(1.0, 0.3)
-    f_pos = curvature_fd(model, (0.6, 0.8), h=1e-3)
-    f_neg = curvature_fd(model, (0.6, -0.8), h=1e-3)
-    assert f_neg == pytest.approx(-f_pos, rel=1e-8)
+    f_pos = curvature(model, (0.6, 0.8))
+    f_neg = curvature(model, (0.6, -0.8))
+    assert f_neg == pytest.approx(-f_pos, rel=1e-12)
 
 
-def test_default_fd_step_scales_with_coordinate():
-    assert default_fd_step((0.3, 0.1), 0) == 1e-3
-    assert default_fd_step((-2.5, 0.1), 0) == 2.5e-3
+def test_failed_node_fails_alone_without_warnings():
+    # gamma = 0 pure dephasing is degenerate exactly on omega = 0, and
+    # tls_model(0, 0) has the identically zero Liouvillian at (0, 0); the
+    # node at omega = 1e-3 sat on a finite-difference stencil through the
+    # degenerate row, but now fails only on its own steady state
+    cases = [(tls_model(0.0, 1.0), [(0.5, 0.0), (0.5, 1e-3), (0.3, 0.8)],
+              "null space not one-dimensional"),
+             (tls_model(0.0, 0.0), [(0.0, 0.0)], "identically zero")]
+    for model, points, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = curvatures(model, points)
+        assert isinstance(batch.errors[0], DegenerateSteadyStateError)
+        assert message in str(batch.errors[0])
+        assert np.isnan(batch.values[0])
+        assert all(err is None for err in batch.errors[1:])
+        assert np.all(np.isfinite(batch.values[1:]))
+        with pytest.raises(DegenerateSteadyStateError, match=message):
+            curvature(model, points[0])
 
 
 def test_coherence_values():
@@ -137,8 +183,8 @@ def test_field_methods_agree():
     grid = GridSpec((-1.5, 0.2), (1.5, 1.8), (6, 6))
     model = tls_model(1.0, 0.2)
     closed = curvature_field(model, grid, method="closed_form")
-    fd = curvature_field(model, grid, method="finite_difference", h=1e-3)
-    assert np.max(np.abs(closed.values - fd.values)) <= 1e-5
+    lr = curvature_field(model, grid, method="linear_response")
+    assert np.max(np.abs(closed.values - lr.values)) <= 1e-12
 
 
 def _bits(x):
@@ -171,11 +217,11 @@ def test_batched_matches_per_point(gamma, gamma_phi, points, degenerate_delta, d
     stack = np.array([(0.3, 0.7)] * filler + nodes)
     states = steady_states(model, stack)
     forms = work_one_forms(model, stack)
-    curvs = curvatures_fd(model, stack)
+    curvs = curvatures(model, stack)
     for n, node in enumerate(nodes, start=filler):
         failed = gamma == 0.0 and n == filler + at
         for batch, single in ((states, steady_state), (forms, work_one_form),
-                              (curvs, curvature_fd)):
+                              (curvs, curvature)):
             one = _error_or_value(single, model, node)
             if failed:
                 assert isinstance(one, DegenerateSteadyStateError)
@@ -228,14 +274,13 @@ def test_field_records_failed_nodes_as_missing():
     # gamma = 0 with pure dephasing: degenerate exactly on the zero-drive row
     field = curvature_field(tls_model(0.0, 1.0),
                             GridSpec((-1.0, 0.0), (1.0, 1.0), (3, 3)),
-                            method="finite_difference")
+                            method="linear_response")
     assert field.failed_nodes == 3
     assert np.all(np.isnan(field.values[:, 0]))
     assert np.all(np.isfinite(field.values[:, 1:]))
 
 
 def test_closed_form_method_requires_tls():
-    from geomwork import ssh_model
     with pytest.raises(InvalidParametersError):
         curvature_field(ssh_model(1.0, 0.1, 0.5),
                         GridSpec((0.2, 0.2), (1.0, 1.0), (3, 3)), method="closed_form")
@@ -243,7 +288,7 @@ def test_closed_form_method_requires_tls():
 
 def test_field_csv_and_metadata(tmp_path):
     grid = GridSpec((-1.0, 0.0), (1.0, 1.0), (3, 3))
-    field = curvature_field(tls_model(0.0, 1.0), grid, method="finite_difference")
+    field = curvature_field(tls_model(0.0, 1.0), grid)
     csv_path = tmp_path / "field.csv"
     field.write_csv(csv_path)
     lines = csv_path.read_text().splitlines()
@@ -255,7 +300,8 @@ def test_field_csv_and_metadata(tmp_path):
     field.write_metadata(meta_path)
     meta = json.loads(meta_path.read_text())
     assert meta["failed_nodes"] == 3
-    assert meta["method"] == "finite_difference"
+    assert meta["method"] == "linear_response"
+    assert "h" not in meta
     assert meta["model"] == "tls"
     assert meta["params"]["gamma_phi"] == 1.0
     assert meta["grid"] == {"lo": [-1.0, 0.0], "hi": [1.0, 1.0], "shape": [3, 3]}

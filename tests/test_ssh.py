@@ -40,14 +40,19 @@ def test_model_metadata():
 def test_curvature_vanishes_at_band_edge():
     for t1 in np.linspace(0.2, 2.0, 4):
         for t2 in np.linspace(0.2, 2.0, 4):
-            assert abs(ssh_curvature(t1, t2, np.pi, 1.0, 0.1, h=1e-3)) <= 1e-8
+            assert abs(ssh_curvature(t1, t2, np.pi, 1.0, 0.1)) <= 1e-12
 
 
 def test_curvature_finite_away_from_band_edge():
     f = ssh_curvature(1.0, 0.5, np.pi / 2, 1.0, 0.1)
     assert abs(f) > 1e-3
-    # regression baseline from this pipeline, not external ground truth
-    assert f == pytest.approx(0.07653081788838723, rel=1e-6)
+    # exact value from the Bloch equations: at k = pi/2, H = t1 sigma_x +
+    # t2 sigma_y, and with Gamma_2 = gamma/2 + gamma_phi the steady state is
+    # x = 2 t2 z / Gamma_2, y = -2 t1 z / Gamma_2,
+    # z = -gamma Gamma_2 / D with D = gamma Gamma_2 + 4 (t1^2 + t2^2).
+    # F = d_t1 y - d_t2 x = 4 gamma^2 Gamma_2 / D^2, and (t1, t2) = (1, 0.5),
+    # gamma = 1, Gamma_2 = 0.6 give D = 5.6 and F = 2.4 / 31.36 = 15/196
+    assert f == pytest.approx(15.0 / 196.0, rel=1e-12)
 
 
 def test_cycles_at_band_edge_produce_no_work():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from geomwork import (DegenerateSteadyStateError, InvalidParametersError,
-                      NoSteadyStateError, bloch_components, density_from_bloch,
-                      lindblad_rhs, liouvillians, steady_state,
-                      tls_model, tls_steady_closed_form)
-from geomwork.steadystate import _states_from_superops
+from geomwork import (DegenerateSteadyStateError, InvalidParametersError, LindbladModel,
+                      NoSteadyStateError, ParamHamiltonian, bloch_components,
+                      density_from_bloch, hamiltonian_superop, lindblad_rhs, liouvillians,
+                      steady_state, steady_states, tls_model, tls_steady_closed_form)
+from geomwork.steadystate import _states_from_superops, steady_state_derivatives
 
 
 def vec(m):
@@ -99,6 +99,31 @@ def test_null_space_residual_on_grid():
             L = liouvillians(model, (delta, omega))
             rho = steady_state(model, (delta, omega))
             assert np.linalg.norm(L @ vec(rho)) <= 1e-10
+
+
+def test_state_derivatives_solve_the_linear_response_equation():
+    # a random three-level family with two decay channels: each d_i rho is
+    # traceless and Hermitian, solves L d_i rho = -G_i rho, and matches
+    # central differences of the steady state (error O(h^2) ~ 1e-7)
+    rng = np.random.default_rng(29)
+    herm = [m + m.conj().T for m in (random_matrix(rng, 3) for _ in range(3))]
+    model = LindbladModel(ParamHamiltonian(herm[0], herm[1:]),
+                          ((0.7, random_matrix(rng, 3)), (0.4, random_matrix(rng, 3))))
+    points = rng.uniform(-1, 1, size=(5, 2))
+    derivs = steady_state_derivatives(model, points)
+    states = steady_states(model, points).values
+    h = 1e-4
+    for n, point in enumerate(points):
+        for i, gen in enumerate(model.hamiltonian.generators):
+            d_rho = derivs.values[n, i]
+            assert abs(np.trace(d_rho)) <= 1e-12
+            assert np.max(np.abs(d_rho - d_rho.conj().T)) <= 1e-12
+            residual = liouvillians(model, point) @ vec(d_rho) + hamiltonian_superop(gen) @ vec(states[n])
+            assert np.max(np.abs(residual)) <= 1e-12
+            step = h * np.eye(2)[i]
+            fd = (steady_state(model, point + step) - steady_state(model, point - step)) / (2 * h)
+            assert np.max(np.abs(d_rho - fd)) <= 1e-6
+    assert derivs.errors == (None,) * 5
 
 
 def test_degenerate_null_space_is_an_error():
