@@ -2,13 +2,16 @@
 
 Cycle work is computed two independent ways that must agree by Stokes'
 theorem: the line integral of the one-form along the path, and the flux of
-the curvature through the enclosed region. Smooth closed paths use the
-periodic composite trapezoid rule (spectrally accurate for smooth periodic
-integrands, no endpoint handling); rectangle perimeters are integrated edge
-by edge. Fluxes use tensor-product Gauss-Legendre quadrature, mapped to the
-disk with Jacobian r1 r2 rho for circles. Each integral evaluates all of its
-samples or nodes in one batched call, then sums them in path or node order;
-the first failing sample, in that order, raises with its location.
+the curvature through the enclosed region. Each cycle kind owns its
+quadrature rules. ``path_rule(n)`` gives path parameters and weights: the
+periodic trapezoid on circles (spectrally accurate for smooth periodic
+integrands) and Gauss-Legendre on each rectangle edge, with no node on a
+corner, where the velocity jumps. ``area_rule(m)`` gives tensor-product
+Gauss-Legendre nodes over the enclosed region, mapped to the disk with
+Jacobian r1 r2 rho for circles, with the orientation sign folded into the
+weights. Every integral evaluates all of its samples or nodes in one batched
+call and returns one correctly rounded weighted sum (``math.fsum``); the
+first failing sample, in sample order, raises with its location.
 
 Positive orientation is counterclockwise in the (lambda_1, lambda_2) plane,
 and work follows the convention of work done on the system. Reversal keeps
@@ -18,6 +21,7 @@ the geometric image and flips traversal: position'(s) = position(1 - s).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -36,6 +40,11 @@ def _check_pair(name, value):
     if len(pair) != 2 or not all(np.isfinite(pair)):
         raise ValueError(f"{name} must be a finite (lambda1, lambda2) pair, got {value!r}")
     return pair
+
+
+def _gauss(m: int, a: float, b: float):
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (b - a) * nodes + 0.5 * (b + a), 0.5 * (b - a) * weights
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,20 @@ class Circle:
         return self.orientation * np.stack([-_TWO_PI * self.radii[0] * np.sin(th),
                                             _TWO_PI * self.radii[1] * np.cos(th)], axis=-1)
 
+    def path_rule(self, n: int):
+        """Periodic trapezoid: parameters s = k/n, k < n, each of weight 1/n."""
+        return np.arange(n) / n, np.full(n, 1.0 / n)
+
+    def area_rule(self, m: int):
+        """(m*m, 2) polar Gauss-Legendre nodes, radius-major, and signed weights."""
+        (c1, c2), (r1, r2) = self.center, self.radii
+        rad, wr = _gauss(m, 0.0, 1.0)
+        th, wt = _gauss(m, 0.0, _TWO_PI)
+        nodes = np.stack([c1 + np.outer(r1 * rad, np.cos(th)),
+                          c2 + np.outer(r2 * rad, np.sin(th))], axis=-1)
+        weights = np.outer(self.orientation * r1 * r2 * rad * wr, wt)
+        return nodes.reshape(-1, 2), weights.ravel()
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -88,18 +111,10 @@ class Rectangle:
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
 
-    def _corners(self) -> list:
-        """The four corners, counterclockwise from lo."""
-        l1, l2 = self.lo
-        h1, h2 = self.hi
-        return [np.array([l1, l2]), np.array([h1, l2]), np.array([h1, h2]), np.array([l1, h2])]
-
-    def vertices(self) -> list:
-        """Corners in traversal order (closed: first vertex repeated last)."""
-        ccw = self._corners()
-        if self.orientation > 0:
-            return ccw + [ccw[0]]
-        return [ccw[0], ccw[3], ccw[2], ccw[1], ccw[0]]
+    def _corners(self) -> np.ndarray:
+        """The four corners, counterclockwise from lo, as a (4, 2) array."""
+        (l1, l2), (h1, h2) = self.lo, self.hi
+        return np.array([[l1, l2], [h1, l2], [h1, h2], [l1, h2]])
 
     def _edge(self, s):
         """(edge index k, local parameter) of path parameter s, counterclockwise;
@@ -112,7 +127,7 @@ class Rectangle:
     def position(self, s) -> np.ndarray:
         """Point at path parameter s; an array of N parameters gives (N, 2)."""
         k, local = self._edge(s)
-        ccw = np.array(self._corners())
+        ccw = self._corners()
         a = ccw[k]
         b = ccw[(k + 1) % 4]
         return a + local[..., None] * (b - a)
@@ -120,9 +135,22 @@ class Rectangle:
     def velocity(self, s) -> np.ndarray:
         """d position / ds; an array of N parameters gives (N, 2)."""
         k, _ = self._edge(s)
-        ccw = np.array(self._corners())
+        ccw = self._corners()
         edge = ccw[(k + 1) % 4] - ccw[k]
         return self.orientation * 4.0 * edge
+
+    def path_rule(self, n: int):
+        """max(2, ceil(n/4)) Gauss-Legendre parameters per edge, in traversal
+        order: s = (e + t_j)/4 with weight w_j/4 on edge e."""
+        t, w = _gauss(max(2, -(-n // 4)), 0.0, 1.0)
+        return ((np.arange(4)[:, None] + t) / 4.0).ravel(), np.tile(w / 4.0, 4)
+
+    def area_rule(self, m: int):
+        """(m*m, 2) tensor Gauss-Legendre nodes, lambda1-major, and signed weights."""
+        x1, w1 = _gauss(m, self.lo[0], self.hi[0])
+        x2, w2 = _gauss(m, self.lo[1], self.hi[1])
+        nodes = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
+        return nodes.reshape(-1, 2), np.outer(self.orientation * w1, w2).ravel()
 
 
 Cycle = Union[Circle, Rectangle]
@@ -174,37 +202,19 @@ def _raise_first_failure(batch: Batch, points: np.ndarray, where) -> None:
         raise _located(exc, where(n), points[n]) from exc
 
 
-def _closed_path_integral(covectors: Callable, cycle: Cycle, n: int) -> float:
-    """Integrate a covector field along the cycle with composite trapezoid rules.
+def _weighted_sum(batch: Batch, points: np.ndarray, weights: np.ndarray, where) -> float:
+    """Correctly rounded sum of ``batch.values * weights``; raises the first failure."""
+    _raise_first_failure(batch, points, where)
+    return math.fsum((batch.values * weights).ravel())
 
-    ``covectors`` maps a stack of points to a Batch of covectors and is called
-    once for all path samples; the samples are then summed in path order.
-    """
-    if isinstance(cycle, Rectangle):
-        m = max(2, -(-n // 4))  # intervals per edge
-        ts = [idx / m for idx in range(m + 1)]
-        verts = cycle.vertices()
-        edges = [(a, b - a) for a, b in zip(verts[:-1], verts[1:])]
-        points = np.array([a + t * seg for a, seg in edges for t in ts])
-        batch = covectors(points)
-        _raise_first_failure(batch, points, lambda k: f"edge sample t={ts[k % (m + 1)]:.8g}")
-        values = batch.values.reshape(len(edges), m + 1, -1)
-        total = 0.0
-        for (_, seg), edge_values in zip(edges, values):
-            acc = 0.0
-            for idx in range(m + 1):
-                val = edge_values[idx] @ seg
-                acc += val if 0 < idx < m else 0.5 * val
-            total += acc / m
-        return float(total)
-    ss = np.arange(n) / n
-    points = cycle.position(ss)
-    batch = covectors(points)
-    _raise_first_failure(batch, points, lambda k: f"path sample s={ss[k]:.8g}")
-    acc = 0.0
-    for value, velocity in zip(batch.values, cycle.velocity(ss)):
-        acc += value @ velocity
-    return float(acc / n)
+
+def _path_samples(cycle: Cycle, n: int):
+    """Path points, their weighted displacements dl and the sample locator."""
+    if n < 8:
+        raise ValueError(f"need at least 8 path samples, got {n}")
+    s, w = cycle.path_rule(n)
+    points = cycle.position(s)
+    return points, cycle.velocity(s) * w[:, None], lambda k: f"path sample s={s[k]:.8g}"
 
 
 def line_integral_work(model: LindbladModel, cycle: Cycle, n: int = 1024) -> float:
@@ -215,17 +225,12 @@ def line_integral_work(model: LindbladModel, cycle: Cycle, n: int = 1024) -> flo
     model : LindbladModel
     cycle : Circle or Rectangle
     n : int
-        Total path samples (>= 8). Smooth cycles converge spectrally,
-        rectangles at second order per edge.
+        Path samples (>= 8), placed by ``cycle.path_rule(n)``. Circles
+        converge spectrally; rectangles integrate polynomials of degree
+        < 2 max(2, ceil(n/4)) exactly along each edge.
     """
-    if n < 8:
-        raise ValueError(f"need at least 8 path samples, got {n}")
-    return _closed_path_integral(lambda points: work_one_forms(model, points), cycle, n)
-
-
-def _gauss(m: int, a: float, b: float):
-    nodes, weights = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (b - a) * nodes + 0.5 * (b + a), 0.5 * (b - a) * weights
+    points, dl, where = _path_samples(cycle, n)
+    return _weighted_sum(work_one_forms(model, points), points, dl, where)
 
 
 def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64) -> float:
@@ -244,26 +249,9 @@ def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64) -> float:
     """
     if m < 4:
         raise ValueError(f"need Gauss order >= 4, got {m}")
-    if isinstance(cycle, Rectangle):
-        x1, w1 = _gauss(m, cycle.lo[0], cycle.hi[0])
-        x2, w2 = _gauss(m, cycle.lo[1], cycle.hi[1])
-        nodes = np.array([[x1[i], x2[j]] for i in range(m) for j in range(m)])
-        term = lambda i, j, f: w1[i] * w2[j] * f
-    else:
-        r1, r2 = cycle.radii
-        c1, c2 = cycle.center
-        rad, wr = _gauss(m, 0.0, 1.0)
-        th, wt = _gauss(m, 0.0, _TWO_PI)
-        cos_t, sin_t = np.cos(th), np.sin(th)
-        nodes = np.array([[c1 + r1 * rad[i] * cos_t[j], c2 + r2 * rad[i] * sin_t[j]]
-                          for i in range(m) for j in range(m)])
-        term = lambda i, j, f: wr[i] * wt[j] * f * r1 * r2 * rad[i]
-    batch = curvatures(model, nodes, 0, 1)
-    _raise_first_failure(batch, nodes, lambda k: f"flux node ({k // m},{k % m})")
-    total = 0.0
-    for k, f in enumerate(batch.values):
-        total += term(*divmod(k, m), f)
-    return float(cycle.orientation) * total
+    nodes, weights = cycle.area_rule(m)
+    return _weighted_sum(curvatures(model, nodes, 0, 1), nodes, weights,
+                         lambda k: f"flux node ({k // m},{k % m})")
 
 
 def gauge_shift_residual(model: LindbladModel, cycle: Cycle,
@@ -272,17 +260,15 @@ def gauge_shift_residual(model: LindbladModel, cycle: Cycle,
 
     grad_chi(point) must return the analytic gradient of a smooth scalar
     field; the residual is bounded by quadrature error since an exact
-    differential integrates to zero over any closed path.
+    differential integrates to zero over any closed path. The one-form is
+    solved once and shared by both integrals.
     """
-    if n < 8:
-        raise ValueError(f"need at least 8 path samples, got {n}")
-    def shifted(points):
-        batch = work_one_forms(model, points)
-        grads = np.array([np.asarray(grad_chi(p), dtype=float) for p in points])
-        return batch._replace(values=batch.values + grads)
-
-    base = _closed_path_integral(lambda points: work_one_forms(model, points), cycle, n)
-    return abs(_closed_path_integral(shifted, cycle, n) - base)
+    points, dl, where = _path_samples(cycle, n)
+    batch = work_one_forms(model, points)
+    base = _weighted_sum(batch, points, dl, where)
+    grads = np.array([np.asarray(grad_chi(p), dtype=float) for p in points])
+    return abs(_weighted_sum(batch._replace(values=batch.values + grads), points, dl, where)
+               - base)
 
 
 @dataclass(frozen=True)
@@ -297,13 +283,6 @@ class WorkResult:
     @property
     def stokes_residual(self) -> float:
         return abs(self.w_line - self.w_flux)
-
-    def csv_row(self) -> str:
-        return (f"{self.w_line:.17g},{self.w_flux:.17g},"
-                f"{self.stokes_residual:.17g},{self.n_path},{self.n_quad}")
-
-
-WORK_RESULT_CSV_HEADER = "w_line,w_flux,stokes_residual,n_path,n_quad"
 
 
 def cycle_work(model: LindbladModel, cycle: Cycle, n_path: int = 1024,

@@ -104,10 +104,9 @@ def test_criterion_03_stokes_consistency_on_random_cycles():
     worst = 0.0
     for cyc in cycles:
         wr = gw.cycle_work(model, cyc, n_path=1024, m_quad=64)
-        # circles: both quadratures are spectral and the curvature is exact;
-        # rectangle edges use the second-order trapezoid rule
-        tol = 1e-12 if isinstance(cyc, gw.Circle) else max(1e-6, 1e-3 * abs(wr.w_line))
-        worst = max(worst, wr.stokes_residual / tol)
+        # every path and area rule is spectral or Gauss-Legendre on smooth
+        # pieces, and the curvature is exact
+        worst = max(worst, wr.stokes_residual / 1e-12)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1.0 and elapsed < 120.0
     report(3, ok, f"worst residual/tolerance = {worst:.3f} over 15 cycles in {elapsed:.1f} s")

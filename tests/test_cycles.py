@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import geomwork.cycles as cycles
 from geomwork import (Circle, ConfigError, DegenerateSteadyStateError,
                       DriveSchedule, Rectangle, WorkResult, curvature_closed_form_tls,
                       cycle_from_json, cycle_to_json, cycle_work, flux_work,
                       gauge_shift_residual, line_integral_work, reverse,
-                      tls_model)
+                      tls_model, work_one_forms)
 
 LOOP_B = Circle((0.0, 0.6), (0.4, 0.3))
 LOOP_C = Circle((0.8, 0.0), (0.3, 0.4))
@@ -72,9 +77,6 @@ def test_rectangle_traversal_order():
     np.testing.assert_allclose(rect.position(0.125), [1.0, 0.0])
     np.testing.assert_allclose(rect.position(0.375), [2.0, 0.5])
     np.testing.assert_allclose(rect.position(0.625), [1.0, 1.0])
-    verts = rect.vertices()
-    assert len(verts) == 5
-    np.testing.assert_allclose(verts[0], verts[-1])
 
 
 def test_cycle_validation():
@@ -102,12 +104,15 @@ def test_drive_symmetric_cycle_cancels():
     assert abs(flux_work(model, LOOP_C, 16)) <= 1e-12
 
 
-def test_stokes_agreement_circle():
+def test_stokes_agreement():
+    # the one-form is smooth along each rectangle edge, so 16 Gauss-Legendre
+    # nodes per edge already reach roundoff
     model = tls_model(1.0, 0.0)
-    cyc = Circle((0.0, 1.0), (0.5, 0.3))
-    w_line = line_integral_work(model, cyc, 1024)
-    w_flux = flux_work(model, cyc, 64)
-    assert abs(w_line - w_flux) <= 1e-12
+    for cyc, n in ((Circle((0.0, 1.0), (0.5, 0.3)), 1024),
+                   (Rectangle((-0.5, 0.3), (0.5, 0.9)), 64)):
+        w_line = line_integral_work(model, cyc, n)
+        w_flux = flux_work(model, cyc, 64)
+        assert abs(w_line - w_flux) <= 1e-12
 
 
 def test_stokes_agreement_rectangle():
@@ -115,7 +120,7 @@ def test_stokes_agreement_rectangle():
     cyc = Rectangle((-0.5, 0.3), (0.5, 0.9))
     w_line = line_integral_work(model, cyc, 1024)
     w_flux = flux_work(model, cyc, 64)
-    assert abs(w_line - w_flux) <= max(1e-6, 1e-3 * abs(w_line))
+    assert abs(w_line - w_flux) <= 1e-12
 
 
 def test_flux_matches_closed_form_flux():
@@ -180,8 +185,10 @@ def test_steady_state_failure_names_the_sample():
     assert "sample" in str(err.value)
     # the first failure in evaluation order names its sample or node
     square = Rectangle((-0.5, -0.5), (0.5, 0.5))
-    with pytest.raises(DegenerateSteadyStateError, match=r"\[edge sample t=0\.5, point=\[0\.5, 0\.0\]\]"):
-        line_integral_work(model, square, 16)
+    # 20 samples give order 5 per edge, whose middle node on the right edge is omega = 0
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=r"\[path sample s=0\.375, point=\[0\.5, 0\.0\]\]"):
+        line_integral_work(model, square, 20)
     with pytest.raises(DegenerateSteadyStateError, match=r"\[flux node \(0,2\), point="):
         flux_work(model, square, 5)  # odd order puts a node row on omega = 0
 
@@ -210,6 +217,104 @@ def test_work_result_bundles_residual():
     wr = cycle_work(tls_model(1.0, 0.1), Circle((0.2, 0.7), (0.2, 0.2)), n_path=128, m_quad=12)
     assert wr.stokes_residual == abs(wr.w_line - wr.w_flux)
     assert wr.n_path == 128 and wr.n_quad == 12
-    row = wr.csv_row()
-    assert len(row.split(",")) == 5
     assert isinstance(wr, WorkResult)
+
+
+def test_work_values_are_python_floats():
+    model = tls_model(1.0, 0.1)
+    for cyc in (Circle((0.2, 0.7), (0.2, 0.2)), Rectangle((-0.2, 0.5), (0.2, 0.9))):
+        assert type(line_integral_work(model, cyc, 32)) is float
+        assert type(flux_work(model, cyc, 8)) is float
+        wr = cycle_work(model, cyc, n_path=32, m_quad=8)
+        assert type(wr.w_line) is float
+        assert type(wr.w_flux) is float
+        assert type(wr.stokes_residual) is float
+
+
+_circles = st.builds(Circle, st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                     st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)), st.sampled_from([1, -1]))
+_rectangles = st.builds(
+    lambda lo, size, orientation: Rectangle(lo, (lo[0] + size[0], lo[1] + size[1]), orientation),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0)), st.sampled_from([1, -1]))
+_cycles = st.one_of(_circles, _rectangles)
+
+
+def _signed_area(cyc):
+    if isinstance(cyc, Circle):
+        return cyc.orientation * math.pi * cyc.radii[0] * cyc.radii[1]
+    return cyc.orientation * (cyc.hi[0] - cyc.lo[0]) * (cyc.hi[1] - cyc.lo[1])
+
+
+def _path_integral(cyc, n, field):
+    s, w = cyc.path_rule(n)
+    return math.fsum((field(cyc.position(s)) * cyc.velocity(s) * w[:, None]).ravel())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc=_cycles, m=st.integers(4, 40))
+def test_area_weights_sum_to_signed_area(cyc, m):
+    nodes, weights = cyc.area_rule(m)
+    assert nodes.shape == (m * m, 2) and weights.shape == (m * m,)
+    area = _signed_area(cyc)
+    assert abs(math.fsum(weights) - area) <= 1e-13 * abs(area)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc=_cycles, n=st.integers(8, 200),
+       coef=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10))
+def test_path_rule_integrates_exact_differential_to_zero(cyc, n, coef):
+    # chi = sum of c_ab x^a y^b over a + b <= 3; its gradient is quadratic, so
+    # both rules integrate it exactly and only roundoff remains
+    powers = [(a, b) for a in range(4) for b in range(4 - a)]
+
+    def grad_chi(p):
+        x, y = p[:, 0], p[:, 1]
+        gx = sum(c * a * x ** max(a - 1, 0) * y ** b for c, (a, b) in zip(coef, powers))
+        gy = sum(c * b * x ** a * y ** max(b - 1, 0) for c, (a, b) in zip(coef, powers))
+        return np.stack([gx, gy], axis=-1)
+
+    assert abs(_path_integral(cyc, n, grad_chi)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc=_cycles, n=st.integers(8, 200))
+def test_path_rule_integrates_green_form_to_signed_area(cyc, n):
+    total = _path_integral(cyc, n, lambda p: 0.5 * np.stack([-p[:, 1], p[:, 0]], axis=-1))
+    area = _signed_area(cyc)
+    assert abs(total - area) <= 1e-13 * max(1.0, abs(area))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rect=_rectangles, n=st.integers(8, 200))
+def test_rectangle_path_rule_avoids_corners(rect, n):
+    s, w = rect.path_rule(n)
+    assert len(s) == len(w) == 4 * max(2, -(-n // 4))
+    assert np.all(np.diff(s) > 0) and s[0] > 0.0 and s[-1] < 1.0
+    assert np.all(np.mod(4.0 * s, 1.0) > 0.0)
+    points = rect.position(s)
+    corners = np.array([rect.lo, (rect.hi[0], rect.lo[1]), rect.hi, (rect.lo[0], rect.hi[1])])
+    gaps = np.abs(points[:, None, :] - corners[None, :, :]).max(axis=-1)
+    assert gaps.min() > 0.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(cyc=_cycles, m=st.integers(4, 8), gamma_phi=st.floats(0.0, 2.0))
+def test_reversed_flux_is_exactly_negated(cyc, m, gamma_phi):
+    model = tls_model(1.0, gamma_phi)
+    assert flux_work(model, reverse(cyc), m) == -flux_work(model, cyc, m)
+
+
+def test_gauge_shift_solves_the_one_form_once(monkeypatch):
+    calls = []
+
+    def counted(model, points):
+        calls.append(len(points))
+        return work_one_forms(model, points)
+
+    monkeypatch.setattr(cycles, "work_one_forms", counted)
+    model = tls_model(1.0, 0.0)
+    for cyc in (LOOP_B, Rectangle((-0.5, 0.3), (0.5, 0.9))):
+        calls.clear()
+        gauge_shift_residual(model, cyc, lambda p: (p[1], p[0]), 64)
+        assert calls == [len(cyc.path_rule(64)[0])]

@@ -6,7 +6,8 @@ MODULES = ("errors", "operators", "steadystate", "geometry", "cycles", "dynamics
 # names that left the API together with their implementations
 REMOVED = ("tls_hamiltonian_grad", "ssh_hamiltonian_grad", "dissipator_superop",
            "liouvillian_matrix", "OneFormResidualError",
-           "curvatures_fd", "curvature_fd", "default_fd_step")
+           "curvatures_fd", "curvature_fd", "default_fd_step",
+           "WORK_RESULT_CSV_HEADER")
 
 
 def test_every_exported_name_resolves():
