@@ -21,9 +21,8 @@ from .operators import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
 from .steadystate import (Batch, BlochVector, bloch_components,
                           density_from_bloch, hamiltonian_superop, liouvillians,
                           steady_state, steady_states, tls_steady_closed_form)
-from .geometry import (CurvatureField, GridSpec, coherence, curvature,
-                       curvature_closed_form_tls, curvature_field, curvatures,
-                       work_one_form, work_one_forms)
+from .geometry import (GridSpec, coherence, curvature, curvature_closed_form_tls,
+                       curvature_field, curvatures, work_one_form, work_one_forms)
 from .cycles import (Circle, Cycle, Rectangle, WorkResult, cycle_from_json,
                      cycle_to_json, cycle_work, flux_work,
                      gauge_shift_residual, line_integral_work, reverse)
@@ -45,8 +44,7 @@ __all__ = [
     "steady_state", "steady_states", "bloch_components",
     "density_from_bloch", "tls_steady_closed_form",
     "work_one_form", "work_one_forms", "curvature_closed_form_tls",
-    "curvature", "curvatures", "coherence", "GridSpec", "CurvatureField",
-    "curvature_field",
+    "curvature", "curvatures", "coherence", "GridSpec", "curvature_field",
     "Circle", "Rectangle", "Cycle", "reverse", "cycle_to_json",
     "cycle_from_json", "line_integral_work", "flux_work",
     "gauge_shift_residual", "WorkResult", "cycle_work",

@@ -3,16 +3,23 @@
     geomwork field|loops|orientation|quasistatic|scaling|ssh
              [--config cfg.json] --out DIR [--threads N]
 
+Each command is declared once, in ``_COMMANDS``, as its help line, the
+resolver that validates its configuration and applies the defaults, and the
+runner that computes and writes its outputs. Every command takes the same
+three options, so the parser is one flat parser with the command as its
+positional argument.
+
 Evaluation is single-threaded: each line integral, flux and linear-response
 field evaluates all of its control points in one batched steady-state call.
 ``--threads`` is accepted for compatibility and ignored.
 
-Each run writes ``config_echo.json`` (the fully resolved configuration,
-defaults applied), ``metadata.json`` (run provenance; its ``created``
-timestamp is the only non-deterministic field; ``loops`` adds
-``max_stokes_residual``, ``quasistatic`` a ``stats.integrator`` list with each
-period's step count, Hermitization residual and trace drift) and one CSV per
-data product.
+This module alone decides the output format and writes the files. Each run
+writes ``config_echo.json`` (the fully resolved configuration, defaults
+applied), ``metadata.json`` (run provenance; its ``created`` timestamp is the
+only non-deterministic field; ``field`` adds the grid, model parameters,
+``failed_nodes`` and ``max_abs_F``, ``loops`` ``max_stokes_residual``,
+``quasistatic`` a ``stats.integrator`` list with each period's step count,
+Hermitization residual and trace drift) and one CSV per data product.
 CSVs use a header row, ``,`` delimiters, ``.`` decimals, LF endings, and
 floats with 17 significant digits; identical configurations produce
 byte-identical data files.
@@ -34,13 +41,12 @@ import numpy as np
 
 from . import __version__
 from .cycles import cycle_from_json, cycle_to_json, cycle_work, line_integral_work, reverse
-from .dynamics import (DriveSchedule, accumulated_work, dynamic_work, errors_decreasing,
-                       evolve, quasistatic_convergence)
-from .errors import ConfigError, GeomworkError
+from .dynamics import DriveSchedule, accumulated_work, errors_decreasing, quasistatic_convergence
+from .errors import ConfigError, GeomworkError, check_keys
 from .geometry import GridSpec, curvature, curvature_closed_form_tls, curvature_field
 from .operators import tls_model
 from .ssh import ssh_curvature, ssh_model
-from .steadystate import bloch_components, steady_state, tls_steady_closed_form
+from .steadystate import bloch_components, tls_steady_closed_form
 
 ANTISYMMETRY_LIMIT = 1e-10
 
@@ -75,12 +81,6 @@ def _write_json(path, obj) -> None:
 
 
 # ---------------------------------------------------------------- validation
-
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
-
 
 def _as_float(value, where: str, minimum=None, exclusive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -124,7 +124,7 @@ def _resolve_model(cfg: dict, kinds=("tls", "ssh"), kind="tls",
     spec = cfg.get("model", {})
     if not isinstance(spec, dict):
         raise ConfigError("model: expected an object")
-    _check_keys(spec, {"kind", "gamma", "gamma_phi", "k"}, "model")
+    check_keys(spec, {"kind", "gamma", "gamma_phi", "k"}, "model")
     out_kind = spec.get("kind", kind)
     if out_kind not in kinds:
         raise ConfigError(f"model.kind: expected one of {sorted(kinds)}, got {out_kind!r}")
@@ -157,6 +157,9 @@ def _resolve_cycles(cfg: dict) -> list:
             raise ConfigError(f"cycles[{i}]: expected an object")
         entry = dict(entry)
         loop_id = str(entry.pop("id", f"loop{i}"))
+        if any(c in loop_id for c in ',"\r\n'):
+            raise ConfigError(f"cycles[{i}].id: must not contain ',', '\"', CR or LF, "
+                              f"got {loop_id!r}")
         try:
             cycle = cycle_from_json(entry)
         except ConfigError as exc:
@@ -165,27 +168,25 @@ def _resolve_cycles(cfg: dict) -> list:
     return out
 
 
-def _resolve_cycle(cfg: dict, key: str = "cycle") -> dict:
-    raw = cfg.get(key, DEFAULT_LOOPS[1])
+def _resolve_cycle(cfg: dict) -> dict:
+    raw = cfg.get("cycle", DEFAULT_LOOPS[1])
     if not isinstance(raw, dict):
-        raise ConfigError(f"{key}: expected an object")
-    raw = dict(raw)
-    raw.pop("id", None)
+        raise ConfigError("cycle: expected an object")
     try:
-        return cycle_to_json(cycle_from_json(raw))
+        return cycle_to_json(cycle_from_json({k: v for k, v in raw.items() if k != "id"}))
     except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"cycle: {exc}") from exc
 
 
 # ----------------------------------------------------------------- resolvers
 
 def _resolve_field(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "grid", "method"}, "config")
+    check_keys(cfg, {"model", "grid", "method"}, "config")
     model = _resolve_model(cfg, gamma_phi=0.2)
     grid = cfg.get("grid", DEFAULT_GRID)
     if not isinstance(grid, dict):
         raise ConfigError("grid: expected an object")
-    _check_keys(grid, {"lo", "hi", "shape"}, "grid")
+    check_keys(grid, {"lo", "hi", "shape"}, "grid")
     lo = _as_pair(grid.get("lo", DEFAULT_GRID["lo"]), "grid.lo")
     hi = _as_pair(grid.get("hi", DEFAULT_GRID["hi"]), "grid.hi")
     shape = grid.get("shape", DEFAULT_GRID["shape"])
@@ -196,19 +197,19 @@ def _resolve_field(cfg: dict) -> dict:
         if hi[axis] <= lo[axis]:
             raise ConfigError(f"grid: axis {axis} needs hi > lo, got [{lo[axis]}, {hi[axis]}]")
     method = cfg.get("method", "closed_form" if model["kind"] == "tls" else "linear_response")
-    method = {"finite_difference": "linear_response"}.get(method, method)  # its former name
+    if method == "finite_difference":  # the former name of linear_response
+        method = "linear_response"
     if method not in ("closed_form", "linear_response"):
         raise ConfigError(f"method: expected closed_form or linear_response, got {method!r}")
     if method == "closed_form" and model["kind"] != "tls":
         raise ConfigError("method: closed_form requires the tls model")
-    return {"command": "field", "model": model,
+    return {"model": model,
             "grid": {"lo": lo, "hi": hi, "shape": shape}, "method": method}
 
 
 def _resolve_loops(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "cycles", "gamma_phi_sweep", "n_path", "m_quad"}, "config")
+    check_keys(cfg, {"model", "cycles", "gamma_phi_sweep", "n_path", "m_quad"}, "config")
     return {
-        "command": "loops",
         "model": _resolve_model(cfg),
         "cycles": _resolve_cycles(cfg),
         "gamma_phi_sweep": _as_sweep(cfg.get("gamma_phi_sweep", DEFAULT_GAMMA_PHI_SWEEP),
@@ -219,9 +220,8 @@ def _resolve_loops(cfg: dict) -> dict:
 
 
 def _resolve_orientation(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "cycles", "gamma_phi_sweep", "n_path"}, "config")
+    check_keys(cfg, {"model", "cycles", "gamma_phi_sweep", "n_path"}, "config")
     return {
-        "command": "orientation",
         "model": _resolve_model(cfg),
         "cycles": _resolve_cycles(cfg),
         "gamma_phi_sweep": _as_sweep(cfg.get("gamma_phi_sweep", DEFAULT_GAMMA_PHI_SWEEP),
@@ -231,7 +231,7 @@ def _resolve_orientation(cfg: dict) -> dict:
 
 
 def _resolve_quasistatic(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "cycle", "periods", "n_path", "dt", "dump_trajectory"}, "config")
+    check_keys(cfg, {"model", "cycle", "periods", "n_path", "dt", "dump_trajectory"}, "config")
     dump = cfg.get("dump_trajectory", False)
     if not isinstance(dump, bool):
         raise ConfigError("dump_trajectory: expected true or false")
@@ -245,12 +245,12 @@ def _resolve_quasistatic(cfg: dict) -> dict:
     # evolve needs dt <= period/1000 for every period
     if dt is not None and dt > periods[0] / 1000.0:
         raise ConfigError(f"dt: must be <= min(periods)/1000 = {periods[0] / 1000.0}, got {dt}")
-    return {"command": "quasistatic", "model": model, "cycle": cycle, "periods": periods,
+    return {"model": model, "cycle": cycle, "periods": periods,
             "n_path": n_path, "dt": dt, "dump_trajectory": dump}
 
 
 def _resolve_scaling(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "gamma2_sweep", "point", "windows"}, "config")
+    check_keys(cfg, {"model", "gamma2_sweep", "point", "windows"}, "config")
     model = _resolve_model(cfg, kinds=("tls",))
     sweep = _as_sweep(cfg.get("gamma2_sweep", DEFAULT_GAMMA2_SWEEP), "gamma2_sweep")
     if sweep[-1] < 100.0 * sweep[0]:
@@ -264,20 +264,19 @@ def _resolve_scaling(cfg: dict) -> dict:
     raw_windows = cfg.get("windows", {})
     if not isinstance(raw_windows, dict):
         raise ConfigError("windows: expected an object")
-    _check_keys(raw_windows, {"F", "x", "y"}, "windows")
+    check_keys(raw_windows, {"F", "x", "y"}, "windows")
     for key, win in raw_windows.items():
         lo, hi = _as_pair(win, f"windows.{key}")
         if hi <= lo:
             raise ConfigError(f"windows.{key}: needs [lo, hi] with hi > lo")
         windows[key] = [lo, hi]
-    return {"command": "scaling", "model": model, "gamma2_sweep": sweep, "point": point,
+    return {"model": model, "gamma2_sweep": sweep, "point": point,
             "windows": windows}
 
 
 def _resolve_ssh(cfg: dict) -> dict:
-    _check_keys(cfg, {"model", "k_values", "point"}, "config")
+    check_keys(cfg, {"model", "k_values", "point"}, "config")
     return {
-        "command": "ssh",
         "model": _resolve_model(cfg, kinds=("ssh",), kind="ssh", gamma_phi=0.1),
         "k_values": _as_sweep(cfg.get("k_values", DEFAULT_SSH_K_VALUES), "k_values"),
         "point": _as_pair(cfg.get("point", DEFAULT_SSH_POINT), "point"),
@@ -298,16 +297,24 @@ def _metadata(resolved: dict, extra: dict) -> dict:
 
 def _cmd_field(resolved: dict, outdir: str) -> int:
     model = _build_model(resolved["model"])
-    grid = GridSpec(tuple(resolved["grid"]["lo"]), tuple(resolved["grid"]["hi"]),
-                    tuple(resolved["grid"]["shape"]))
-    field = curvature_field(model, grid, method=resolved["method"])
-    field.write_csv(os.path.join(outdir, "field.csv"))
-    if field.failed_nodes == field.values.size:
+    grid = GridSpec(**resolved["grid"])
+    values = curvature_field(model, grid, method=resolved["method"])
+    ax1, ax2 = grid.axes()
+    # row-major over the grid; a failed node (NaN) is an empty cell
+    _write_csv(os.path.join(outdir, "field.csv"), "lambda1,lambda2,F",
+               (f"{_fmt(l1)},{_fmt(l2)},{'' if np.isnan(f) else _fmt(f)}"
+                for l1, row in zip(ax1, values) for l2, f in zip(ax2, row)))
+    failed = int(np.isnan(values).sum())
+    if failed == values.size:
         print("numeric failure: every grid node failed", file=sys.stderr)
         return 1
-    peak, l1, l2 = field.max_abs()
+    i, j = np.unravel_index(np.nanargmax(np.abs(values)), values.shape)
+    peak, l1, l2 = float(abs(values[i, j])), float(ax1[i]), float(ax2[j])
+    # the field's metadata names its model by label, with the built model's params
     _write_json(os.path.join(outdir, "metadata.json"),
-                _metadata(resolved, {**field.metadata(),
+                _metadata(resolved, {"grid": resolved["grid"], "method": resolved["method"],
+                                     "model": model.label, "params": model.params,
+                                     "failed_nodes": failed,
                                      "max_abs_F": {"value": peak, "lambda1": l1, "lambda2": l2}}))
     print(f"max |F| = {_fmt(peak)} at lambda1={_fmt(l1)}, lambda2={_fmt(l2)}")
     return 0
@@ -374,9 +381,9 @@ def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
     _write_csv(os.path.join(outdir, "quasistatic.csv"),
                "period,w_dyn,w_geom,abs_error", rows)
     if resolved["dump_trajectory"]:
+        # the longest period's run, as quasistatic_convergence drove it
+        traj = points[-1].trajectory
         schedule = DriveSchedule(cycle, points[-1].period, repeats=2)
-        rho0 = steady_state(model, cycle.position(0.0))
-        traj = evolve(model, schedule, rho0, dt=resolved["dt"])
         dump = []
         for t, rho, w in zip(traj.times, traj.states, accumulated_work(model, schedule, traj)):
             b = bloch_components(rho)
@@ -387,9 +394,9 @@ def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
                 _metadata(resolved, {"n_path": resolved["n_path"],
                                      "monotone_error_decay": monotone,
                                      "stats": {"integrator": [
-                                         {"period": p.period, "n_steps": p.n_steps,
-                                          "herm_residual": p.herm_residual,
-                                          "trace_drift": p.trace_drift}
+                                         {"period": p.period, "n_steps": p.trajectory.n_steps,
+                                          "herm_residual": p.trajectory.herm_residual,
+                                          "trace_drift": p.trajectory.trace_drift}
                                          for p in points]}}))
     print(f"quasistatic: w_geom = {_fmt(points[0].w_geom)}, final abs_error = "
           f"{_fmt(points[-1].abs_error)}, monotone = {monotone}")
@@ -455,24 +462,6 @@ def _cmd_ssh(resolved: dict, outdir: str) -> int:
     return 0
 
 
-_RESOLVERS = {
-    "field": _resolve_field,
-    "loops": _resolve_loops,
-    "orientation": _resolve_orientation,
-    "quasistatic": _resolve_quasistatic,
-    "scaling": _resolve_scaling,
-    "ssh": _resolve_ssh,
-}
-_COMMANDS = {
-    "field": _cmd_field,
-    "loops": _cmd_loops,
-    "orientation": _cmd_orientation,
-    "quasistatic": _cmd_quasistatic,
-    "scaling": _cmd_scaling,
-    "ssh": _cmd_ssh,
-}
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -488,42 +477,45 @@ def _load_config(path: str) -> dict:
     return obj
 
 
+# name -> (help line, config resolver, runner); a runner writes every output file
+_COMMANDS = {
+    "field": ("curvature field on a control-space grid", _resolve_field, _cmd_field),
+    "loops": ("cycle work vs dephasing for a set of loops", _resolve_loops, _cmd_loops),
+    "orientation": ("forward/reversed cycle work antisymmetry",
+                    _resolve_orientation, _cmd_orientation),
+    "quasistatic": ("dynamic-work convergence to the geometric value",
+                    _resolve_quasistatic, _cmd_quasistatic),
+    "scaling": ("strong-dephasing scaling of curvature and coherences",
+                _resolve_scaling, _cmd_scaling),
+    "ssh": ("hopping-plane curvature scan over Bloch momentum", _resolve_ssh, _cmd_ssh),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="geomwork",
+        prog="geomwork", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Steady-state work one-forms, curvature fields, and cycle work "
-                    "for driven Lindblad systems.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "field": "curvature field on a control-space grid",
-        "loops": "cycle work vs dephasing for a set of loops",
-        "orientation": "forward/reversed cycle work antisymmetry",
-        "quasistatic": "dynamic-work convergence to the geometric value",
-        "scaling": "strong-dephasing scaling of curvature and coherences",
-        "ssh": "hopping-plane curvature scan over Bloch momentum",
-    }
-    for name, text in help_lines.items():
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", help="JSON experiment configuration (defaults apply if omitted)")
-        cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="accepted for compatibility and ignored: evaluation is "
-                              "batched and single-threaded")
+                    "for driven Lindblad systems.",
+        epilog="commands:\n" + "\n".join(f"  {name:<12} {text}"
+                                           for name, (text, _, _) in _COMMANDS.items()))
+    parser.add_argument("command", choices=_COMMANDS, help="the experiment to run")
+    parser.add_argument("--config", help="JSON experiment configuration (defaults apply if omitted)")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored: evaluation is "
+                             "batched and single-threaded")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _, resolve, run = _COMMANDS[args.command]
     try:
         raw = _load_config(args.config) if args.config else {}
-        resolved = _RESOLVERS[args.command](raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "config_echo.json"), resolved)
-    try:
-        return _COMMANDS[args.command](resolved, args.out)
+        resolved = {"command": args.command, **resolve(raw)}
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(os.path.join(args.out, "config_echo.json"), resolved)
+        return run(resolved, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

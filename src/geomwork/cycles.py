@@ -21,13 +21,14 @@ the geometric image and flips traversal: position'(s) = position(1 - s).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, SteadyStateError
+from .errors import ConfigError, SteadyStateError, check_keys
 from .geometry import curvatures, work_one_forms
 from .operators import LindbladModel
 from .steadystate import Batch
@@ -42,8 +43,17 @@ def _check_pair(name, value):
     return pair
 
 
-def _gauss(m: int, a: float, b: float):
+@functools.lru_cache(maxsize=64)
+def _legendre(m: int):
+    """The m-point Gauss-Legendre rule on [-1, 1], computed once per order and
+    shared, so its arrays are read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss(m: int, a: float, b: float):
+    nodes, weights = _legendre(m)
     return 0.5 * (b - a) * nodes + 0.5 * (b + a), 0.5 * (b - a) * weights
 
 
@@ -170,23 +180,28 @@ def cycle_to_json(cycle: Cycle) -> dict:
             "hi": list(cycle.hi), "orientation": orient}
 
 
+# cycle kind -> (class, its two geometry keys) in the wire format
+_KINDS = {"circle": (Circle, "center", "radii"), "rectangle": (Rectangle, "lo", "hi")}
+
+
 def cycle_from_json(obj: dict) -> Cycle:
-    """Parse the cycle wire format; raises ConfigError on malformed input."""
+    """Parse the cycle wire format; raises ConfigError on malformed input,
+    unknown keys included."""
     if not isinstance(obj, dict):
         raise ConfigError(f"cycle must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"cycle.kind must be 'circle' or 'rectangle', got {kind!r}")
+    cls, first, second = _KINDS[kind]
+    check_keys(obj, {"kind", "orientation", first, second}, "cycle")
     orient_name = obj.get("orientation", "positive")
     if orient_name not in ("positive", "negative"):
         raise ConfigError(f"cycle.orientation must be 'positive' or 'negative', got {orient_name!r}")
     orientation = 1 if orient_name == "positive" else -1
     try:
-        if kind == "circle":
-            return Circle(tuple(obj["center"]), tuple(obj["radii"]), orientation)
-        if kind == "rectangle":
-            return Rectangle(tuple(obj["lo"]), tuple(obj["hi"]), orientation)
+        return cls(tuple(obj[first]), tuple(obj[second]), orientation)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {kind} cycle: {exc}") from exc
-    raise ConfigError(f"cycle.kind must be 'circle' or 'rectangle', got {kind!r}")
 
 
 def _located(exc: SteadyStateError, where: str, point) -> SteadyStateError:

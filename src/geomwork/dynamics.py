@@ -30,7 +30,7 @@ and discarding the first period as transient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -253,15 +253,13 @@ def dynamic_work(model: LindbladModel, trajectory: Trajectory, schedule: DriveSc
 
 @dataclass(frozen=True)
 class ConvergencePoint:
-    """One period of a quasistatic sweep, with the diagnostics of its run
-    (`Trajectory.n_steps`, `herm_residual` and `trace_drift`)."""
+    """One period of a quasistatic sweep, with the trajectory of its run (two
+    periods from the start point's steady state) and so its diagnostics."""
 
     period: float
     w_dyn: float
     w_geom: float
-    n_steps: int = 0
-    herm_residual: float = 0.0
-    trace_drift: float = 0.0
+    trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
     @property
     def abs_error(self) -> float:
@@ -279,7 +277,8 @@ def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,
     """Tabulate |W_dyn(T) - W_geom| for increasing drive periods.
 
     Each run starts from the steady state at the cycle's start point, evolves
-    two periods, and measures the second (the first is transient).
+    two periods, and measures the second (the first is transient). Each
+    point keeps its run's trajectory.
     """
     periods = [float(T) for T in periods]
     if not periods:
@@ -292,6 +291,5 @@ def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,
     for T in periods:
         schedule = DriveSchedule(cycle, T, repeats=2)
         traj = evolve(model, schedule, rho0, dt=dt)
-        points.append(ConvergencePoint(T, dynamic_work(model, traj, schedule), w_geom,
-                                       traj.n_steps, traj.herm_residual, traj.trace_drift))
+        points.append(ConvergencePoint(T, dynamic_work(model, traj, schedule), w_geom, traj))
     return points

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-key check that
+raises `ConfigError` for every configuration object."""
 
 
 class GeomworkError(Exception):
@@ -31,3 +32,10 @@ class IntegrationFailureError(GeomworkError):
 
 class ConfigError(GeomworkError, ValueError):
     """Invalid experiment configuration."""
+
+
+def check_keys(obj: dict, allowed, where: str) -> None:
+    """Raise ConfigError naming every key of ``obj`` outside ``allowed``."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")

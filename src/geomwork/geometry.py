@@ -5,15 +5,14 @@ the family's constant generator: the quasistatic work per unit displacement
 of control parameter i. The curvature F_ij = d_i A_j - d_j A_i measures how
 much work fails to commute under the order of parameter variations. With
 constant generators d_i A_j = Re Tr(d_i rho_ss H_j), exact by linear
-response; for the TLS family F is also available in closed form. Fields
-sample F_12 on a rectangular grid, recording nodes where the steady state
-does not exist as missing values (never zeros, which would corrupt flux
-integrals downstream).
+response; for the TLS family F is also available in closed form. A field
+samples F_12 on a rectangular grid as a plain array, recording nodes where
+the steady state does not exist as NaN (never zeros, which would corrupt flux
+integrals downstream); writing it out is the CLI's job.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,65 +133,9 @@ class GridSpec:
         return (np.linspace(self.lo[0], self.hi[0], self.shape[0]),
                 np.linspace(self.lo[1], self.hi[1], self.shape[1]))
 
-    def as_dict(self) -> dict:
-        return {"lo": list(self.lo), "hi": list(self.hi), "shape": list(self.shape)}
-
-
-@dataclass
-class CurvatureField:
-    """Grid-sampled curvature values with their evaluation metadata.
-
-    ``values`` has shape ``grid.shape``; failed nodes hold NaN and serialize
-    to empty CSV cells.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-    method: str
-    model_label: str
-    model_params: dict
-
-    @property
-    def failed_nodes(self) -> int:
-        return int(np.isnan(self.values).sum())
-
-    def max_abs(self):
-        """(|F|, lambda1, lambda2) at the largest finite |F| on the grid."""
-        masked = np.where(np.isnan(self.values), -np.inf, np.abs(self.values))
-        flat = int(np.argmax(masked))
-        i, j = np.unravel_index(flat, self.values.shape)
-        ax1, ax2 = self.grid.axes()
-        return float(np.abs(self.values[i, j])), float(ax1[i]), float(ax2[j])
-
-    def metadata(self) -> dict:
-        return {
-            "grid": self.grid.as_dict(),
-            "method": self.method,
-            "model": self.model_label,
-            "params": dict(self.model_params),
-            "failed_nodes": self.failed_nodes,
-        }
-
-    def write_csv(self, path) -> None:
-        """Rows `lambda1,lambda2,F`, row-major over the grid, NaN as empty cell."""
-        ax1, ax2 = self.grid.axes()
-        lines = ["lambda1,lambda2,F"]
-        for i, l1 in enumerate(ax1):
-            for j, l2 in enumerate(ax2):
-                v = self.values[i, j]
-                cell = "" if np.isnan(v) else f"{v:.17g}"
-                lines.append(f"{l1:.17g},{l2:.17g},{cell}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def write_metadata(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def curvature_field(model: LindbladModel, grid: GridSpec,
-                    method: str = "linear_response") -> CurvatureField:
+                    method: str = "linear_response") -> np.ndarray:
     """Sample F_12 on a grid via the closed form or the generic pipeline.
 
     Parameters
@@ -203,8 +146,12 @@ def curvature_field(model: LindbladModel, grid: GridSpec,
         The closed form applies to the TLS family only. Linear response
         evaluates the whole grid in one `curvatures` call.
 
-    Nodes where the steady state fails are recorded as NaN; the sweep never
-    aborts on individual nodes.
+    Returns
+    -------
+    ndarray
+        Shape ``grid.shape``, indexed like ``grid.axes()``, with NaN at every
+        node whose steady state fails; the sweep never aborts on individual
+        nodes.
     """
     if method not in ("linear_response", "closed_form"):
         raise ValueError(f"unknown method {method!r}")
@@ -213,17 +160,14 @@ def curvature_field(model: LindbladModel, grid: GridSpec,
     ax1, ax2 = grid.axes()
     if method == "linear_response":
         nodes = np.stack(np.meshgrid(ax1, ax2, indexing="ij"), axis=-1).reshape(-1, 2)
-        values = curvatures(model, nodes).values.reshape(grid.shape)
-    else:
-        g = model.params.get("gamma")
-        gp = model.params.get("gamma_phi", 0.0)
+        return curvatures(model, nodes).values.reshape(grid.shape)
+    g = model.params.get("gamma")
+    gp = model.params.get("gamma_phi", 0.0)
 
-        def node(l1, l2):
-            try:
-                return curvature_closed_form_tls(l1, l2, g, gp)
-            except GeomworkError:
-                return np.nan
+    def node(l1, l2):
+        try:
+            return curvature_closed_form_tls(l1, l2, g, gp)
+        except GeomworkError:
+            return np.nan
 
-        values = np.asarray([[node(l1, l2) for l2 in ax2] for l1 in ax1])
-    return CurvatureField(grid=grid, values=values, method=method,
-                          model_label=model.label, model_params=dict(model.params))
+    return np.asarray([[node(l1, l2) for l2 in ax2] for l1 in ax1])

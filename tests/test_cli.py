@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from geomwork.cli import main
-from geomwork.dynamics import TRACE_DRIFT_LIMIT
+from geomwork import (DriveSchedule, bloch_components, cli, cycle_from_json, dynamics,
+                      steady_state, tls_model)
+from geomwork.cli import DEFAULT_LOOPS, main
+from geomwork.dynamics import TRACE_DRIFT_LIMIT, evolve
 
 
 def run(tmp_path, command, config, *extra):
@@ -123,6 +125,54 @@ def test_field_ssh_model(tmp_path):
     assert all(np.isfinite(float(r[2])) for r in rows)
 
 
+# at gamma = 1 the linear-response steady state is degenerate for delta >= 1e9
+MIXED_FIELD = {
+    "model": {"kind": "tls", "gamma": 1.0, "gamma_phi": 0.2},
+    "grid": {"lo": [0.0, 0.5], "hi": [2e9, 1.0], "shape": [3, 2]},
+    "method": "linear_response",
+}
+
+
+def test_field_failed_nodes_write_empty_cells(tmp_path):
+    code, out = run(tmp_path, "field", MIXED_FIELD)
+    assert code == 0
+    header, rows = read_csv(out / "field.csv")
+    assert header == ["lambda1", "lambda2", "F"]
+    # row-major over the grid: lambda1 = 0, 1e9, 2e9, each with lambda2 = 0.5, 1
+    assert [(r[0], r[1]) for r in rows] == [(d, o) for d in ("0", "1000000000", "2000000000")
+                                            for o in ("0.5", "1")]
+    assert all(np.isfinite(float(r[2])) for r in rows[:2])
+    assert [r[2] for r in rows[2:]] == [""] * 4
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["failed_nodes"] == 4
+    assert meta["method"] == "linear_response"
+    assert meta["model"] == "tls"
+    assert meta["params"] == {"gamma": 1.0, "gamma_phi": 0.2}
+    assert meta["grid"] == {"lo": [0.0, 0.5], "hi": [2e9, 1.0], "shape": [3, 2]}
+    peak = max(abs(float(r[2])) for r in rows[:2])
+    assert meta["max_abs_F"]["value"] == peak
+    assert meta["max_abs_F"]["lambda1"] == 0.0
+
+
+def test_field_every_node_failed_exits_1(tmp_path, capsys):
+    config = dict(MIXED_FIELD, grid={"lo": [1e9, 0.5], "hi": [2e9, 1.0], "shape": [2, 2]})
+    code, out = run(tmp_path, "field", config)
+    assert code == 1
+    assert "numeric failure: every grid node failed" in capsys.readouterr().err
+    _, rows = read_csv(out / "field.csv")
+    assert len(rows) == 4 and [r[2] for r in rows] == [""] * 4
+    assert not (out / "metadata.json").exists()
+
+
+@pytest.mark.parametrize("method", [["closed_form"], 3])
+def test_non_string_field_method_exits_2(tmp_path, capsys, method):
+    code, out = run(tmp_path, "field", dict(TINY_FIELD, method=method))
+    assert code == 2
+    assert f"config error: method: expected closed_form or linear_response, got {method!r}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [
     {"model": {"kind": "tls", "gamma": -1.0}},
     {"model": {"kind": "squid"}},
@@ -150,6 +200,27 @@ def test_missing_out_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["field"])
     assert exc.value.code == 2
+
+
+def test_options_may_precede_the_command(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "ssh"]) == 0
+    assert (out / "ssh.csv").exists()
+
+
+def test_unknown_command_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["fields", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for name, (help_line, _, _) in cli._COMMANDS.items():
+        assert f"  {name}" in text and help_line in text
 
 
 LOOPS_SMALL = {
@@ -183,6 +254,31 @@ def test_loops_run(tmp_path):
 def test_loops_rejects_unsorted_sweep(tmp_path):
     code, _ = run(tmp_path, "loops", dict(LOOPS_SMALL, gamma_phi_sweep=[5.0, 0.0]))
     assert code == 2
+
+
+MISSPELT = dict(DEFAULT_LOOPS[1], orientaton="negative")
+
+
+@pytest.mark.parametrize("command, config, where", [
+    ("loops", dict(LOOPS_SMALL, cycles=[DEFAULT_LOOPS[0], MISSPELT]), "cycles[1]"),
+    ("orientation", {"cycles": [DEFAULT_LOOPS[0], MISSPELT]}, "cycles[1]"),
+    ("quasistatic", {"cycle": MISSPELT}, "cycle"),
+])
+def test_unknown_cycle_key_exits_2(tmp_path, capsys, command, config, where):
+    code, out = run(tmp_path, command, config)
+    assert code == 2
+    assert f"config error: {where}: cycle: unknown keys ['orientaton']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loop_id", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_loop_id_that_breaks_the_csv_exits_2(tmp_path, capsys, loop_id):
+    config = {"cycles": [dict(DEFAULT_LOOPS[0], id=loop_id)], "gamma_phi_sweep": [0.0],
+              "n_path": 128}
+    code, out = run(tmp_path, "orientation", config)
+    assert code == 2
+    assert "config error: cycles[0].id: must not contain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_orientation_run(tmp_path):
@@ -226,6 +322,30 @@ def test_quasistatic_run_with_trajectory(tmp_path, capsys):
         assert isinstance(entry["n_steps"], int) and entry["n_steps"] >= 2000
         assert 0.0 <= entry["trace_drift"] <= TRACE_DRIFT_LIMIT
         assert 0.0 <= entry["herm_residual"] <= 1e-10
+
+
+def test_quasistatic_trajectory_reuses_the_longest_run(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].period)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", counted)
+    monkeypatch.setattr(cli, "evolve", counted, raising=False)
+    config = {"model": {"kind": "tls", "gamma": 1.0},
+              "periods": [40.0, 160.0], "n_path": 128, "dump_trajectory": True}
+    code, out = run(tmp_path, "quasistatic", config)
+    assert code == 0
+    assert calls == [40.0, 160.0]
+    # the dump is the longest period's run, from the start point's steady state
+    model = tls_model(1.0, 0.0)
+    cycle = cycle_from_json({k: v for k, v in DEFAULT_LOOPS[1].items() if k != "id"})
+    traj = evolve(model, DriveSchedule(cycle, 160.0, repeats=2),
+                  steady_state(model, cycle.position(0.0)))
+    _, t_rows = read_csv(out / "trajectory.csv")
+    assert [float(r[0]) for r in t_rows] == traj.times.tolist()
+    assert [float(r[3]) for r in t_rows] == [bloch_components(rho).z for rho in traj.states]
 
 
 @pytest.mark.parametrize("config, message", [

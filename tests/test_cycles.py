@@ -211,6 +211,30 @@ def test_cycle_json_rejects_malformed_input():
         cycle_from_json({"kind": "circle", "radii": [0.1, 0.2]})
     with pytest.raises(ConfigError):
         cycle_from_json("circle")
+    with pytest.raises(ConfigError, match="cycle.kind must be"):
+        cycle_from_json({"kind": ["circle"]})
+    # unknown keys, including the other kind's geometry keys
+    circle = {"kind": "circle", "center": [0.0, 0.6], "radii": [0.4, 0.3]}
+    with pytest.raises(ConfigError, match=r"unknown keys \['orientaton'\]"):
+        cycle_from_json(dict(circle, orientaton="negative"))
+    with pytest.raises(ConfigError, match=r"unknown keys \['lo'\]"):
+        cycle_from_json(dict(circle, lo=[0.0, 0.0]))
+    with pytest.raises(ConfigError, match=r"unknown keys \['id'\]"):
+        cycle_from_json({"kind": "rectangle", "lo": [0.0, 0.0], "hi": [1.0, 1.0], "id": "R"})
+
+
+def test_gauss_legendre_rules_are_cached_read_only():
+    nodes, weights = cycles._legendre(8)
+    assert cycles._legendre(8)[0] is nodes
+    for array in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert nodes.tobytes() == x.tobytes() and weights.tobytes() == w.tobytes()
+    # a mapped rule is the caller's own array
+    t, _ = cycles._gauss(8, 0.0, 1.0)
+    t[0] = -1.0
+    assert cycles._legendre(8)[0].tobytes() == x.tobytes()
 
 
 def test_work_result_bundles_residual():

@@ -7,7 +7,7 @@ MODULES = ("errors", "operators", "steadystate", "geometry", "cycles", "dynamics
 REMOVED = ("tls_hamiltonian_grad", "ssh_hamiltonian_grad", "dissipator_superop",
            "liouvillian_matrix", "OneFormResidualError",
            "curvatures_fd", "curvature_fd", "default_fd_step",
-           "WORK_RESULT_CSV_HEADER")
+           "WORK_RESULT_CSV_HEADER", "CurvatureField")
 
 
 def test_every_exported_name_resolves():
