@@ -15,11 +15,10 @@ from .errors import (ConfigError, DegenerateSteadyStateError, GeomworkError,
                      IntegrationFailureError, InvalidParametersError,
                      NoSteadyStateError, StepTooLargeError)
 from .operators import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                        LindbladModel, ParamHamiltonian, dissipator,
-                        lindblad_rhs, pauli, tls_family, tls_hamiltonian,
-                        tls_model, validate_density_matrix)
+                        LindbladModel, ParamHamiltonian, pauli, tls_family,
+                        tls_hamiltonian, tls_model, validate_density_matrix)
 from .steadystate import (Batch, BlochVector, bloch_components,
-                          density_from_bloch, hamiltonian_superop, liouvillians,
+                          density_from_bloch, liouvillians,
                           steady_state, steady_states, tls_steady_closed_form)
 from .geometry import (GridSpec, coherence, curvature, curvature_closed_form_tls,
                        curvature_field, curvatures, work_one_form, work_one_forms)
@@ -38,9 +37,8 @@ __all__ = [
     "IntegrationFailureError", "ConfigError",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_MINUS", "IDENTITY_2",
     "pauli", "tls_hamiltonian", "tls_family",
-    "ParamHamiltonian", "LindbladModel", "tls_model", "dissipator",
-    "lindblad_rhs", "validate_density_matrix",
-    "BlochVector", "hamiltonian_superop", "liouvillians", "Batch",
+    "ParamHamiltonian", "LindbladModel", "tls_model", "validate_density_matrix",
+    "BlochVector", "liouvillians", "Batch",
     "steady_state", "steady_states", "bloch_components",
     "density_from_bloch", "tls_steady_closed_form",
     "work_one_form", "work_one_forms", "curvature_closed_form_tls",

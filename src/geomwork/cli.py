@@ -18,8 +18,8 @@ writes ``config_echo.json`` (the fully resolved configuration, defaults
 applied), ``metadata.json`` (run provenance; its ``created`` timestamp is the
 only non-deterministic field; ``field`` adds the grid, model parameters,
 ``failed_nodes`` and ``max_abs_F``, ``loops`` ``max_stokes_residual``,
-``quasistatic`` a ``stats.integrator`` list with each period's step count,
-Hermitization residual and trace drift) and one CSV per data product.
+``quasistatic`` a ``stats.integrator`` list with each period's step count
+and the lowest eigenvalue over its stored states) and one CSV per data product.
 CSVs use a header row, ``,`` delimiters, ``.`` decimals, LF endings, and
 floats with 17 significant digits; identical configurations produce
 byte-identical data files.
@@ -395,8 +395,7 @@ def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
                                      "monotone_error_decay": monotone,
                                      "stats": {"integrator": [
                                          {"period": p.period, "n_steps": p.trajectory.n_steps,
-                                          "herm_residual": p.trajectory.herm_residual,
-                                          "trace_drift": p.trajectory.trace_drift}
+                                          "min_eigenvalue": p.trajectory.min_eigenvalue}
                                          for p in points]}}))
     print(f"quasistatic: w_geom = {_fmt(points[0].w_geom)}, final abs_error = "
           f"{_fmt(points[-1].abs_error)}, monotone = {monotone}")

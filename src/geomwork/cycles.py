@@ -186,7 +186,7 @@ _KINDS = {"circle": (Circle, "center", "radii"), "rectangle": (Rectangle, "lo", 
 
 def cycle_from_json(obj: dict) -> Cycle:
     """Parse the cycle wire format; raises ConfigError on malformed input,
-    unknown keys included."""
+    unknown keys and boolean coordinates included."""
     if not isinstance(obj, dict):
         raise ConfigError(f"cycle must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -198,6 +198,10 @@ def cycle_from_json(obj: dict) -> Cycle:
     if orient_name not in ("positive", "negative"):
         raise ConfigError(f"cycle.orientation must be 'positive' or 'negative', got {orient_name!r}")
     orientation = 1 if orient_name == "positive" else -1
+    for key in (first, second):
+        value = obj.get(key)
+        if isinstance(value, list) and any(isinstance(v, bool) for v in value):
+            raise ConfigError(f"cycle.{key}: expected a pair of numbers, got {value!r}")
     try:
         return cls(tuple(obj[first]), tuple(obj[second]), orientation)
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,23 +1,23 @@
 """Fixed-step Lindblad time evolution and quasistatic-limit verification.
 
-The integrator is classical fourth-order Runge-Kutta on the vectorized
-density matrix, with the Liouvillian rebuilt as the drive moves the control
-point. For the linear master equation each RK4 step is a fixed matrix R_k
-applied to the state, built from the step's start, mid and end Liouvillians.
-Steps run in chunks: the mid-step and end-of-step Liouvillians of a chunk
-are assembled in one broadcast call (CHUNK_POINTS of them, the bound
-`steady_states` uses), every R_k of the chunk is formed as one stack, and an
-inclusive log-depth prefix product turns the stack into R_k ... R_0, so the
-stored states and the state carried into the next chunk are one batched
-matrix-vector product with no loop over steps. The stored states and the
-carried state are Hermitized ((rho + rho^dag)/2, a fixed permutation in vec
-space); the pre-Hermitization residual and the trace drift are monitored
-throughout. The Lindblad right-hand side is traceless in exact arithmetic,
-so trace drift beyond roundoff signals an overlarge step. The stored states
-of a chunk are checked together after the chunk (trace drift, then
-positivity with one stacked eigvalsh); the first failing sample raises, in
-sample order, with drift checked before positivity at each sample, so a
-failing run stops at most one chunk after the step that broke it.
+The integrator is classical fourth-order Runge-Kutta on the real coherence
+vector c of the state (rho = sum_a c_a B_a, see `operators`), with the
+generator G(lambda) evaluated as the drive moves the control point. For the
+linear master equation each RK4 step is a fixed real matrix R_k applied to
+c, built from the step's start, mid and end generators. Steps run in chunks:
+the mid-step and end-of-step generators of a chunk are formed in one
+broadcast call (CHUNK_POINTS of them, the bound `steady_states` uses), every
+R_k of the chunk is formed as one stack, and an inclusive log-depth prefix
+product turns the stack into R_k ... R_0, so the stored states and the state
+carried into the next chunk are one batched matrix-vector product with no
+loop over steps. The trace row of every G is zero, so every R_k keeps the
+trace exactly and every state is Hermitian by construction. The stored
+states of a chunk are checked together after the chunk: the first sample
+that is not finite (a blown-up step) raises StepTooLargeError, and the first
+with an eigenvalue below POSITIVITY_FLOOR raises IntegrationFailureError,
+whichever comes first in sample order, so a failing run stops at most one
+chunk after the step that broke it. The lowest eigenvalue over the stored
+states is the run's diagnostic.
 
 Dynamic work integrates Tr(rho(t) H_i) lambda_dot_i along the actual (not
 steady) state, evaluated over many samples at once: `dynamic_work` over the
@@ -37,10 +37,10 @@ import numpy as np
 from .cycles import Cycle, line_integral_work
 from .errors import IntegrationFailureError, StepTooLargeError
 from .geometry import gradient_traces
-from .operators import LindbladModel, validate_density_matrix
+from .operators import (LindbladModel, coherence_vectors, density_matrices,
+                        validate_density_matrix)
 from .steadystate import CHUNK_POINTS, liouvillians, steady_state
 
-TRACE_DRIFT_LIMIT = 1e-6
 POSITIVITY_FLOOR = -1e-6
 
 
@@ -76,16 +76,20 @@ class DriveSchedule:
 
 @dataclass
 class Trajectory:
-    """Stored integration output at a uniform stride, with the integrator's
-    diagnostics: the largest pre-Hermitization residual over the stored
-    states and the states carried between chunks, the largest trace drift
-    over the stored states, and the number of steps."""
+    """Stored integration output at a uniform stride: the sample times, the
+    coherence vectors of the states (rho = sum_a c_a B_a), the integrator's
+    diagnostic, the lowest eigenvalue over the states it stored, and the
+    number of steps."""
 
     times: np.ndarray
-    states: np.ndarray
-    herm_residual: float
-    trace_drift: float
+    vectors: np.ndarray
+    min_eigenvalue: float
     n_steps: int
+
+    @property
+    def states(self) -> np.ndarray:
+        """The stored density matrices, (N, d, d)."""
+        return density_matrices(self.vectors)
 
 
 def default_time_step(model: LindbladModel, schedule: DriveSchedule, samples: int = 64) -> float:
@@ -98,9 +102,9 @@ def default_time_step(model: LindbladModel, schedule: DriveSchedule, samples: in
 
 
 def _work_integrands(model: LindbladModel, schedule: DriveSchedule,
-                     times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Tr(rho H_i) lambda_dot_i at a stack of (time, state) samples."""
-    comps = gradient_traces(model, states)
+                     times: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Tr(rho H_i) lambda_dot_i at a stack of (time, coherence vector) samples."""
+    comps = gradient_traces(model, vectors)
     vel = schedule.velocity_at(times)
     total = np.zeros(len(times))
     for i in range(model.hamiltonian.n_params):
@@ -108,28 +112,36 @@ def _work_integrands(model: LindbladModel, schedule: DriveSchedule,
     return total
 
 
-def _check_stored(times: np.ndarray, states: np.ndarray) -> float:
-    """Largest trace drift over a stack of stored states.
+def _lowest_eigenvalues(vectors: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each state sum_a c_a B_a of a stack of coherence
+    vectors: in closed form for a qubit, where B = (I, sigma) / sqrt(2) and
+    the eigenvalues are (c_0 +- |(c_1, c_2, c_3)|) / sqrt(2), else by eigvalsh.
+    The qubit norm is taken by hypot, which does not overflow for finite
+    vectors."""
+    if vectors.shape[-1] == 4:
+        norm = np.hypot(np.hypot(vectors[:, 1], vectors[:, 2]), vectors[:, 3])
+        return (vectors[:, 0] - norm) / np.sqrt(2.0)
+    return np.linalg.eigvalsh(density_matrices(vectors))[:, 0]
 
-    Raises at the first sample that fails, checking trace drift before
-    positivity at each sample: StepTooLargeError for drift beyond
-    TRACE_DRIFT_LIMIT (or NaN from a blown-up step), IntegrationFailureError
-    for an eigenvalue below POSITIVITY_FLOOR.
+
+def _check_stored(times: np.ndarray, vectors: np.ndarray) -> float:
+    """Lowest eigenvalue over a stack of stored states, given as coherence vectors.
+
+    Raises at the first sample that fails: StepTooLargeError for a
+    non-finite state from a blown-up step, whose trace drift reads nan,
+    IntegrationFailureError for an eigenvalue below POSITIVITY_FLOOR.
     """
-    with np.errstate(invalid="ignore"):  # a blown-up state has inf - inf in its trace
-        drift = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
-    # "<=" so NaN from a blown-up step also trips the guard
-    drift_ok = drift <= TRACE_DRIFT_LIMIT
-    n_ok = len(drift) if drift_ok.all() else int(np.argmin(drift_ok))
-    lowest = np.linalg.eigvalsh(states[:n_ok])[:, 0]
+    finite = np.isfinite(vectors).all(axis=1)
+    n_ok = len(finite) if finite.all() else int(np.argmin(finite))
+    lowest = _lowest_eigenvalues(vectors[:n_ok])
     positive = lowest >= POSITIVITY_FLOOR
     if not positive.all():
         n = int(np.argmin(positive))
         raise IntegrationFailureError(f"state eigenvalue {lowest[n]:.3e} at t={times[n]:.6g}")
-    if n_ok < len(drift):
+    if n_ok < len(finite):
         raise StepTooLargeError(
-            f"trace drift {drift[n_ok]:.3e} at t={times[n_ok]:.6g}; reduce the step")
-    return float(np.max(drift, initial=0.0))
+            f"trace drift nan at t={times[n_ok]:.6g}; reduce the step")
+    return float(np.min(lowest, initial=np.inf))
 
 
 def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
@@ -152,14 +164,13 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     Returns
     -------
     Trajectory
-        Its ``herm_residual`` is the largest pre-Hermitization residual over
-        the stored states and the states carried between chunks of steps;
-        the states in between are never formed.
+        Its ``min_eigenvalue`` is the lowest eigenvalue over the states the
+        integrator stored; the states in between are never formed.
 
     Raises
     ------
     StepTooLargeError
-        Trace drift beyond 1e-6.
+        A stored state is not finite.
     IntegrationFailureError
         State eigenvalue below -1e-6.
     """
@@ -177,17 +188,14 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     step = period / n_per
     n_steps = n_per * schedule.repeats
 
-    # (rho^dag) in vec space: vec index i + j d holds rho[i, j]
-    perm = np.arange(d * d).reshape(d, d).T.ravel()
     eye = np.eye(d * d)
     half = 0.5 * step
     sixth = step / 6.0
-    chunk = CHUNK_POINTS // 2  # steps per chunk: a mid and an end Liouvillian each
-    v = rho0.flatten(order="F")
+    chunk = CHUNK_POINTS // 2  # steps per chunk: a mid and an end generator each
+    v = coherence_vectors(rho0)
     times = [np.zeros(1)]
-    states = [rho0[None]]
-    herm_residual = 0.0
-    trace_drift = 0.0
+    vectors = [v[None]]
+    min_eigenvalue = np.inf
     l_end = liouvillians(model, schedule.point_at(np.zeros(1)))
     for lo in range(0, n_steps, chunk):
         ks = np.arange(lo, min(lo + chunk, n_steps))
@@ -213,25 +221,21 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
             while off < len(ks):
                 prop[off:] = prop[off:] @ prop[:-off]
                 off *= 2
-            raw = prop[rows] @ v
-            herm = 0.5 * (raw + raw[:, perm].conj())
-            herm_residual = max(herm_residual, float(np.max(np.abs(raw - herm))))
-        v = herm[-1]
+            out = prop[rows] @ v
+        v = out[-1]
         t_stored = (ks[stored] + 1) * step
-        # column-stacked vec -> C-contiguous (n, d, d) states
-        rho = np.ascontiguousarray(herm[:-1].reshape(-1, d, d).swapaxes(1, 2))
-        trace_drift = max(trace_drift, _check_stored(t_stored, rho))
+        min_eigenvalue = min(min_eigenvalue, _check_stored(t_stored, out[:-1]))
         times.append(t_stored)
-        states.append(rho)
+        vectors.append(out[:-1])
 
-    return Trajectory(times=np.concatenate(times), states=np.concatenate(states),
-                      herm_residual=herm_residual, trace_drift=trace_drift, n_steps=n_steps)
+    return Trajectory(times=np.concatenate(times), vectors=np.concatenate(vectors),
+                      min_eigenvalue=min_eigenvalue, n_steps=n_steps)
 
 
 def accumulated_work(model: LindbladModel, schedule: DriveSchedule,
                      trajectory: Trajectory) -> np.ndarray:
     """Work done up to each stored sample of a trajectory (trapezoid rule), 0 at t = 0."""
-    integrand = _work_integrands(model, schedule, trajectory.times, trajectory.states)
+    integrand = _work_integrands(model, schedule, trajectory.times, trajectory.vectors)
     segments = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(trajectory.times)
     return np.concatenate(([0.0], np.cumsum(segments)))
 
@@ -247,7 +251,7 @@ def dynamic_work(model: LindbladModel, trajectory: Trajectory, schedule: DriveSc
     ts = trajectory.times[mask]
     if len(ts) < 8 or abs(ts[0] - t0) > 1e-6 * period:
         raise ValueError("trajectory samples do not align with the schedule's final period")
-    vals = _work_integrands(model, schedule, ts, trajectory.states[mask])
+    vals = _work_integrands(model, schedule, ts, trajectory.vectors[mask])
     return float(np.trapezoid(vals, ts))
 
 

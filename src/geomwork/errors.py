@@ -23,7 +23,7 @@ class NoSteadyStateError(SteadyStateError):
 
 
 class StepTooLargeError(GeomworkError):
-    """Time integration produced unacceptable trace drift."""
+    """Time integration blew up: a stored state is not finite."""
 
 
 class IntegrationFailureError(GeomworkError):

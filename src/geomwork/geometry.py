@@ -1,14 +1,16 @@
 """Work one-form and curvature two-form over control-parameter space.
 
-The one-form components are A_i = Re Tr(rho_ss H_i), with H_i = dH/dlambda_i
+The one-form components are A_i = Tr(rho_ss H_i), with H_i = dH/dlambda_i
 the family's constant generator: the quasistatic work per unit displacement
-of control parameter i. The curvature F_ij = d_i A_j - d_j A_i measures how
-much work fails to commute under the order of parameter variations. With
-constant generators d_i A_j = Re Tr(d_i rho_ss H_j), exact by linear
-response; for the TLS family F is also available in closed form. A field
-samples F_12 on a rectangular grid as a plain array, recording nodes where
-the steady state does not exist as NaN (never zeros, which would corrupt flux
-integrals downstream); writing it out is the CLI's job.
+of control parameter i. In coherence coordinates A_i = h_i . c, with the
+model's coefficients h_i[a] = Tr(B_a H_i). The curvature
+F_ij = d_i A_j - d_j A_i measures how much work fails to commute under the
+order of parameter variations. With constant generators
+d_i A_j = h_j . d_i c, exact by linear response; for the TLS family F is
+also available in closed form. A field samples F_12 on a rectangular grid
+as a plain array, recording nodes where the steady state does not exist as
+NaN (never zeros, which would corrupt flux integrals downstream); writing it
+out is the CLI's job.
 """
 
 from __future__ import annotations
@@ -19,35 +21,33 @@ import numpy as np
 
 from .errors import GeomworkError, InvalidParametersError
 from .operators import LindbladModel
-from .steadystate import Batch, steady_state_derivatives, steady_states
+from .steadystate import Batch, steady_vector_derivatives, steady_vectors
 
 
-def gradient_traces(model: LindbladModel, states) -> np.ndarray:
-    """Re Tr(rho_n H_i) for a stack of states (or state derivatives) and each
-    generator H_i of the family.
+def gradient_traces(model: LindbladModel, vectors) -> np.ndarray:
+    """Tr(rho H_i) = h_i . c for a stack of coherence vectors (or their
+    derivatives) and each generator H_i of the family.
 
-    ``states`` is an (N, d, d) stack and the result has shape (N, n_params);
-    NaN states give NaN rows. Each trace sums in the same order as the
-    one-state trace np.einsum("ij,ji->", rho, H_i), so the values do not
-    depend on how the states are stacked.
-
-    The imaginary part is dropped unchecked: the states are Hermitized, their
-    exact derivatives are Hermitian up to roundoff, and `ParamHamiltonian`
-    rejects non-Hermitian generators, so every trace is real up to roundoff.
+    ``vectors`` has shape (..., d^2) and the result (..., n_params); NaN
+    vectors give NaN rows. Each dot product sums in basis order, one term at
+    a time, so the values do not depend on how the vectors are stacked.
     """
-    states = np.ascontiguousarray(states)  # the einsum's summation order follows the layout
-    return np.stack([np.einsum("nij,nji->n", states, np.broadcast_to(g, states.shape)).real
-                     for g in model.hamiltonian.generators], axis=-1)
+    vectors = np.asarray(vectors, dtype=float)
+    h = model.h
+    out = vectors[..., 0, None] * h[:, 0]
+    for a in range(1, h.shape[1]):
+        out = out + vectors[..., a, None] * h[:, a]
+    return out
 
 
 def work_one_forms(model: LindbladModel, points) -> Batch:
-    """One-form components A_i = Re Tr(rho_ss H_i) at a stack of points.
+    """One-form components A_i = Tr(rho_ss H_i) at a stack of points.
 
     Returns a Batch whose ``values`` has shape (N, n_params), with NaN rows
     and the steady-state error where a point's steady state fails.
     """
-    states = steady_states(model, points)
-    return Batch(gradient_traces(model, states.values), states.errors)
+    vectors = steady_vectors(model, points)
+    return vectors._replace(values=gradient_traces(model, vectors.values))
 
 
 def work_one_form(model: LindbladModel, point) -> np.ndarray:
@@ -79,18 +79,17 @@ def curvature_closed_form_tls(delta: float, omega: float, gamma: float,
 
 
 def curvatures(model: LindbladModel, points, i: int = 0, j: int = 1) -> Batch:
-    """Exact curvature F_ij = Re Tr(d_i rho H_j) - Re Tr(d_j rho H_i) at a stack of nodes.
+    """Exact curvature F_ij = h_j . d_i c - h_i . d_j c at a stack of nodes.
 
-    The state derivatives come from `steady_state_derivatives`, so the whole
+    The state derivatives come from `steady_vector_derivatives`, so the whole
     stack costs one chunked SVD and no step size enters. A node fails, with
     NaN and the error of its steady state, only where its own steady state
     fails, never because of a neighbouring point. Antisymmetric by
     construction: swapping (i, j) produces exactly the negated values, and
     i == j returns exactly 0 at every node that has a steady state.
     """
-    derivs = steady_state_derivatives(model, points)
-    n, d = model.hamiltonian.n_params, model.dim
-    traces = gradient_traces(model, derivs.values.reshape(-1, d, d)).reshape(-1, n, n)
+    derivs = steady_vector_derivatives(model, points)
+    traces = gradient_traces(model, derivs.values)  # [n, k, l] = h_l . d_k c
     return Batch(traces[:, i, j] - traces[:, j, i], derivs.errors)
 
 

@@ -1,4 +1,5 @@
-"""Pauli algebra, affine Hamiltonian families, and the Lindblad right-hand side.
+"""Pauli algebra, affine Hamiltonian families, and the real coherence-vector
+form of a Lindblad model.
 
 All operators are dense complex numpy arrays; energies and rates are
 dimensionless (hbar = 1). The ladder convention is sigma_minus = |g><e| with
@@ -7,12 +8,23 @@ dimensionless (hbar = 1). The ladder convention is sigma_minus = |g><e| with
 A Hamiltonian family is affine in its controls, H(lambda) = H_0 + sum_i
 lambda_i H_i: it stores H_0 and the generators H_i = dH/dlambda_i, checked
 Hermitian when the family is built, and evaluates stacks of control points
-with array arithmetic. A model's dissipator superoperator is built once,
-with the model.
+with array arithmetic.
+
+Every kernel works on coherence vectors: rho = sum_a c_a B_a in the
+orthonormal Hermitian basis of `hermitian_basis` (B_0 = I / sqrt(d), then
+the generalized Gell-Mann matrices; Pauli / sqrt(2) for d = 2), where the
+master equation is the real linear system dc/dt = G(lambda) c. The map from
+column-stacked vec(rho) to c is unitary, so G has the singular values and
+eigenvalues of the complex Liouvillian. A model builds its affine generator
+stack and the coefficients of its Hamiltonian generators once, with the
+model; the trace row of G is exactly zero, so evolution conserves the trace
+exactly and keeps every state Hermitian by construction.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +61,6 @@ def tls_hamiltonian(delta: float, omega: float) -> np.ndarray:
     """Driven two-level Hamiltonian (delta/2) sigma_z + omega sigma_x, in
     closed form; `tls_family` is the same family in affine form."""
     return 0.5 * delta * SIGMA_Z + omega * SIGMA_X
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two d x d matrices: the same products, formed by broadcasting."""
-    d = len(a)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -132,6 +138,87 @@ def tls_family() -> ParamHamiltonian:
     return _TLS_FAMILY
 
 
+@functools.lru_cache(maxsize=8)
+def _basis_tensors(d: int):
+    """The orthonormal Hermitian basis of d x d matrices, its projector and its
+    structure constants, computed once per dimension and shared, so all three
+    are read-only.
+
+    The basis (d^2, d, d) is B_0 = I / sqrt(d), then the generalized Gell-Mann
+    matrices scaled to unit Frobenius norm: for each pair j < k the symmetric
+    (E_jk + E_kj) / sqrt(2) and antisymmetric -i (E_jk - E_kj) / sqrt(2), then
+    the diagonal (sum_{j<l} E_jj - l E_ll) / sqrt(l (l + 1)) for l = 1..d-1.
+    For d = 2 this is (I, sigma_x, sigma_y, sigma_z) / sqrt(2). The projector
+    (d^2, d^2) maps a flattened operator X to Tr(B_a X) = sum conj(B_a) X. The
+    structure constants F[c, a, b] = Tr(B_a (-i)[B_c, B_b]) are real and
+    stored as (d^2, d^4), so the coherent generator of H = sum_c h_c B_c is
+    h @ F, reshaped.
+    """
+    mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+            anti = np.zeros((d, d), dtype=complex)
+            anti[j, k], anti[k, j] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+            mats += [sym, anti]
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l], diag[l] = 1.0, -float(l)
+        mats.append(np.diag(diag / np.sqrt(l * (l + 1.0))).astype(complex))
+    basis = np.stack(mats)
+    projector = basis.reshape(d * d, d * d).conj().T.copy()
+    comm = basis[:, None] @ basis[None, :] - basis[None, :] @ basis[:, None]  # [B_c, B_b]
+    structure = (-1j * np.einsum("aij,cbji->cab", basis, comm)).real
+    return _read_only(basis), _read_only(projector), _read_only(structure.reshape(d * d, -1))
+
+
+@functools.lru_cache(maxsize=64)
+def _channel_generator(d: int, op: bytes) -> np.ndarray:
+    """The real generator (d^2, d^2) of the unit-rate channel D[L], with L
+    the d x d complex collapse operator whose bytes are ``op``.
+
+    Cached and read-only: models are built many times over the same few
+    collapse operators, with only the rates changing.
+    """
+    L = np.frombuffer(op, dtype=complex).reshape(d, d)
+    basis, projector, _ = _basis_tensors(d)
+    Ld = L.conj().T
+    LdL = Ld @ L
+    image = L @ basis @ Ld - 0.5 * (LdL @ basis + basis @ LdL)  # D[L](B_b)
+    return _read_only((image.reshape(d * d, d * d) @ projector).real.T.copy())
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """The read-only orthonormal Hermitian basis (d^2, d, d) of coherence vectors."""
+    return _basis_tensors(d)[0]
+
+
+def coherence_vectors(ops) -> np.ndarray:
+    """c_a = Tr(B_a X) of a Hermitian operator or stack (..., d, d); shape (..., d^2).
+
+    For a state, c_0 = Tr(rho) / sqrt(d) and rho = sum_a c_a B_a.
+    """
+    ops = np.asarray(ops)
+    d = ops.shape[-1]
+    return (ops.reshape(ops.shape[:-2] + (d * d,)) @ _basis_tensors(d)[1]).real
+
+
+def density_matrices(vectors) -> np.ndarray:
+    """sum_a c_a B_a for coherence vectors (..., d^2); shape (..., d, d).
+
+    The sum runs in basis order, one term at a time, so each matrix does not
+    depend on the stack it is in.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    d = math.isqrt(vectors.shape[-1])
+    basis = hermitian_basis(d)
+    out = vectors[..., 0, None, None] * basis[0]
+    for a in range(1, d * d):
+        out = out + vectors[..., a, None, None] * basis[a]
+    return out
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """A Hamiltonian family plus rate-weighted collapse channels.
@@ -139,21 +226,28 @@ class LindbladModel:
     ``channels`` holds (rate, collapse operator) pairs entering the master
     equation as rate * D[L](rho). ``label`` and ``params`` carry the model
     identity into output metadata; they do not affect the dynamics.
-    ``dissipator`` is the read-only d^2 x d^2 superoperator of all channels
-    in the column-stacking convention of `steadystate`, built once here
-    because it does not depend on the control point.
+
+    In coherence coordinates, rho = sum_a c_a B_a over the orthonormal
+    Hermitian basis of `hermitian_basis`, the master equation is the real
+    linear system dc/dt = G(lambda) c with the affine generator
+    G(lambda) = G_0 + sum_i lambda_i G_i. ``generator`` is the read-only
+    stack (1 + n_params, d^2, d^2) of G_0 (coherent base part plus every
+    channel) and the G_i of the family's generators H_i, built once here
+    because it does not depend on the control point. Its first row is exactly
+    zero, so the trace c_0 sqrt(d) is conserved exactly. ``h`` is the
+    read-only (n_params, d^2) stack of h_i[a] = Tr(B_a H_i), so that
+    Tr(rho H_i) = h_i . c.
     """
 
     hamiltonian: ParamHamiltonian
     channels: tuple
     label: str = "custom"
     params: dict = field(default_factory=dict)
-    dissipator: np.ndarray = field(init=False, repr=False, compare=False)
+    generator: np.ndarray = field(init=False, repr=False, compare=False)
+    h: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.hamiltonian.dim
-        eye = np.eye(d)
-        sup = np.zeros((d * d, d * d), dtype=complex)
         checked = []
         for rate, L in self.channels:
             rate = float(rate)
@@ -165,11 +259,16 @@ class LindbladModel:
             if not np.all(np.isfinite(L)):
                 raise ValueError("collapse operator has non-finite entries")
             checked.append((rate, L))
+        h = coherence_vectors(np.concatenate([self.hamiltonian.base[None],
+                                              self.hamiltonian.generators]))
+        gen = (h @ _basis_tensors(d)[2]).reshape(-1, d * d, d * d)
+        for rate, L in checked:
             if rate:
-                LdL = L.conj().T @ L
-                sup += rate * (_kron(L.conj(), L) - 0.5 * _kron(eye, LdL) - 0.5 * _kron(LdL.T, eye))
+                gen[0] += rate * _channel_generator(d, L.tobytes())
+        gen[:, 0] = 0.0
         object.__setattr__(self, "channels", tuple(checked))
-        object.__setattr__(self, "dissipator", _read_only(sup))
+        object.__setattr__(self, "generator", _read_only(gen))
+        object.__setattr__(self, "h", _read_only(h[1:]))
 
     @property
     def dim(self) -> int:
@@ -190,30 +289,6 @@ def tls_model(gamma: float, gamma_phi: float = 0.0) -> LindbladModel:
         label="tls",
         params={"gamma": float(gamma), "gamma_phi": float(gamma_phi)},
     )
-
-
-def dissipator(L: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D[L](rho) = L rho L^dag - (L^dag L rho + rho L^dag L) / 2."""
-    L = np.asarray(L, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: L {L.shape} vs rho {rho.shape}")
-    LdL = L.conj().T @ L
-    return L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL)
-
-
-def lindblad_rhs(model: LindbladModel, point, rho: np.ndarray) -> np.ndarray:
-    """Master-equation right-hand side -i[H(point), rho] + sum_k r_k D[L_k](rho)."""
-    rho = np.asarray(rho, dtype=complex)
-    d = model.dim
-    if rho.shape != (d, d):
-        raise ValueError(f"state shape {rho.shape} does not match model dimension {d}")
-    H = model.hamiltonian.matrices(point)
-    out = -1j * (H @ rho - rho @ H)
-    for rate, L in model.channels:
-        if rate:
-            out += rate * dissipator(L, rho)
-    return out
 
 
 def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,

@@ -1,42 +1,46 @@
-"""Liouvillian superoperators and steady-state extraction.
+"""Real Liouvillian generators and steady-state extraction.
 
-Vectorization is column-stacking throughout: vec(rho) = rho.flatten(order="F"),
-so vec(A rho B) = (B^T kron A) vec(rho) and the master equation becomes
-vec(drho/dt) = L vec(rho) with a dense d^2 x d^2 matrix L.
+The master equation is solved in coherence coordinates, rho = sum_a c_a B_a
+over the orthonormal Hermitian basis of `operators.hermitian_basis`, where
+it is the real linear system dc/dt = G(lambda) c with a d^2 x d^2 matrix G.
+`liouvillians` is the one assembly path: the affine combination
+G_0 + sum_i lambda_i G_i of the model's precomputed ``generator`` stack at a
+stack of control points.
 
-The steady state is the right singular vector of L belonging to its smallest
-singular value, reshaped, Hermitized and trace-normalized. SVD is robust for
-the small dense Liouvillians targeted here (d <= ~16) and, unlike an
-eigendecomposition, does not misbehave on defective matrices. A steady state
-is only returned when it is unique: if the two smallest singular values are
-within a factor 1e-8 of each other (relative to the largest) the null space
-is considered degenerate and the point gets an error instead of a silently
-picked representative.
+The steady state is the right singular vector of G belonging to its
+smallest singular value, normalized to unit trace (Tr rho = sqrt(d) c_0).
+The basis change is unitary, so the singular values are those of the
+complex column-stacked Liouvillian. SVD is robust for the small dense
+generators targeted here (d <= ~16) and, unlike an eigendecomposition, does
+not misbehave on defective matrices. A steady state is only returned when it
+is unique: if the two smallest singular values are within a factor 1e-8 of
+each other (relative to the largest) the null space is considered
+degenerate and the point gets an error instead of a silently picked
+representative. The tests run as array comparisons over the stack, and error
+objects are built for the failed points only.
 
-`liouvillians` is the one assembly path: the coherent superoperators of a
-stack of Hamiltonians, formed by broadcasting, plus the model's dissipator.
-`steady_states` solves a stack of control points: it assembles their
-Liouvillians and decomposes them with one stacked SVD per chunk of
-CHUNK_POINTS, reporting an error per failed point. Each point's
-arithmetic does not depend on the stack it is in, so `steady_state`, the
-one-point call, gives bit-identical states.
+`steady_vectors` solves a stack of control points with one real stacked SVD
+per chunk of CHUNK_POINTS; `steady_states` returns the same states as
+density matrices. Each point's arithmetic does not depend on the stack it is
+in, so `steady_state`, the one-point call, gives bit-identical states.
 
-`steady_state_derivatives` reuses each chunk's SVD for the exact linear
-response: d_i rho solves L d_i rho = -G_i rho, G_i = `hamiltonian_superop(H_i)`
-(Avron, Fraas, Graf & Grech, Commun. Math. Phys. 314, 163 (2012)). The
-traceless right-hand side lies in the range of L, so the pseudo-inverse
-V S^+ U^H without the smallest singular value solves it, and subtracting
-Tr(x) rho makes the solution traceless.
+`steady_vector_derivatives` reuses each chunk's SVD for the exact linear
+response: d_i c solves G d_i c = -G_i c (Avron, Fraas, Graf & Grech, Commun.
+Math. Phys. 314, 163 (2012)). The right-hand side is traceless, so it lies
+in the range of G, the pseudo-inverse V S^+ U^T without the smallest
+singular value solves it, and subtracting sqrt(d) x_0 c makes the solution
+traceless.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, InvalidParametersError, NoSteadyStateError
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, density_matrices
 
 DEGENERACY_RATIO = 1e-8
 NULL_RESIDUAL_RATIO = 1e-6
@@ -74,33 +78,27 @@ class Batch(NamedTuple):
         return self.values[0]
 
 
-def hamiltonian_superop(H: np.ndarray) -> np.ndarray:
-    """Superoperator of the coherent part, -i(I kron H - H^T kron I).
-
-    ``H`` is one d x d Hamiltonian or a stack (..., d, d); the result has
-    shape (..., d^2, d^2). Broadcasting forms the same products as np.kron.
-    """
-    H = np.asarray(H)
-    d = H.shape[-1]
-    eye = np.eye(d)
-    left = eye[:, None, :, None] * H[..., None, :, None, :]
-    right = H.swapaxes(-1, -2)[..., :, None, :, None] * eye[None, :, None, :]
-    return -1j * (left - right).reshape(H.shape[:-2] + (d * d, d * d))
-
-
 def liouvillians(model: LindbladModel, points) -> np.ndarray:
-    """Dense Liouvillians L with vec(drho/dt) = L vec(rho) at control points.
+    """Real generators G(lambda) with dc/dt = G c in coherence coordinates.
 
     ``points`` of shape (..., n_params) give shape (..., d^2, d^2): the
-    coherent superoperators of the family's Hamiltonians plus the model's
-    dissipator.
+    affine combination G_0 + sum_i lambda_i G_i of the model's ``generator``
+    stack, formed one term at a time so each matrix does not depend on the
+    stack it is in. The first row is zero.
     """
-    return hamiltonian_superop(model.hamiltonian.matrices(points)) + model.dissipator
+    points = np.asarray(points, dtype=float)
+    gen = model.generator
+    if points.shape[-1:] != (len(gen) - 1,):
+        raise ValueError(f"points must have {len(gen) - 1} coordinates, got shape {points.shape}")
+    out = gen[0]
+    for i in range(1, len(gen)):
+        out = out + points[..., i - 1, None, None] * gen[i]
+    return out
 
 
 def _null_space_error(s: np.ndarray, trace: float):
     """The error for a Liouvillian with descending singular values ``s`` whose
-    null vector, Hermitized, has trace ``trace``; None if it has a state."""
+    null vector has trace ``trace``; None if it has a state."""
     if s[0] == 0.0:
         return DegenerateSteadyStateError("Liouvillian is identically zero; every state is stationary")
     if s[-1] > NULL_RESIDUAL_RATIO * s[0]:
@@ -116,43 +114,50 @@ def _null_space_error(s: np.ndarray, trace: float):
 
 
 def _states_from_svd(s: np.ndarray, vh: np.ndarray, dim: int) -> Batch:
-    """Steady states from the singular values and right vectors of a stack of Liouvillians."""
-    rho = vh[:, -1].conj().reshape((-1, dim, dim)).swapaxes(-1, -2)  # column-stacked vec
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    trace = np.trace(rho, axis1=-2, axis2=-1).real
-    errors = tuple(_null_space_error(s[n], trace[n]) for n in range(len(s)))
-    ok = np.array([err is None for err in errors], dtype=bool)
-    states = np.full(rho.shape, np.nan, dtype=complex)
-    states[ok] = rho[ok] / trace[ok, None, None]
-    return Batch(states, errors)
+    """Steady coherence vectors from the singular values and right vectors of
+    a stack of generators.
+
+    The failure tests of `_null_space_error` run as array comparisons over
+    the stack, in the same order, and its errors are built for the failed
+    points only.
+    """
+    null = vh[:, -1]
+    trace = np.sqrt(dim) * null[:, 0]  # Tr(sum_a v_a B_a) = sqrt(d) v_0
+    failed = ((s[:, 0] == 0.0) | (s[:, -1] > NULL_RESIDUAL_RATIO * s[:, 0])
+              | (s[:, -2] < DEGENERACY_RATIO * s[:, 0]) | (np.abs(trace) < 1e-12))
+    errors = [None] * len(s)
+    for n in np.flatnonzero(failed):
+        errors[n] = _null_space_error(s[n], trace[n])
+    ok = ~failed
+    vectors = np.full_like(null, np.nan)
+    vectors[ok] = null[ok] / trace[ok, None]
+    return Batch(vectors, tuple(errors))
 
 
 def _states_from_superops(L: np.ndarray, dim: int) -> Batch:
-    """Steady states of a stack (N, d^2, d^2) of Liouvillians, one SVD call."""
+    """Steady coherence vectors of a stack (N, d^2, d^2) of generators, one SVD call."""
     _, s, vh = np.linalg.svd(L)
     return _states_from_svd(s, vh, dim)
 
 
 def _derivatives_from_superops(L: np.ndarray, model: LindbladModel) -> Batch:
-    """d_i rho for each generator H_i at a stack of Liouvillians, from the one
-    SVD that also gives the states.
+    """d_i c for each family generator at a stack of generators, from the one
+    SVD that also gives the steady coherence vectors.
 
     A failed point's state is NaN, so its right-hand side is NaN too and
     dividing it by a vanishing singular value raises no floating-point flag.
     """
     u, s, vh = np.linalg.svd(L)
     states = _states_from_svd(s, vh, model.dim)
-    rho, gens = states.values[:, None], model.hamiltonian.generators
-    rhs = 1j * (gens @ rho - rho @ gens)  # -G_i rho, shape (N, n_params, d, d)
-    b = rhs.swapaxes(-1, -2).reshape(rhs.shape[:2] + (-1,)).swapaxes(-1, -2)  # vecs as columns
-    coeffs = (u[:, :, :-1].conj().swapaxes(-1, -2) @ b) / s[:, :-1, None]
-    x = (vh[:, :-1].conj().swapaxes(-1, -2) @ coeffs).swapaxes(-1, -2)
-    x = x.reshape(rhs.shape).swapaxes(-1, -2)  # column-stacked vec
-    return Batch(x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] * rho, states.errors)
+    c = states.values
+    b = -(model.generator[1:] @ c[:, None, :, None])[..., 0].swapaxes(-1, -2)  # -G_i c as columns
+    coeffs = (u[:, :, :-1].swapaxes(-1, -2) @ b) / s[:, :-1, None]
+    x = (vh[:, :-1].swapaxes(-1, -2) @ coeffs).swapaxes(-1, -2)  # (N, n_params, d^2)
+    return Batch(x - (np.sqrt(model.dim) * x[..., :1]) * c[:, None], states.errors)
 
 
 def _solve_chunks(model: LindbladModel, points, solve) -> Batch:
-    """``solve(L)`` on the Liouvillians of each chunk of CHUNK_POINTS points,
+    """``solve(G)`` on the generators of each chunk of CHUNK_POINTS points,
     joined into one Batch over the stack."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -161,7 +166,20 @@ def _solve_chunks(model: LindbladModel, points, solve) -> Batch:
     parts = [solve(liouvillians(model, points[lo:lo + CHUNK_POINTS]))
              for lo in range(0, max(1, len(points)), CHUNK_POINTS)]
     return Batch(np.concatenate([part.values for part in parts]),
-                 tuple(err for part in parts for err in part.errors))
+                 tuple(itertools.chain.from_iterable(part.errors for part in parts)))
+
+
+def steady_vectors(model: LindbladModel, points) -> Batch:
+    """Steady coherence vectors c, with rho = sum_a c_a B_a, at a stack of
+    points: shape (N, d^2), NaN and the error of `steady_states` where a
+    point fails."""
+    return _solve_chunks(model, points, lambda L: _states_from_superops(L, model.dim))
+
+
+def steady_vector_derivatives(model: LindbladModel, points) -> Batch:
+    """Exact d c / d lambda_i at a stack of points, shape (N, n_params, d^2),
+    from the same chunked SVD as `steady_vectors`."""
+    return _solve_chunks(model, points, lambda L: _derivatives_from_superops(L, model))
 
 
 def steady_states(model: LindbladModel, points) -> Batch:
@@ -176,14 +194,15 @@ def steady_states(model: LindbladModel, points) -> Batch:
     -------
     Batch
         ``values`` has shape (N, d, d): Hermitian, unit-trace states with
-        L vec(rho) = 0, NaN where the point failed. ``errors[n]`` is the
+        G c = 0, NaN where the point failed. ``errors[n]`` is the
         DegenerateSteadyStateError (null space not one-dimensional) or
         NoSteadyStateError (no numerical null vector) of a failed point.
 
-    The Liouvillians are assembled and decomposed CHUNK_POINTS at a time,
+    The generators are assembled and decomposed CHUNK_POINTS at a time,
     which bounds the size of the temporary stacks.
     """
-    return _solve_chunks(model, points, lambda L: _states_from_superops(L, model.dim))
+    vectors = steady_vectors(model, points)
+    return vectors._replace(values=density_matrices(vectors.values))
 
 
 def steady_state(model: LindbladModel, point) -> np.ndarray:
@@ -200,7 +219,8 @@ def steady_state_derivatives(model: LindbladModel, points) -> Batch:
     (N, n_params, d, d), from the same chunked SVD as `steady_states`. A point
     fails, with NaN values and the error `steady_states` gives it, only where
     its own steady state fails."""
-    return _solve_chunks(model, points, lambda L: _derivatives_from_superops(L, model))
+    derivs = steady_vector_derivatives(model, points)
+    return derivs._replace(values=density_matrices(derivs.values))
 
 
 def bloch_components(rho: np.ndarray) -> BlochVector:

@@ -6,7 +6,7 @@ import pytest
 from geomwork import (DriveSchedule, bloch_components, cli, cycle_from_json, dynamics,
                       steady_state, tls_model)
 from geomwork.cli import DEFAULT_LOOPS, main
-from geomwork.dynamics import TRACE_DRIFT_LIMIT, evolve
+from geomwork.dynamics import POSITIVITY_FLOOR, evolve
 
 
 def run(tmp_path, command, config, *extra):
@@ -271,6 +271,14 @@ def test_unknown_cycle_key_exits_2(tmp_path, capsys, command, config, where):
     assert not out.exists()
 
 
+def test_boolean_cycle_coordinate_exits_2(tmp_path, capsys):
+    cycle = dict(DEFAULT_LOOPS[0], center=[True, 0])
+    code, out = run(tmp_path, "loops", dict(LOOPS_SMALL, cycles=[cycle]))
+    assert code == 2
+    assert "config error: cycles[0]: cycle.center: expected a pair of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("loop_id", ["a,b", 'a"b', "a\rb", "a\nb"])
 def test_loop_id_that_breaks_the_csv_exits_2(tmp_path, capsys, loop_id):
     config = {"cycles": [dict(DEFAULT_LOOPS[0], id=loop_id)], "gamma_phi_sweep": [0.0],
@@ -317,11 +325,10 @@ def test_quasistatic_run_with_trajectory(tmp_path, capsys):
     integrator = meta["stats"]["integrator"]
     assert [entry["period"] for entry in integrator] == [40.0, 160.0]
     for entry in integrator:
-        assert set(entry) == {"period", "n_steps", "herm_residual", "trace_drift"}
+        assert set(entry) == {"period", "n_steps", "min_eigenvalue"}
         # two periods of at least 1000 steps each
         assert isinstance(entry["n_steps"], int) and entry["n_steps"] >= 2000
-        assert 0.0 <= entry["trace_drift"] <= TRACE_DRIFT_LIMIT
-        assert 0.0 <= entry["herm_residual"] <= 1e-10
+        assert POSITIVITY_FLOOR <= entry["min_eigenvalue"] <= 0.5
 
 
 def test_quasistatic_trajectory_reuses_the_longest_run(tmp_path, monkeypatch):

@@ -223,6 +223,16 @@ def test_cycle_json_rejects_malformed_input():
         cycle_from_json({"kind": "rectangle", "lo": [0.0, 0.0], "hi": [1.0, 1.0], "id": "R"})
 
 
+@pytest.mark.parametrize("key", ["center", "radii", "lo", "hi"])
+def test_cycle_json_rejects_boolean_coordinates(key):
+    # JSON true would otherwise pass through float() as 1.0
+    obj = ({"kind": "circle", "center": [0.0, 0.6], "radii": [0.4, 0.3]} if key in ("center", "radii")
+           else {"kind": "rectangle", "lo": [0.0, 0.1], "hi": [1.0, 0.9]})
+    obj[key] = [obj[key][0], True]
+    with pytest.raises(ConfigError, match=rf"cycle\.{key}: expected a pair of numbers"):
+        cycle_from_json(obj)
+
+
 def test_gauss_legendre_rules_are_cached_read_only():
     nodes, weights = cycles._legendre(8)
     assert cycles._legendre(8)[0] is nodes

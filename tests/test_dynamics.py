@@ -6,22 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomwork import (Circle, DriveSchedule, GeomworkError,
-                      IntegrationFailureError, Rectangle, StepTooLargeError,
+                      IntegrationFailureError, LindbladModel, ParamHamiltonian,
+                      Rectangle, StepTooLargeError,
                       accumulated_work, bloch_components, density_from_bloch, dynamic_work,
                       errors_decreasing, evolve, quasistatic_convergence,
                       reverse, steady_state, tls_model)
-from geomwork.dynamics import POSITIVITY_FLOOR, TRACE_DRIFT_LIMIT
+from complex_oracle import complex_liouvillians
+from geomwork.dynamics import POSITIVITY_FLOOR
 from geomwork.operators import validate_density_matrix
-from geomwork.steadystate import hamiltonian_superop
 
 LOOP_B = Circle((0.0, 0.6), (0.4, 0.3))
+TRACE_DRIFT_LIMIT = 1e-6  # the reference's step-size tripwire
 
 
 def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
     """Per-step oracle for `evolve`: the RK4 loop that assembles two
-    Liouvillians and runs eigvalsh at every step, and evaluates the work
+    complex column-stacked Liouvillians, Hermitizes the state and checks its
+    trace drift and eigenvalues at every step, and evaluates the work
     integrand one sample at a time. Returns (times, states, work,
-    herm_residual, trace_drift, n_steps)."""
+    herm_residual, trace_drift, min_eigenvalue, n_steps)."""
     rho0 = validate_density_matrix(rho0)
     d = model.dim
     period = schedule.period
@@ -36,14 +39,14 @@ def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
     step = period / n_per
     n_steps = n_per * schedule.repeats
     def superop(t):
-        H = model.hamiltonian.matrices(schedule.point_at(t))
-        return hamiltonian_superop(H) + model.dissipator
+        return complex_liouvillians(model, schedule.point_at(t))
 
     v = rho0.flatten(order="F")
     times = [0.0]
     states = [rho0.copy()]
     herm_residual = 0.0
     trace_drift = 0.0
+    min_eigenvalue = np.inf
     l_end = superop(0.0)
     for k in range(n_steps):
         t = k * step
@@ -66,6 +69,7 @@ def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
                 raise StepTooLargeError(
                     f"trace drift {drift:.3e} at t={(k + 1) * step:.6g}; reduce the step")
             lowest = float(np.linalg.eigvalsh(rho_h)[0])
+            min_eigenvalue = min(min_eigenvalue, lowest)
             if not lowest >= POSITIVITY_FLOOR:
                 raise IntegrationFailureError(
                     f"state eigenvalue {lowest:.3e} at t={(k + 1) * step:.6g}")
@@ -77,7 +81,7 @@ def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
     values = np.array([reference_integrand(model, schedule, t, rho) for t, rho in zip(times, states)])
     segments = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
     work = np.concatenate(([0.0], np.cumsum(segments)))
-    return times, states, work, herm_residual, trace_drift, n_steps
+    return times, states, work, herm_residual, trace_drift, min_eigenvalue, n_steps
 
 
 def reference_integrand(model, schedule, t, rho):
@@ -151,10 +155,12 @@ def test_trace_and_hermiticity_stay_controlled():
     model = tls_model(1.0, 0.2)
     sched = DriveSchedule(LOOP_B, 50.0, repeats=2)
     traj = evolve(model, sched, steady_state(model, LOOP_B.position(0.0)))
-    assert traj.trace_drift <= 1e-8
-    assert traj.herm_residual <= 1e-10
-    for rho in traj.states[:: len(traj.states) // 10]:
-        assert np.linalg.eigvalsh(rho)[0] >= -1e-8
+    states = traj.states
+    assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-8
+    assert np.max(np.abs(states - states.conj().swapaxes(1, 2))) <= 1e-10
+    lowest = np.linalg.eigvalsh(states[1:])[:, 0]
+    assert traj.min_eigenvalue == pytest.approx(lowest.min(), abs=1e-15)
+    assert traj.min_eigenvalue >= -1e-8
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -193,7 +199,7 @@ def test_chunked_evolve_matches_per_step_reference(cycle, gamma, gamma_phi, peri
     rho0 = density_from_bloch(bloch)
     dt = None if steps is None else period / steps
     traj = evolve(model, schedule, rho0, dt=dt, max_store_per_period=store)
-    times, states, work, herm_residual, trace_drift, n_steps = reference_evolve(
+    times, states, work, herm_residual, trace_drift, min_eigenvalue, n_steps = reference_evolve(
         model, schedule, rho0, dt=dt, max_store_per_period=store)
     # The prefix product associates the same RK4 step matrices differently
     # from the loop, so states and work agree to roundoff, not bit for bit.
@@ -201,11 +207,30 @@ def test_chunked_evolve_matches_per_step_reference(cycle, gamma, gamma_phi, peri
     assert traj.n_steps == n_steps
     assert np.max(np.abs(traj.states - states)) <= 1e-12
     assert np.max(np.abs(accumulated_work(model, schedule, traj) - work)) <= 1e-12
-    assert traj.herm_residual <= 1e-12 and herm_residual <= 1e-12
-    assert abs(traj.trace_drift - trace_drift) <= 1e-12
+    assert herm_residual <= 1e-12 and trace_drift <= 1e-12
+    assert abs(traj.min_eigenvalue - min_eigenvalue) <= 1e-12
     final = times >= times[-1] - period - 1e-9
     values = [reference_integrand(model, schedule, t, rho) for t, rho in zip(times[final], states[final])]
     assert abs(dynamic_work(model, traj, schedule) - float(np.trapezoid(values, times[final]))) <= 1e-12
+
+
+def test_three_level_evolve_matches_per_step_reference():
+    # d > 2 takes the eigvalsh branch of the positivity check
+    rng = np.random.default_rng(43)
+    mats = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    herm = 0.3 * (mats + mats.conj().swapaxes(1, 2))
+    jumps = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    model = LindbladModel(ParamHamiltonian(herm[0], herm[1:]),
+                          ((0.4, jumps[0]), (0.2, jumps[1])))
+    schedule = DriveSchedule(Circle((0.2, -0.1), (0.5, 0.3)), 10.0, 2)
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    traj = evolve(model, schedule, rho0, max_store_per_period=100)
+    times, states, work, _, _, min_eigenvalue, n_steps = reference_evolve(
+        model, schedule, rho0, max_store_per_period=100)
+    assert _bits(traj.times) == _bits(times) and traj.n_steps == n_steps
+    assert np.max(np.abs(traj.states - states)) <= 1e-12
+    assert np.max(np.abs(accumulated_work(model, schedule, traj) - work)) <= 1e-12
+    assert abs(traj.min_eigenvalue - min_eigenvalue) <= 1e-12
 
 
 def test_frozen_drive_matches_matrix_power_oracle():
@@ -221,7 +246,7 @@ def test_frozen_drive_matches_matrix_power_oracle():
     traj = evolve(model, sched, rho0, dt=0.01, max_store_per_period=300)
     assert traj.n_steps == 1002
     step = 10.0 / 1002
-    hl = step * (hamiltonian_superop(model.hamiltonian.matrices(point)) + model.dissipator)
+    hl = step * complex_liouvillians(model, point)
     R = np.eye(4) + hl @ (np.eye(4) + hl @ (np.eye(4) / 2 + hl @ (np.eye(4) / 6 + hl / 24)))
     ks = np.arange(0, 1003, 3)
     assert _bits(traj.times) == _bits(ks * step)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from complex_oracle import dissipator, lindblad_rhs
 from geomwork import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                      InvalidParametersError, dissipator, lindblad_rhs, pauli,
-                      ssh_family, ssh_hamiltonian, tls_family, tls_hamiltonian,
-                      tls_model, validate_density_matrix)
+                      InvalidParametersError, pauli, ssh_family, ssh_hamiltonian,
+                      tls_family, tls_hamiltonian, tls_model, validate_density_matrix)
 
 
 def random_density(rng, d):
@@ -78,7 +78,7 @@ def test_affine_families_equal_closed_forms(points, k):
 
 def test_family_and_dissipator_are_read_only():
     model = tls_model(1.0, 0.3)
-    for array in (model.hamiltonian.base, model.hamiltonian.generators, model.dissipator):
+    for array in (model.hamiltonian.base, model.hamiltonian.generators, model.generator, model.h):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
     with pytest.raises(ValueError, match="2 coordinates"):

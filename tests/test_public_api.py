@@ -7,7 +7,8 @@ MODULES = ("errors", "operators", "steadystate", "geometry", "cycles", "dynamics
 REMOVED = ("tls_hamiltonian_grad", "ssh_hamiltonian_grad", "dissipator_superop",
            "liouvillian_matrix", "OneFormResidualError",
            "curvatures_fd", "curvature_fd", "default_fd_step",
-           "WORK_RESULT_CSV_HEADER", "CurvatureField")
+           "WORK_RESULT_CSV_HEADER", "CurvatureField",
+           "hamiltonian_superop", "lindblad_rhs", "dissipator", "TRACE_DRIFT_LIMIT")
 
 
 def test_every_exported_name_resolves():
