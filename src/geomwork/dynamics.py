@@ -128,8 +128,8 @@ def _check_stored(times: np.ndarray, vectors: np.ndarray) -> float:
     """Lowest eigenvalue over a stack of stored states, given as coherence vectors.
 
     Raises at the first sample that fails: StepTooLargeError for a
-    non-finite state from a blown-up step, whose trace drift reads nan,
-    IntegrationFailureError for an eigenvalue below POSITIVITY_FLOOR.
+    non-finite state from a blown-up step, IntegrationFailureError for an
+    eigenvalue below POSITIVITY_FLOOR.
     """
     finite = np.isfinite(vectors).all(axis=1)
     n_ok = len(finite) if finite.all() else int(np.argmin(finite))
@@ -139,8 +139,7 @@ def _check_stored(times: np.ndarray, vectors: np.ndarray) -> float:
         n = int(np.argmin(positive))
         raise IntegrationFailureError(f"state eigenvalue {lowest[n]:.3e} at t={times[n]:.6g}")
     if n_ok < len(finite):
-        raise StepTooLargeError(
-            f"trace drift nan at t={times[n_ok]:.6g}; reduce the step")
+        raise StepTooLargeError(f"non-finite state at t={times[n_ok]:.6g}; reduce the step")
     return float(np.min(lowest, initial=np.inf))
 
 

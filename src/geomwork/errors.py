@@ -15,11 +15,13 @@ class SteadyStateError(GeomworkError):
 
 
 class DegenerateSteadyStateError(SteadyStateError):
-    """The Liouvillian null space is (numerically) more than one-dimensional."""
+    """The Liouvillian null space is more than one-dimensional: the generator
+    is zero, or its block below the trace row is exactly singular."""
 
 
 class NoSteadyStateError(SteadyStateError):
-    """The Liouvillian has no numerical null vector."""
+    """No steady state can be resolved numerically: the generator block below
+    the trace row is too ill-conditioned (condition number above 1e8)."""
 
 
 class StepTooLargeError(GeomworkError):

@@ -82,7 +82,7 @@ def curvatures(model: LindbladModel, points, i: int = 0, j: int = 1) -> Batch:
     """Exact curvature F_ij = h_j . d_i c - h_i . d_j c at a stack of nodes.
 
     The state derivatives come from `steady_vector_derivatives`, so the whole
-    stack costs one chunked SVD and no step size enters. A node fails, with
+    stack costs one chunked factorization and no step size enters. A node fails, with
     NaN and the error of its steady state, only where its own steady state
     fails, never because of a neighbouring point. Antisymmetric by
     construction: swapping (i, j) produces exactly the negated values, and

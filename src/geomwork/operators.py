@@ -14,11 +14,12 @@ Every kernel works on coherence vectors: rho = sum_a c_a B_a in the
 orthonormal Hermitian basis of `hermitian_basis` (B_0 = I / sqrt(d), then
 the generalized Gell-Mann matrices; Pauli / sqrt(2) for d = 2), where the
 master equation is the real linear system dc/dt = G(lambda) c. The map from
-column-stacked vec(rho) to c is unitary, so G has the singular values and
-eigenvalues of the complex Liouvillian. A model builds its affine generator
-stack and the coefficients of its Hamiltonian generators once, with the
-model; the trace row of G is exactly zero, so evolution conserves the trace
-exactly and keeps every state Hermitian by construction.
+column-stacked vec(rho) to c is unitary, so G has the eigenvalues of the
+complex Liouvillian. A model builds its affine generator stack and the
+coefficients of its Hamiltonian generators once, with the model. The trace
+row of G is exactly zero, so evolution conserves the trace exactly and keeps
+every state Hermitian by construction, and a steady state is one solve with
+the block of G below that row (`steadystate`).
 """
 
 from __future__ import annotations

@@ -7,29 +7,34 @@ it is the real linear system dc/dt = G(lambda) c with a d^2 x d^2 matrix G.
 G_0 + sum_i lambda_i G_i of the model's precomputed ``generator`` stack at a
 stack of control points.
 
-The steady state is the right singular vector of G belonging to its
-smallest singular value, normalized to unit trace (Tr rho = sqrt(d) c_0).
-The basis change is unitary, so the singular values are those of the
-complex column-stacked Liouvillian. SVD is robust for the small dense
-generators targeted here (d <= ~16) and, unlike an eigendecomposition, does
-not misbehave on defective matrices. A steady state is only returned when it
-is unique: if the two smallest singular values are within a factor 1e-8 of
-each other (relative to the largest) the null space is considered
-degenerate and the point gets an error instead of a silently picked
-representative. The tests run as array comparisons over the stack, and error
-objects are built for the failed points only.
+The trace row of every generator is exactly zero, so G = [[0, 0], [g, M]]
+with M the (d^2 - 1) x (d^2 - 1) block below it, and a unit-trace state has
+the fixed first coordinate c_0 = 1 / Tr B_0 = 1 / sqrt(d), taken from the
+stored B_0 = b I so that the state has unit trace in the basis as stored. The
+steady state is therefore c = (c_0, -M^-1 g c_0), one solve with M. A
+steady state is only returned when it is unique and well determined:
 
-`steady_vectors` solves a stack of control points with one real stacked SVD
-per chunk of CHUNK_POINTS; `steady_states` returns the same states as
+- G identically zero: DegenerateSteadyStateError, every state is stationary.
+- M exactly singular (a zero pivot, so the sign from `np.linalg.slogdet` is
+  0): DegenerateSteadyStateError. A Lindblad generator always has a steady
+  state c, so M r = 0 makes (0, r) a second null direction beside it.
+- Frobenius condition number ||M||_F ||M^-1||_F above CONDITION_LIMIT:
+  NoSteadyStateError. It bounds the 2-norm condition number from above,
+  within a factor d^2 - 1.
+
+The tests run as array comparisons over the stack, and error objects are
+built for the failed points only.
+
+`steady_vectors` solves a stack of control points with one stacked `inv` of
+M per chunk of CHUNK_POINTS; `steady_states` returns the same states as
 density matrices. Each point's arithmetic does not depend on the stack it is
 in, so `steady_state`, the one-point call, gives bit-identical states.
 
-`steady_vector_derivatives` reuses each chunk's SVD for the exact linear
+`steady_vector_derivatives` reuses each chunk's M^-1 for the exact linear
 response: d_i c solves G d_i c = -G_i c (Avron, Fraas, Graf & Grech, Commun.
-Math. Phys. 314, 163 (2012)). The right-hand side is traceless, so it lies
-in the range of G, the pseudo-inverse V S^+ U^T without the smallest
-singular value solves it, and subtracting sqrt(d) x_0 c makes the solution
-traceless.
+Math. Phys. 314, 163 (2012)). The trace stays fixed, d_i c_0 = 0, and the
+first row of G_i is zero too, so the other coordinates are
+-M^-1 (G_i c)_{1:}, an ordinary solve with the same M.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, InvalidParametersError, NoSteadyStateError
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, density_matrices
+from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, density_matrices,
+                        hermitian_basis)
 
-DEGENERACY_RATIO = 1e-8
-NULL_RESIDUAL_RATIO = 1e-6
+CONDITION_LIMIT = 1e8
 CHUNK_POINTS = 256
 
 
@@ -96,64 +101,56 @@ def liouvillians(model: LindbladModel, points) -> np.ndarray:
     return out
 
 
-def _null_space_error(s: np.ndarray, trace: float):
-    """The error for a Liouvillian with descending singular values ``s`` whose
-    null vector has trace ``trace``; None if it has a state."""
-    if s[0] == 0.0:
+def _solve_error(generator: np.ndarray, singular: bool, cond: float):
+    """The error of a failed point, from its generator, whether its block M
+    is exactly singular, and the condition number of M."""
+    if not generator.any():
         return DegenerateSteadyStateError("Liouvillian is identically zero; every state is stationary")
-    if s[-1] > NULL_RESIDUAL_RATIO * s[0]:
-        return NoSteadyStateError(
-            f"smallest singular value {s[-1]:.3e} exceeds {NULL_RESIDUAL_RATIO:.0e} x largest {s[0]:.3e}")
-    if s[-2] < DEGENERACY_RATIO * s[0]:
+    if singular:
         return DegenerateSteadyStateError(
-            f"null space not one-dimensional: two smallest singular values "
-            f"{s[-1]:.3e}, {s[-2]:.3e} vs largest {s[0]:.3e}")
-    if abs(trace) < 1e-12:
-        return NoSteadyStateError("null vector is traceless and cannot be normalized to a state")
-    return None
+            "null space not one-dimensional: the generator block below the trace row is singular")
+    return NoSteadyStateError(
+        f"condition number {cond:.3e} of the generator block below the trace row "
+        f"exceeds {CONDITION_LIMIT:.0e}")
 
 
-def _states_from_svd(s: np.ndarray, vh: np.ndarray, dim: int) -> Batch:
-    """Steady coherence vectors from the singular values and right vectors of
-    a stack of generators.
+def _factor(G: np.ndarray, dim: int):
+    """Steady coherence vectors of a stack (N, d^2, d^2) of generators, as a
+    Batch, and the inverses of their blocks M, for the derivatives.
 
-    The failure tests of `_null_space_error` run as array comparisons over
-    the stack, in the same order, and its errors are built for the failed
-    points only.
+    `inv` raises for the whole stack if one M is singular, so an exactly
+    singular M is replaced by the identity first; its point has failed.
     """
-    null = vh[:, -1]
-    trace = np.sqrt(dim) * null[:, 0]  # Tr(sum_a v_a B_a) = sqrt(d) v_0
-    failed = ((s[:, 0] == 0.0) | (s[:, -1] > NULL_RESIDUAL_RATIO * s[:, 0])
-              | (s[:, -2] < DEGENERACY_RATIO * s[:, 0]) | (np.abs(trace) < 1e-12))
-    errors = [None] * len(s)
+    m = G[:, 1:, 1:]
+    singular = np.linalg.slogdet(m)[0] == 0.0
+    inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(m.shape[-1]), m))
+    cond = np.sqrt(np.einsum("nij,nij->n", m, m) * np.einsum("nij,nij->n", inv, inv))
+    failed = singular | ~(cond <= CONDITION_LIMIT)
+    errors = [None] * len(G)
     for n in np.flatnonzero(failed):
-        errors[n] = _null_space_error(s[n], trace[n])
-    ok = ~failed
-    vectors = np.full_like(null, np.nan)
-    vectors[ok] = null[ok] / trace[ok, None]
-    return Batch(vectors, tuple(errors))
+        errors[n] = _solve_error(G[n], singular[n], cond[n])
+    c0 = 1.0 / (dim * hermitian_basis(dim)[0, 0, 0].real)  # unit trace in the stored basis
+    vectors = np.empty(G.shape[:2])
+    vectors[:, 0] = c0
+    vectors[:, 1:] = (inv @ G[:, 1:, :1])[..., 0] * -c0
+    vectors[failed] = np.nan
+    return Batch(vectors, tuple(errors)), inv
 
 
-def _states_from_superops(L: np.ndarray, dim: int) -> Batch:
-    """Steady coherence vectors of a stack (N, d^2, d^2) of generators, one SVD call."""
-    _, s, vh = np.linalg.svd(L)
-    return _states_from_svd(s, vh, dim)
+def _derivatives(G: np.ndarray, model: LindbladModel) -> Batch:
+    """d_i c for each family generator at a stack of generators, from the
+    inverses that also give the steady coherence vectors.
 
-
-def _derivatives_from_superops(L: np.ndarray, model: LindbladModel) -> Batch:
-    """d_i c for each family generator at a stack of generators, from the one
-    SVD that also gives the steady coherence vectors.
-
-    A failed point's state is NaN, so its right-hand side is NaN too and
-    dividing it by a vanishing singular value raises no floating-point flag.
+    A failed point's state is NaN, so its right-hand side and solution are
+    NaN too.
     """
-    u, s, vh = np.linalg.svd(L)
-    states = _states_from_svd(s, vh, model.dim)
+    states, inv = _factor(G, model.dim)
     c = states.values
-    b = -(model.generator[1:] @ c[:, None, :, None])[..., 0].swapaxes(-1, -2)  # -G_i c as columns
-    coeffs = (u[:, :, :-1].swapaxes(-1, -2) @ b) / s[:, :-1, None]
-    x = (vh[:, :-1].swapaxes(-1, -2) @ coeffs).swapaxes(-1, -2)  # (N, n_params, d^2)
-    return Batch(x - (np.sqrt(model.dim) * x[..., :1]) * c[:, None], states.errors)
+    rhs = (model.generator[1:, 1:] @ c[:, None, :, None])[..., 0]  # (G_i c) below the trace row
+    x = np.empty(rhs.shape[:2] + c.shape[1:])
+    x[..., 0] = c[:, None, 0] * 0.0  # d_i c_0 = 0, NaN where the point failed
+    x[..., 1:] = -(inv @ rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return Batch(x, states.errors)
 
 
 def _solve_chunks(model: LindbladModel, points, solve) -> Batch:
@@ -173,13 +170,13 @@ def steady_vectors(model: LindbladModel, points) -> Batch:
     """Steady coherence vectors c, with rho = sum_a c_a B_a, at a stack of
     points: shape (N, d^2), NaN and the error of `steady_states` where a
     point fails."""
-    return _solve_chunks(model, points, lambda L: _states_from_superops(L, model.dim))
+    return _solve_chunks(model, points, lambda G: _factor(G, model.dim)[0])
 
 
 def steady_vector_derivatives(model: LindbladModel, points) -> Batch:
     """Exact d c / d lambda_i at a stack of points, shape (N, n_params, d^2),
-    from the same chunked SVD as `steady_vectors`."""
-    return _solve_chunks(model, points, lambda L: _derivatives_from_superops(L, model))
+    from the same chunked factorization as `steady_vectors`."""
+    return _solve_chunks(model, points, lambda G: _derivatives(G, model))
 
 
 def steady_states(model: LindbladModel, points) -> Batch:
@@ -196,9 +193,9 @@ def steady_states(model: LindbladModel, points) -> Batch:
         ``values`` has shape (N, d, d): Hermitian, unit-trace states with
         G c = 0, NaN where the point failed. ``errors[n]`` is the
         DegenerateSteadyStateError (null space not one-dimensional) or
-        NoSteadyStateError (no numerical null vector) of a failed point.
+        NoSteadyStateError (ill-conditioned block M) of a failed point.
 
-    The generators are assembled and decomposed CHUNK_POINTS at a time,
+    The generators are assembled and factorized CHUNK_POINTS at a time,
     which bounds the size of the temporary stacks.
     """
     vectors = steady_vectors(model, points)
@@ -216,9 +213,9 @@ def steady_state(model: LindbladModel, point) -> np.ndarray:
 
 def steady_state_derivatives(model: LindbladModel, points) -> Batch:
     """Exact derivatives d rho_ss / d lambda_i at a stack of points, shape
-    (N, n_params, d, d), from the same chunked SVD as `steady_states`. A point
-    fails, with NaN values and the error `steady_states` gives it, only where
-    its own steady state fails."""
+    (N, n_params, d, d), from the same chunked factorization as
+    `steady_states`. A point fails, with NaN values and the error
+    `steady_states` gives it, only where its own steady state fails."""
     derivs = steady_vector_derivatives(model, points)
     return derivs._replace(values=density_matrices(derivs.values))
 

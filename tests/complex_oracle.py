@@ -88,6 +88,14 @@ def steady_state(model, point):
     return 0.5 * (rho + rho.conj().T)
 
 
+def is_degenerate(model, point):
+    """The singular-value test for a degenerate null space: the Liouvillian
+    is zero, or its two smallest singular values are both below 1e-8 of the
+    largest."""
+    s = np.linalg.svd(complex_liouvillians(model, point), compute_uv=False)
+    return bool(s[0] == 0.0 or s[-2] < 1e-8 * s[0])
+
+
 def steady_state_derivatives(model, point):
     """d rho / d lambda_i, each the least-squares solution of
     L x = -G_i rho together with Tr x = 0, shape (n_params, d, d)."""

@@ -21,9 +21,9 @@ TRACE_DRIFT_LIMIT = 1e-6  # the reference's step-size tripwire
 
 def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
     """Per-step oracle for `evolve`: the RK4 loop that assembles two
-    complex column-stacked Liouvillians, Hermitizes the state and checks its
-    trace drift and eigenvalues at every step, and evaluates the work
-    integrand one sample at a time. Returns (times, states, work,
+    complex column-stacked Liouvillians and Hermitizes the state at every
+    step, checks its finiteness, trace drift and eigenvalues at every stored
+    step, and evaluates the work integrand one sample at a time. Returns (times, states, work,
     herm_residual, trace_drift, min_eigenvalue, n_steps)."""
     rho0 = validate_density_matrix(rho0)
     d = model.dim
@@ -63,6 +63,8 @@ def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
         herm_residual = max(herm_residual, float(np.max(np.abs(rho - rho_h))))
         v = rho_h.flatten(order="F")
         if (k + 1) % stride == 0:
+            if not np.isfinite(rho_h).all():
+                raise StepTooLargeError(f"non-finite state at t={(k + 1) * step:.6g}; reduce the step")
             drift = abs(float(np.trace(rho_h).real) - 1.0)
             trace_drift = max(trace_drift, drift)
             if not drift <= TRACE_DRIFT_LIMIT:
@@ -259,7 +261,7 @@ def test_frozen_drive_matches_matrix_power_oracle():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("gamma, store", [
     (4000.0, 1000),  # negative eigenvalue at the second stored state
-    (4000.0, 10),    # overflow between stored states: NaN trace drift
+    (4000.0, 10),    # overflow between stored states: non-finite state
     (570.0, 1000),   # slow instability, first chunk
     (565.0, 1000),   # slow instability, second chunk
     (560.0, 300),    # stride 6, a later chunk

@@ -7,7 +7,7 @@ from geomwork import (DegenerateSteadyStateError, InvalidParametersError, Lindbl
                       density_from_bloch, liouvillians,
                       steady_state, steady_states, tls_model, tls_steady_closed_form)
 from geomwork.operators import coherence_vectors
-from geomwork.steadystate import _states_from_superops, steady_state_derivatives
+from geomwork.steadystate import steady_state_derivatives
 
 
 def random_matrix(rng, d):
@@ -136,13 +136,24 @@ def test_degenerate_null_space_is_an_error():
 
 
 def test_zero_liouvillian_is_degenerate():
-    with pytest.raises(DegenerateSteadyStateError):
-        _states_from_superops(np.zeros((1, 4, 4), dtype=complex), 2).single()
+    # no rates and no Hamiltonian: every state is stationary
+    with pytest.raises(DegenerateSteadyStateError, match="identically zero"):
+        steady_state(tls_model(0.0, 0.0), (0.0, 0.0))
 
 
 def test_missing_null_space_is_an_error():
-    with pytest.raises(NoSteadyStateError):
-        _states_from_superops(np.eye(4, dtype=complex)[None], 2).single()
+    # the steady state is unique but ill-conditioned: the block below the
+    # trace row has singular values 1e9, 1e9 and 1
+    with pytest.raises(NoSteadyStateError, match="condition number"):
+        steady_state(tls_model(1.0), (1e9, 0.5))
+
+
+def test_empty_stack_keeps_its_shape():
+    model = tls_model(1.0, 0.2)
+    states = steady_states(model, np.zeros((0, 2)))
+    derivs = steady_state_derivatives(model, np.zeros((0, 2)))
+    assert states.values.shape == (0, 2, 2) and states.errors == ()
+    assert derivs.values.shape == (0, 2, 2, 2) and derivs.errors == ()
 
 
 def test_bloch_round_trip():
