@@ -14,41 +14,33 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DegenerateSteadyStateError, GeomworkError,
                      IntegrationFailureError, InvalidParametersError,
                      NoSteadyStateError, StepTooLargeError)
-from .operators import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                        LindbladModel, ParamHamiltonian, pauli, tls_family,
-                        tls_hamiltonian, tls_model, validate_density_matrix)
-from .steadystate import (Batch, BlochVector, bloch_components,
-                          density_from_bloch, liouvillians,
+from .operators import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel,
+                        ParamHamiltonian, tls_family, tls_model, validate_density_matrix)
+from .steadystate import (Batch, BlochVector, bloch_components, liouvillians,
                           steady_state, steady_states, tls_steady_closed_form)
-from .geometry import (GridSpec, coherence, curvature, curvature_closed_form_tls,
+from .geometry import (GridSpec, curvature, curvature_closed_form_tls,
                        curvature_field, curvatures, work_one_form, work_one_forms)
 from .cycles import (Circle, Cycle, Rectangle, WorkResult, cycle_from_json,
-                     cycle_to_json, cycle_work, flux_work,
-                     gauge_shift_residual, line_integral_work, reverse)
-from .dynamics import (ConvergencePoint, DriveSchedule, Trajectory,
-                       accumulated_work, default_time_step, dynamic_work,
-                       errors_decreasing, evolve, quasistatic_convergence)
-from .ssh import ssh_curvature, ssh_family, ssh_hamiltonian, ssh_model
+                     cycle_to_json, cycle_work, flux_work, line_integral_work, reverse)
+from .dynamics import (ConvergencePoint, DriveSchedule, Trajectory, accumulated_work,
+                       dynamic_work, errors_decreasing, evolve, quasistatic_convergence)
+from .ssh import ssh_curvature, ssh_family, ssh_model
 
 __all__ = [
     "__version__",
     "GeomworkError", "InvalidParametersError", "DegenerateSteadyStateError",
     "NoSteadyStateError", "StepTooLargeError",
     "IntegrationFailureError", "ConfigError",
-    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_MINUS", "IDENTITY_2",
-    "pauli", "tls_hamiltonian", "tls_family",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_MINUS", "tls_family",
     "ParamHamiltonian", "LindbladModel", "tls_model", "validate_density_matrix",
     "BlochVector", "liouvillians", "Batch",
-    "steady_state", "steady_states", "bloch_components",
-    "density_from_bloch", "tls_steady_closed_form",
+    "steady_state", "steady_states", "bloch_components", "tls_steady_closed_form",
     "work_one_form", "work_one_forms", "curvature_closed_form_tls",
-    "curvature", "curvatures", "coherence", "GridSpec", "curvature_field",
+    "curvature", "curvatures", "GridSpec", "curvature_field",
     "Circle", "Rectangle", "Cycle", "reverse", "cycle_to_json",
-    "cycle_from_json", "line_integral_work", "flux_work",
-    "gauge_shift_residual", "WorkResult", "cycle_work",
-    "DriveSchedule", "Trajectory", "default_time_step", "evolve",
+    "cycle_from_json", "line_integral_work", "flux_work", "WorkResult", "cycle_work",
+    "DriveSchedule", "Trajectory", "evolve",
     "accumulated_work", "dynamic_work", "ConvergencePoint", "errors_decreasing",
     "quasistatic_convergence",
-    "ssh_hamiltonian", "ssh_family", "ssh_model",
-    "ssh_curvature",
+    "ssh_family", "ssh_model", "ssh_curvature",
 ]

@@ -24,11 +24,11 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, SteadyStateError, check_keys
+from .errors import ConfigError, check_keys
 from .geometry import curvatures, work_one_forms
 from .operators import LindbladModel
 from .steadystate import Batch
@@ -208,32 +208,14 @@ def cycle_from_json(obj: dict) -> Cycle:
         raise ConfigError(f"invalid {kind} cycle: {exc}") from exc
 
 
-def _located(exc: SteadyStateError, where: str, point) -> SteadyStateError:
-    """The same error with the sample's location and point appended."""
-    return type(exc)(f"{exc} [{where}, point={np.asarray(point).tolist()}]")
-
-
-def _raise_first_failure(batch: Batch, points: np.ndarray, where) -> None:
-    """Raise the first failed point's error, located by ``where(n)``."""
+def _weighted_sum(batch: Batch, points: np.ndarray, weights: np.ndarray, where) -> float:
+    """Correctly rounded sum of ``batch.values * weights``. The first failed
+    point raises its error again, with ``where(n)`` and the point appended."""
     first = batch.first_error()
     if first is not None:
         n, exc = first
-        raise _located(exc, where(n), points[n]) from exc
-
-
-def _weighted_sum(batch: Batch, points: np.ndarray, weights: np.ndarray, where) -> float:
-    """Correctly rounded sum of ``batch.values * weights``; raises the first failure."""
-    _raise_first_failure(batch, points, where)
+        raise type(exc)(f"{exc} [{where(n)}, point={np.asarray(points[n]).tolist()}]") from exc
     return math.fsum((batch.values * weights).ravel())
-
-
-def _path_samples(cycle: Cycle, n: int):
-    """Path points, their weighted displacements dl and the sample locator."""
-    if n < 8:
-        raise ValueError(f"need at least 8 path samples, got {n}")
-    s, w = cycle.path_rule(n)
-    points = cycle.position(s)
-    return points, cycle.velocity(s) * w[:, None], lambda k: f"path sample s={s[k]:.8g}"
 
 
 def line_integral_work(model: LindbladModel, cycle: Cycle, n: int = 1024) -> float:
@@ -248,8 +230,12 @@ def line_integral_work(model: LindbladModel, cycle: Cycle, n: int = 1024) -> flo
         converge spectrally; rectangles integrate polynomials of degree
         < 2 max(2, ceil(n/4)) exactly along each edge.
     """
-    points, dl, where = _path_samples(cycle, n)
-    return _weighted_sum(work_one_forms(model, points), points, dl, where)
+    if n < 8:
+        raise ValueError(f"need at least 8 path samples, got {n}")
+    s, w = cycle.path_rule(n)
+    points = cycle.position(s)
+    return _weighted_sum(work_one_forms(model, points), points, cycle.velocity(s) * w[:, None],
+                         lambda k: f"path sample s={s[k]:.8g}")
 
 
 def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64) -> float:
@@ -271,23 +257,6 @@ def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64) -> float:
     nodes, weights = cycle.area_rule(m)
     return _weighted_sum(curvatures(model, nodes, 0, 1), nodes, weights,
                          lambda k: f"flux node ({k // m},{k % m})")
-
-
-def gauge_shift_residual(model: LindbladModel, cycle: Cycle,
-                         grad_chi: Callable, n: int = 1024) -> float:
-    """|loop integral of (A + grad chi) - loop integral of A|, same quadrature.
-
-    grad_chi(point) must return the analytic gradient of a smooth scalar
-    field; the residual is bounded by quadrature error since an exact
-    differential integrates to zero over any closed path. The one-form is
-    solved once and shared by both integrals.
-    """
-    points, dl, where = _path_samples(cycle, n)
-    batch = work_one_forms(model, points)
-    base = _weighted_sum(batch, points, dl, where)
-    grads = np.array([np.asarray(grad_chi(p), dtype=float) for p in points])
-    return abs(_weighted_sum(batch._replace(values=batch.values + grads), points, dl, where)
-               - base)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .operators import (LindbladModel, coherence_vectors, density_matrices,
 from .steadystate import CHUNK_POINTS, liouvillians, steady_state
 
 POSITIVITY_FLOOR = -1e-6
+ERROR_JITTER = 0.10  # fractional rise allowed per step by `errors_decreasing`
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,10 @@ class Trajectory:
         return density_matrices(self.vectors)
 
 
-def default_time_step(model: LindbladModel, schedule: DriveSchedule, samples: int = 64) -> float:
-    """Step heuristic min(T/2000, 0.05 / max(channel rate scale, max ||H||))."""
-    H = model.hamiltonian.matrices(schedule.cycle.position(np.linspace(0.0, 1.0, samples)))
+def _default_time_step(model: LindbladModel, schedule: DriveSchedule) -> float:
+    """Step heuristic min(T/2000, 0.05 / max(channel rate scale, max ||H||)),
+    with ||H|| sampled at 64 points of the cycle."""
+    H = model.hamiltonian.matrices(schedule.cycle.position(np.linspace(0.0, 1.0, 64)))
     hnorm = float(np.max(np.linalg.norm(H, 2, axis=(-2, -1))))
     rate = max((r * float(np.linalg.norm(L, 2)) ** 2 for r, L in model.channels), default=0.0)
     scale = max(hnorm, rate, 1e-12)
@@ -178,7 +180,7 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     if rho0.shape != (d, d):
         raise ValueError(f"initial state shape {rho0.shape} does not match model dimension {d}")
     period = schedule.period
-    dt_target = default_time_step(model, schedule) if dt is None else float(dt)
+    dt_target = _default_time_step(model, schedule) if dt is None else float(dt)
     if dt_target > period / 1000.0:
         raise ValueError(f"dt={dt_target} too coarse; need dt <= period/1000 = {period / 1000.0}")
     n_per = int(np.ceil(period / dt_target))
@@ -269,10 +271,10 @@ class ConvergencePoint:
         return abs(self.w_dyn - self.w_geom)
 
 
-def errors_decreasing(points, jitter: float = 0.10) -> bool:
-    """True if the error column decreases, allowing fractional jitter per step."""
+def errors_decreasing(points) -> bool:
+    """True if the error column decreases, allowing a rise of ERROR_JITTER per step."""
     errs = [p.abs_error for p in points]
-    return all(b <= a * (1.0 + jitter) for a, b in zip(errs, errs[1:]))
+    return all(b <= a * (1.0 + ERROR_JITTER) for a, b in zip(errs, errs[1:]))
 
 
 def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeomworkError, InvalidParametersError
-from .operators import LindbladModel
-from .steadystate import Batch, steady_vector_derivatives, steady_vectors
+from .operators import LindbladModel, _affine_sum
+from .steadystate import Batch, _tls_denominator, steady_vector_derivatives, steady_vectors
 
 
 def gradient_traces(model: LindbladModel, vectors) -> np.ndarray:
@@ -32,12 +32,7 @@ def gradient_traces(model: LindbladModel, vectors) -> np.ndarray:
     vectors give NaN rows. Each dot product sums in basis order, one term at
     a time, so the values do not depend on how the vectors are stacked.
     """
-    vectors = np.asarray(vectors, dtype=float)
-    h = model.h
-    out = vectors[..., 0, None] * h[:, 0]
-    for a in range(1, h.shape[1]):
-        out = out + vectors[..., a, None] * h[:, a]
-    return out
+    return _affine_sum(np.asarray(vectors, dtype=float), model.h.T)
 
 
 def work_one_forms(model: LindbladModel, points) -> Batch:
@@ -70,10 +65,7 @@ def curvature_closed_form_tls(delta: float, omega: float, gamma: float,
     dominates and F -> -4 omega / (gamma Gamma_2) as Gamma_2 -> infinity, with
     relative correction (gamma^2 - 16 omega^2) / (2 gamma Gamma_2).
     """
-    g2 = 0.5 * gamma + gamma_phi
-    denom = 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
-    if denom <= 0.0:
-        raise InvalidParametersError(f"steady-state denominator D = {denom} must be positive")
+    g2, denom = _tls_denominator(delta, omega, gamma, gamma_phi)
     num = 2.0 * gamma_phi * delta * delta + g2 * (2.0 * g2 * g2 + g2 * gamma + 4.0 * omega * omega)
     return -2.0 * omega * gamma * num / (denom * denom)
 
@@ -96,11 +88,6 @@ def curvatures(model: LindbladModel, points, i: int = 0, j: int = 1) -> Batch:
 def curvature(model: LindbladModel, point, i: int = 0, j: int = 1) -> float:
     """F_ij at one point: the one-point call of `curvatures`; errors propagate."""
     return float(curvatures(model, [point], i, j).single())
-
-
-def coherence(x: float, y: float) -> float:
-    """Steady-state coherence magnitude sqrt(x^2 + y^2) / 2 in the dissipative basis."""
-    return 0.5 * float(np.hypot(x, y))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Pauli algebra, affine Hamiltonian families, and the real coherence-vector
+"""Pauli matrices, affine Hamiltonian families, and the real coherence-vector
 form of a Lindblad model.
 
 All operators are dense complex numpy arrays; energies and rates are
@@ -32,41 +32,35 @@ import numpy as np
 
 from .errors import InvalidParametersError
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 HERMITICITY_TOL = 1e-12
-
-_NAMED = {
-    "x": SIGMA_X,
-    "y": SIGMA_Y,
-    "z": SIGMA_Z,
-    "minus": SIGMA_MINUS,
-    "identity": IDENTITY_2,
-}
-for _m in _NAMED.values():
-    _m.flags.writeable = False
-
-
-def pauli(name: str) -> np.ndarray:
-    """Return a fresh copy of the named 2x2 operator: x, y, z, minus, identity."""
-    try:
-        return _NAMED[name].copy()
-    except KeyError:
-        raise KeyError(f"unknown operator {name!r}; expected one of {sorted(_NAMED)}") from None
-
-
-def tls_hamiltonian(delta: float, omega: float) -> np.ndarray:
-    """Driven two-level Hamiltonian (delta/2) sigma_z + omega sigma_x, in
-    closed form; `tls_family` is the same family in affine form."""
-    return 0.5 * delta * SIGMA_Z + omega * SIGMA_X
+STATE_TOL = 1e-12  # Hermiticity and trace tolerance of a valid density matrix
+STATE_EIG_FLOOR = -1e-10  # lowest admissible eigenvalue of a valid density matrix
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+SIGMA_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
+SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
+SIGMA_MINUS = _read_only(np.array([[0, 0], [1, 0]], dtype=complex))
+
+
+def _affine_sum(coeffs: np.ndarray, terms: np.ndarray, base=None) -> np.ndarray:
+    """base + sum_k coeffs[..., k] * terms[k] for coefficients (..., n) and
+    terms (n, *shape); the result has shape (..., *shape).
+
+    The sum runs in term order, one term at a time, so each result does not
+    depend on the stack it is in. Without a base the first term starts it.
+    """
+    expand = (None,) * (terms.ndim - 1)
+    out = base
+    for k in range(len(terms)):
+        term = coeffs[(..., k) + expand] * terms[k]
+        out = term if out is None else out + term
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,10 +115,7 @@ class ParamHamiltonian:
         if points.shape[-1:] != (self.n_params,):
             raise ValueError(
                 f"points must have {self.n_params} coordinates, got shape {points.shape}")
-        H = self.base
-        for i, g in enumerate(self.generators):
-            H = H + points[..., i, None, None] * g
-        return H
+        return _affine_sum(points, self.generators, self.base)
 
 
 _TLS_FAMILY = ParamHamiltonian(np.zeros((2, 2)), [0.5 * SIGMA_Z, SIGMA_X])
@@ -212,12 +203,7 @@ def density_matrices(vectors) -> np.ndarray:
     depend on the stack it is in.
     """
     vectors = np.asarray(vectors, dtype=float)
-    d = math.isqrt(vectors.shape[-1])
-    basis = hermitian_basis(d)
-    out = vectors[..., 0, None, None] * basis[0]
-    for a in range(1, d * d):
-        out = out + vectors[..., a, None, None] * basis[a]
-    return out
+    return _affine_sum(vectors, hermitian_basis(math.isqrt(vectors.shape[-1])))
 
 
 @dataclass(frozen=True)
@@ -276,37 +262,42 @@ class LindbladModel:
         return self.hamiltonian.dim
 
 
-def tls_model(gamma: float, gamma_phi: float = 0.0) -> LindbladModel:
-    """Driven TLS with relaxation ``gamma`` and pure dephasing ``gamma_phi``.
-
-    The dephasing channel enters with rate gamma_phi / 2 on sigma_z, so the
-    total coherence decay rate is Gamma_2 = gamma/2 + gamma_phi.
-    """
+def _tls_channels(gamma: float, gamma_phi: float) -> tuple:
+    """Relaxation on sigma_minus at rate ``gamma`` and pure dephasing on
+    sigma_z at rate gamma_phi / 2, so the total coherence decay rate is
+    Gamma_2 = gamma/2 + gamma_phi; raises InvalidParametersError for a
+    negative rate."""
     if gamma < 0 or gamma_phi < 0:
         raise InvalidParametersError("rates must be nonnegative")
+    return (gamma, SIGMA_MINUS), (0.5 * gamma_phi, SIGMA_Z)
+
+
+def tls_model(gamma: float, gamma_phi: float = 0.0) -> LindbladModel:
+    """Driven TLS with relaxation ``gamma`` and pure dephasing ``gamma_phi``,
+    so that Gamma_2 = gamma/2 + gamma_phi."""
     return LindbladModel(
         hamiltonian=tls_family(),
-        channels=((gamma, SIGMA_MINUS), (0.5 * gamma_phi, SIGMA_Z)),
+        channels=_tls_channels(gamma, gamma_phi),
         label="tls",
         params={"gamma": float(gamma), "gamma_phi": float(gamma_phi)},
     )
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                            trace_tol: float = 1e-12, eig_floor: float = -1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; return rho as a complex array."""
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check Hermiticity and unit trace to STATE_TOL and eigenvalues down to
+    STATE_EIG_FLOOR; return rho as a complex array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
+    if herm > STATE_TOL:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} differs from 1 beyond {trace_tol:.1e}")
+    if abs(tr - 1.0) > STATE_TOL:
+        raise ValueError(f"trace {tr} differs from 1 beyond {STATE_TOL:.1e}")
     lowest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if lowest < eig_floor:
+    if lowest < STATE_EIG_FLOOR:
         raise ValueError(f"not positive semidefinite: lowest eigenvalue {lowest:.3e}")
     return rho

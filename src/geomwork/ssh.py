@@ -16,15 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import curvature
-from .operators import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel,
-                        ParamHamiltonian)
-from .errors import InvalidParametersError
-
-
-def ssh_hamiltonian(t1: float, t2: float, k: float) -> np.ndarray:
-    """Bloch Hamiltonian (t1 + t2 cos k) sigma_x + (t2 sin k) sigma_y, in
-    closed form; `ssh_family` is the same family in affine form."""
-    return (t1 + t2 * np.cos(k)) * SIGMA_X + (t2 * np.sin(k)) * SIGMA_Y
+from .operators import SIGMA_X, SIGMA_Y, LindbladModel, ParamHamiltonian, _tls_channels
 
 
 def ssh_family(k: float) -> ParamHamiltonian:
@@ -36,11 +28,9 @@ def ssh_family(k: float) -> ParamHamiltonian:
 
 def ssh_model(gamma: float, gamma_phi: float, k: float) -> LindbladModel:
     """Hopping-plane model with the TLS dissipation channels in the pseudospin basis."""
-    if gamma < 0 or gamma_phi < 0:
-        raise InvalidParametersError("rates must be nonnegative")
     return LindbladModel(
         hamiltonian=ssh_family(k),
-        channels=((gamma, SIGMA_MINUS), (0.5 * gamma_phi, SIGMA_Z)),
+        channels=_tls_channels(gamma, gamma_phi),
         label="ssh",
         params={"gamma": float(gamma), "gamma_phi": float(gamma_phi), "k": float(k)},
     )

@@ -45,8 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, InvalidParametersError, NoSteadyStateError
-from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, density_matrices,
-                        hermitian_basis)
+from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, _affine_sum,
+                        density_matrices, hermitian_basis)
 
 CONDITION_LIMIT = 1e8
 CHUNK_POINTS = 256
@@ -95,10 +95,7 @@ def liouvillians(model: LindbladModel, points) -> np.ndarray:
     gen = model.generator
     if points.shape[-1:] != (len(gen) - 1,):
         raise ValueError(f"points must have {len(gen) - 1} coordinates, got shape {points.shape}")
-    out = gen[0]
-    for i in range(1, len(gen)):
-        out = out + points[..., i - 1, None, None] * gen[i]
-    return out
+    return _affine_sum(points, gen[1:], gen[0])
 
 
 def _solve_error(generator: np.ndarray, singular: bool, cond: float):
@@ -155,10 +152,15 @@ def _derivatives(G: np.ndarray, model: LindbladModel) -> Batch:
 
 def _solve_chunks(model: LindbladModel, points, solve) -> Batch:
     """``solve(G)`` on the generators of each chunk of CHUNK_POINTS points,
-    joined into one Batch over the stack."""
+    joined into one Batch over the stack. A non-finite point raises
+    InvalidParametersError for the whole stack, before any assembly."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be a (N, n_params) stack, got shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise InvalidParametersError(f"control point {n} is not finite: {points[n].tolist()}")
     # an empty stack still runs one (empty) chunk, so the values keep their shape
     parts = [solve(liouvillians(model, points[lo:lo + CHUNK_POINTS]))
              for lo in range(0, max(1, len(points)), CHUNK_POINTS)]
@@ -211,15 +213,6 @@ def steady_state(model: LindbladModel, point) -> np.ndarray:
     return steady_states(model, [point]).single()
 
 
-def steady_state_derivatives(model: LindbladModel, points) -> Batch:
-    """Exact derivatives d rho_ss / d lambda_i at a stack of points, shape
-    (N, n_params, d, d), from the same chunked factorization as
-    `steady_states`. A point fails, with NaN values and the error
-    `steady_states` gives it, only where its own steady state fails."""
-    derivs = steady_vector_derivatives(model, points)
-    return derivs._replace(values=density_matrices(derivs.values))
-
-
 def bloch_components(rho: np.ndarray) -> BlochVector:
     """(x, y, z) = (Tr rho sigma_x, Tr rho sigma_y, Tr rho sigma_z) for a qubit state."""
     rho = np.asarray(rho, dtype=complex)
@@ -232,10 +225,15 @@ def bloch_components(rho: np.ndarray) -> BlochVector:
     )
 
 
-def density_from_bloch(b) -> np.ndarray:
-    """Inverse map rho = (I + x sigma_x + y sigma_y + z sigma_z) / 2."""
-    x, y, z = b
-    return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+def _tls_denominator(delta: float, omega: float, gamma: float, gamma_phi: float):
+    """Gamma_2 = gamma/2 + gamma_phi and D = 4 omega^2 Gamma_2 + gamma (delta^2
+    + Gamma_2^2) of the two-level closed forms; raises InvalidParametersError
+    unless D > 0."""
+    g2 = 0.5 * gamma + gamma_phi
+    denom = 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
+    if denom <= 0.0:
+        raise InvalidParametersError(f"steady-state denominator D = {denom} must be positive")
+    return g2, denom
 
 
 def tls_steady_closed_form(delta: float, omega: float, gamma: float,
@@ -253,10 +251,7 @@ def tls_steady_closed_form(delta: float, omega: float, gamma: float,
     y -> 2 omega / Gamma_2, both with relative correction
     -4 omega^2 / (gamma Gamma_2).
     """
-    g2 = 0.5 * gamma + gamma_phi
-    denom = 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
-    if denom <= 0.0:
-        raise InvalidParametersError(f"steady-state denominator D = {denom} must be positive")
+    g2, denom = _tls_denominator(delta, omega, gamma, gamma_phi)
     return BlochVector(
         -2.0 * gamma * omega * delta / denom,
         2.0 * gamma * omega * g2 / denom,

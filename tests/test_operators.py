@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from closed_forms import ssh_hamiltonian, tls_hamiltonian
 from complex_oracle import dissipator, lindblad_rhs
-from geomwork import (IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                      InvalidParametersError, pauli, ssh_family, ssh_hamiltonian,
-                      tls_family, tls_hamiltonian, tls_model, validate_density_matrix)
+from geomwork import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, InvalidParametersError,
+                      ssh_family, tls_family, tls_model, validate_density_matrix)
+
+IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def random_density(rng, d):
@@ -17,27 +19,21 @@ def random_density(rng, d):
 
 
 def test_pauli_definitions():
-    np.testing.assert_array_equal(pauli("x"), np.array([[0, 1], [1, 0]], dtype=complex))
-    np.testing.assert_array_equal(pauli("y"), np.array([[0, -1j], [1j, 0]]))
-    np.testing.assert_array_equal(pauli("z"), np.array([[1, 0], [0, -1]], dtype=complex))
-    np.testing.assert_array_equal(pauli("minus"), np.array([[0, 0], [1, 0]], dtype=complex))
-    np.testing.assert_array_equal(pauli("identity"), np.eye(2))
+    np.testing.assert_array_equal(SIGMA_X, np.array([[0, 1], [1, 0]], dtype=complex))
+    np.testing.assert_array_equal(SIGMA_Y, np.array([[0, -1j], [1j, 0]]))
+    np.testing.assert_array_equal(SIGMA_Z, np.array([[1, 0], [0, -1]], dtype=complex))
+    np.testing.assert_array_equal(SIGMA_MINUS, np.array([[0, 0], [1, 0]], dtype=complex))
+    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_MINUS):
+        assert sigma.dtype == complex
+        with pytest.raises(ValueError):
+            sigma[0, 0] = 99.0
 
 
 def test_pauli_algebra():
-    np.testing.assert_array_equal(pauli("z") @ pauli("z"), IDENTITY_2)
+    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+        np.testing.assert_array_equal(sigma @ sigma, IDENTITY_2)
+    np.testing.assert_array_equal(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z)
     np.testing.assert_allclose(SIGMA_MINUS, 0.5 * (SIGMA_X - 1j * SIGMA_Y), atol=0)
-
-
-def test_pauli_unknown_name():
-    with pytest.raises(KeyError):
-        pauli("w")
-
-
-def test_pauli_returns_copies():
-    m = pauli("x")
-    m[0, 0] = 99.0
-    assert SIGMA_X[0, 0] == 0.0
 
 
 def test_sigma_minus_lowers_excited_state():

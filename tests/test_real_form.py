@@ -16,7 +16,13 @@ from geomwork import (DegenerateSteadyStateError, LindbladModel, ParamHamiltonia
                       liouvillians, ssh_model, steady_states,
                       tls_model, tls_steady_closed_form, work_one_forms)
 from geomwork.operators import coherence_vectors, density_matrices, hermitian_basis
-from geomwork.steadystate import steady_state_derivatives
+from geomwork.steadystate import steady_vector_derivatives
+
+
+def steady_state_derivatives(model, points):
+    """d rho_ss / d lambda_i as density matrices, (N, n_params, d, d)."""
+    derivs = steady_vector_derivatives(model, points)
+    return derivs._replace(values=density_matrices(derivs.values))
 
 
 def random_model(seed):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from closed_forms import ssh_hamiltonian
 from geomwork import (SIGMA_X, SIGMA_Y, Circle, line_integral_work,
-                      ssh_curvature, ssh_family, ssh_hamiltonian, ssh_model)
+                      ssh_curvature, ssh_family, ssh_model)
 
 
 def test_hamiltonian_reduces_at_band_edge():

@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from closed_forms import density_from_bloch
 from complex_oracle import complex_liouvillians, hamiltonian_superop, lindblad_rhs, vec
 from geomwork import (DegenerateSteadyStateError, InvalidParametersError, LindbladModel,
-                      NoSteadyStateError, ParamHamiltonian, bloch_components,
-                      density_from_bloch, liouvillians,
+                      NoSteadyStateError, ParamHamiltonian, bloch_components, liouvillians,
                       steady_state, steady_states, tls_model, tls_steady_closed_form)
-from geomwork.operators import coherence_vectors
-from geomwork.steadystate import steady_state_derivatives
+from geomwork.operators import coherence_vectors, density_matrices
+from geomwork.steadystate import steady_vector_derivatives
 
 
 def random_matrix(rng, d):
@@ -112,7 +114,8 @@ def test_state_derivatives_solve_the_linear_response_equation():
     model = LindbladModel(ParamHamiltonian(herm[0], herm[1:]),
                           ((0.7, random_matrix(rng, 3)), (0.4, random_matrix(rng, 3))))
     points = rng.uniform(-1, 1, size=(5, 2))
-    derivs = steady_state_derivatives(model, points)
+    derivs = steady_vector_derivatives(model, points)
+    derivs = derivs._replace(values=density_matrices(derivs.values))
     states = steady_states(model, points).values
     h = 1e-4
     for n, point in enumerate(points):
@@ -148,12 +151,31 @@ def test_missing_null_space_is_an_error():
         steady_state(tls_model(1.0), (1e9, 0.5))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_points_are_rejected_before_assembly(bad):
+    model = tls_model(1.0, 0.2)
+    stack = np.array([[0.1, 0.5]] * 300)
+    stack[257, 1] = bad
+    stack[299, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (steady_states, steady_vector_derivatives):
+            with pytest.raises(InvalidParametersError, match=r"control point 0 is not finite"):
+                call(model, [(bad, 0.5)])
+            with pytest.raises(InvalidParametersError,
+                               match=r"control point 257 is not finite: \[0\.1, -?(inf|nan)\]"):
+                call(model, stack)
+        with pytest.raises(InvalidParametersError):
+            steady_state(model, (0.5, bad))
+
+
 def test_empty_stack_keeps_its_shape():
     model = tls_model(1.0, 0.2)
     states = steady_states(model, np.zeros((0, 2)))
-    derivs = steady_state_derivatives(model, np.zeros((0, 2)))
+    derivs = steady_vector_derivatives(model, np.zeros((0, 2)))
     assert states.values.shape == (0, 2, 2) and states.errors == ()
-    assert derivs.values.shape == (0, 2, 2, 2) and derivs.errors == ()
+    assert derivs.values.shape == (0, 2, 4) and derivs.errors == ()
+    assert density_matrices(derivs.values).shape == (0, 2, 2, 2)
 
 
 def test_bloch_round_trip():
