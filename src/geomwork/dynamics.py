@@ -4,20 +4,26 @@ The integrator is classical fourth-order Runge-Kutta on the real coherence
 vector c of the state (rho = sum_a c_a B_a, see `operators`), with the
 generator G(lambda) evaluated as the drive moves the control point. For the
 linear master equation each RK4 step is a fixed real matrix R_k applied to
-c, built from the step's start, mid and end generators. Steps run in chunks:
-the mid-step and end-of-step generators of a chunk are formed in one
-broadcast call (CHUNK_POINTS of them, the bound `steady_states` uses), every
-R_k of the chunk is formed as one stack, and an inclusive log-depth prefix
-product turns the stack into R_k ... R_0, so the stored states and the state
-carried into the next chunk are one batched matrix-vector product with no
-loop over steps. The trace row of every G is zero, so every R_k keeps the
-trace exactly and every state is Hermitian by construction. The stored
-states of a chunk are checked together after the chunk: the first sample
-that is not finite (a blown-up step) raises StepTooLargeError, and the first
-with an eigenvalue below POSITIVITY_FLOOR raises IntegrationFailureError,
-whichever comes first in sample order, so a failing run stops at most one
-chunk after the step that broke it. The lowest eigenvalue over the stored
-states is the run's diagnostic.
+c, built from the step's start, mid and end generators. The drive is
+periodic, so every repeat of the period applies the same R_k, and they are
+built for one period only. Its steps run in chunks: the mid-step and
+end-of-step generators of a chunk are formed in one broadcast call
+(CHUNK_POINTS of them, the bound `steady_states` uses), every R_k of the
+chunk is formed as one stack, and an inclusive log-depth prefix product turns
+the stack into R_k ... R_0. Chained onto the product carried in from the
+previous chunk, this gives the propagator from the period start to each
+stored step, with no loop over steps. Each repeat's stored states are then
+one batched matrix-vector product of those propagators with the state that
+starts the repeat; the period's last step is always stored, and its state
+starts the next repeat. The trace row of every G is zero, so every R_k keeps
+the trace exactly and every state is Hermitian by construction. The stored
+states of a repeat are checked together: the first sample that is not
+finite (a blown-up step) raises StepTooLargeError, and the first with an
+eigenvalue below POSITIVITY_FLOOR raises IntegrationFailureError, whichever
+comes first in sample order. A failing run builds the period's propagators
+before any state is checked, and raises at the same sample, with the same
+message, as a step-by-step check would. The lowest eigenvalue over the
+stored states is the run's diagnostic.
 
 Dynamic work integrates Tr(rho(t) H_i) lambda_dot_i along the actual (not
 steady) state, evaluated over many samples at once: `dynamic_work` over the
@@ -193,24 +199,22 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     half = 0.5 * step
     sixth = step / 6.0
     chunk = CHUNK_POINTS // 2  # steps per chunk: a mid and an end generator each
-    v = coherence_vectors(rho0)
-    times = [np.zeros(1)]
-    vectors = [v[None]]
-    min_eigenvalue = np.inf
+    # Every repeat applies the same step matrices, so the products
+    # R_k ... R_0 from the period start are built once, at the stored steps
+    # of one period; phi carries that product from chunk to chunk.
+    phi = eye
+    stored_props = []
     l_end = liouvillians(model, schedule.point_at(np.zeros(1)))
-    for lo in range(0, n_steps, chunk):
-        ks = np.arange(lo, min(lo + chunk, n_steps))
-        t = ks * step
-        mid_and_end = np.concatenate([t + 0.5 * step, t + step])
-        stack = liouvillians(model, schedule.point_at(mid_and_end))
-        l_mids, l_ends = stack[:len(ks)], stack[len(ks):]
-        l_starts = np.concatenate([l_end, l_ends[:-1]])
-        l_end = l_ends[-1:]
-        stored = (ks + 1) % stride == 0
-        # the stored steps, then the chunk's last step for the carried state
-        rows = np.append(np.flatnonzero(stored), len(ks) - 1)
-        # a blown-up step overflows; _check_stored raises for it below
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a blown-up step overflows; _check_stored raises for it below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_per, chunk):
+            ks = np.arange(lo, min(lo + chunk, n_per))
+            t = ks * step
+            mid_and_end = np.concatenate([t + 0.5 * step, t + step])
+            stack = liouvillians(model, schedule.point_at(mid_and_end))
+            l_mids, l_ends = stack[:len(ks)], stack[len(ks):]
+            l_starts = np.concatenate([l_end, l_ends[:-1]])
+            l_end = l_ends[-1:]
             # RK4 stages as matrices: the stages of step k are l_starts[k] v,
             # k2[k] v, k3[k] v and k4[k] v, and prop[k] is that step's R_k
             k2 = l_mids + half * (l_mids @ l_starts)
@@ -222,12 +226,28 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
             while off < len(ks):
                 prop[off:] = prop[off:] @ prop[:-off]
                 off *= 2
-            out = prop[rows] @ v
-        v = out[-1]
-        t_stored = (ks[stored] + 1) * step
-        min_eigenvalue = min(min_eigenvalue, _check_stored(t_stored, out[:-1]))
+            # the stored steps, then the chunk's last step for the carried product
+            rows = np.append(np.flatnonzero((ks + 1) % stride == 0), len(ks) - 1)
+            out = prop[rows] @ phi
+            phi = out[-1]
+            stored_props.append(out[:-1])
+    stored_props = np.concatenate(stored_props)
+    # n_per is a multiple of the stride, so the period's last step is stored
+    # and its state starts the next repeat
+    k_stored = np.arange(stride, n_per + 1, stride)
+
+    v = coherence_vectors(rho0)
+    times = [np.zeros(1)]
+    vectors = [v[None]]
+    min_eigenvalue = np.inf
+    for r in range(schedule.repeats):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = stored_props @ v
+        t_stored = (r * n_per + k_stored) * step
+        min_eigenvalue = min(min_eigenvalue, _check_stored(t_stored, out))
         times.append(t_stored)
-        vectors.append(out[:-1])
+        vectors.append(out)
+        v = out[-1]
 
     return Trajectory(times=np.concatenate(times), vectors=np.concatenate(vectors),
                       min_eigenvalue=min_eigenvalue, n_steps=n_steps)

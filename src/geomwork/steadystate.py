@@ -15,9 +15,10 @@ steady state is therefore c = (c_0, -M^-1 g c_0), one solve with M. A
 steady state is only returned when it is unique and well determined:
 
 - G identically zero: DegenerateSteadyStateError, every state is stationary.
-- M exactly singular (a zero pivot, so the sign from `np.linalg.slogdet` is
-  0): DegenerateSteadyStateError. A Lindblad generator always has a steady
-  state c, so M r = 0 makes (0, r) a second null direction beside it.
+- M exactly singular (a zero pivot: the stacked `np.linalg.inv` raises, and
+  the sign from `np.linalg.slogdet` is 0): DegenerateSteadyStateError. A
+  Lindblad generator always has a steady state c, so M r = 0 makes (0, r) a
+  second null direction beside it.
 - Frobenius condition number ||M||_F ||M^-1||_F above CONDITION_LIMIT:
   NoSteadyStateError. It bounds the 2-norm condition number from above,
   within a factor d^2 - 1.
@@ -115,12 +116,18 @@ def _factor(G: np.ndarray, dim: int):
     """Steady coherence vectors of a stack (N, d^2, d^2) of generators, as a
     Batch, and the inverses of their blocks M, for the derivatives.
 
-    `inv` raises for the whole stack if one M is singular, so an exactly
-    singular M is replaced by the identity first; its point has failed.
+    `inv` raises for the whole stack if one M is singular. Only then are the
+    exactly singular blocks found by `slogdet` and replaced by the identity,
+    and the stack inverted again; their points have failed.
     """
     m = G[:, 1:, 1:]
-    singular = np.linalg.slogdet(m)[0] == 0.0
-    inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(m.shape[-1]), m))
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(m)[0] == 0.0
+        inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(m.shape[-1]), m))
+    else:
+        singular = np.zeros(len(G), dtype=bool)
     cond = np.sqrt(np.einsum("nij,nij->n", m, m) * np.einsum("nij,nij->n", inv, inv))
     failed = singular | ~(cond <= CONDITION_LIMIT)
     errors = [None] * len(G)

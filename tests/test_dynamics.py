@@ -13,6 +13,7 @@ from geomwork import (Circle, DriveSchedule, GeomworkError,
                       reverse, steady_state, tls_model)
 from closed_forms import density_from_bloch
 from complex_oracle import complex_liouvillians
+from geomwork import dynamics
 from geomwork.dynamics import POSITIVITY_FLOOR
 from geomwork.operators import validate_density_matrix
 
@@ -190,13 +191,14 @@ _rectangles = st.builds(
 @given(cycle=st.one_of(_circles, _rectangles), gamma=st.floats(0.1, 2.0),
        gamma_phi=st.one_of(st.just(0.0), st.floats(0.05, 1.5)), period=st.floats(1.0, 20.0),
        steps=st.one_of(st.none(), st.integers(1000, 1400)), store=st.integers(8, 1000),
-       repeats=st.integers(1, 2),
+       repeats=st.integers(1, 3),
        bloch=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
 def test_chunked_evolve_matches_per_step_reference(cycle, gamma, gamma_phi, period, steps,
                                                    store, repeats, bloch):
     # At least 1000 steps per period span several chunks of steps; strides
     # above 1 put stored samples on both sides of chunk boundaries, and
-    # strides above a chunk leave some chunks with none.
+    # strides above a chunk leave some chunks with none. Later repeats reuse
+    # the first period's propagators.
     model = tls_model(gamma, gamma_phi)
     schedule = DriveSchedule(cycle, period, repeats)
     rho0 = density_from_bloch(bloch)
@@ -260,16 +262,23 @@ def test_frozen_drive_matches_matrix_power_oracle():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("gamma, store", [
-    (4000.0, 1000),  # negative eigenvalue at the second stored state
-    (4000.0, 10),    # overflow between stored states: non-finite state
-    (570.0, 1000),   # slow instability, first chunk
-    (565.0, 1000),   # slow instability, second chunk
-    (560.0, 300),    # stride 6, a later chunk
+@pytest.mark.parametrize("gamma, store, period, repeats", [
+    # negative eigenvalue at the second stored state
+    pytest.param(4000.0, 1000, 10.0, 1, id="4000.0-1000"),
+    # overflow between stored states: non-finite state
+    pytest.param(4000.0, 10, 10.0, 1, id="4000.0-10"),
+    # slow instability, first chunk
+    pytest.param(570.0, 1000, 10.0, 1, id="570.0-1000"),
+    # slow instability, second chunk
+    pytest.param(565.0, 1000, 10.0, 1, id="565.0-1000"),
+    # stride 6, a later chunk
+    pytest.param(560.0, 300, 10.0, 1, id="560.0-300"),
+    # slow instability in the second repeat, at t = 8.065
+    pytest.param(558.0, 1000, 5.0, 2, id="558.0-1000-second-repeat"),
 ])
-def test_failures_match_per_step_reference(gamma, store):
+def test_failures_match_per_step_reference(gamma, store, period, repeats):
     model = tls_model(gamma, 0.0)
-    sched = frozen_schedule((0.0, 1.0), period=10.0)
+    sched = frozen_schedule((0.0, 1.0), period=period, repeats=repeats)
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises((StepTooLargeError, IntegrationFailureError)) as chunked:
         evolve(model, sched, rho0, dt=0.005, max_store_per_period=store)
@@ -279,6 +288,41 @@ def test_failures_match_per_step_reference(gamma, store):
             reference_evolve(model, sched, rho0, dt=0.005, max_store_per_period=store)
     assert type(chunked.value) is type(reference.value)
     assert str(chunked.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("repeats", [1, 2, 3])
+def test_one_period_of_generators_serves_every_repeat(monkeypatch, repeats):
+    # the start generator, then a mid and an end generator per step of one period
+    assembled = []
+    assemble = dynamics.liouvillians
+
+    def counting(model, points):
+        assembled.append(len(points))
+        return assemble(model, points)
+
+    monkeypatch.setattr(dynamics, "liouvillians", counting)
+    model = tls_model(1.0, 0.2)
+    sched = DriveSchedule(LOOP_B, 10.0, repeats)
+    traj = evolve(model, sched, steady_state(model, LOOP_B.position(0.0)), dt=0.01,
+                  max_store_per_period=300)
+    n_per = traj.n_steps // repeats
+    assert n_per == 1002
+    assert sum(assembled) == 2 * n_per + 1
+
+
+def test_each_repeat_restarts_from_its_first_state():
+    # repeat r is a one-period run started from the state that begins it
+    model = tls_model(0.8, 0.3)
+    sched = DriveSchedule(LOOP_B, 12.0, 3)
+    rho0 = density_from_bloch((0.2, -0.3, 0.4))
+    traj = evolve(model, sched, rho0, max_store_per_period=200)
+    per = (len(traj.times) - 1) // 3
+    for r in range(3):
+        start = r * per
+        assert traj.times[start] == r * 12.0
+        single = evolve(model, DriveSchedule(LOOP_B, 12.0), traj.states[start],
+                        max_store_per_period=200)
+        assert np.max(np.abs(traj.vectors[start:start + per + 1] - single.vectors)) <= 1e-14
 
 
 def test_evolve_validates_inputs():

@@ -210,7 +210,7 @@ _drive = st.floats(0.1, 3.0, allow_nan=False)
        points=st.lists(st.tuples(_coord, _drive, st.booleans()), min_size=2, max_size=6),
        degenerate_delta=_coord, degenerate_at=st.integers(0, 6))
 def test_batched_matches_per_point(gamma, gamma_phi, points, degenerate_delta, degenerate_at):
-    # The random nodes straddle the first chunk boundary of the stacked SVD;
+    # The random nodes straddle the first chunk boundary of the stacked inverse;
     # (delta, 0) is degenerate exactly when gamma = 0 (pure dephasing, no drive).
     model = tls_model(gamma, gamma_phi)
     nodes = [(d, o if positive else -o) for d, o, positive in points]
