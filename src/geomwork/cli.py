@@ -9,9 +9,15 @@ runner that computes and writes its outputs. Every command takes the same
 three options, so the parser is one flat parser with the command as its
 positional argument.
 
-Evaluation is single-threaded: each line integral, flux and linear-response
-field evaluates all of its control points in one batched steady-state call.
-``--threads`` is accepted for compatibility and ignored.
+Evaluation is single-threaded and batched: each command makes one chunked
+steady-state call per quadrature kind. The line integrals of every
+(gamma_phi, cycle) cell of ``loops`` and ``orientation`` (forward and
+reversed) are one call, their fluxes another, with the model of each cell's
+gamma_phi in one GeneratorStack; ``scaling`` sweeps Gamma_2 and ``ssh``
+sweeps k the same way, and a linear-response field is one call over its
+grid. Each cell keeps its own ``math.fsum``, quadrature order and error: a
+run reports the first failing cell in output order, as a cell-by-cell run
+would. ``--threads`` is accepted for compatibility and ignored.
 
 This module alone decides the output format and writes the files. Each run
 writes ``config_echo.json`` (the fully resolved configuration, defaults
@@ -40,12 +46,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .cycles import cycle_from_json, cycle_to_json, cycle_work, line_integral_work, reverse
+from .cycles import (WorkResult, cycle_from_json, cycle_to_json, flux_works,
+                     line_integral_works, reverse)
 from .dynamics import DriveSchedule, accumulated_work, errors_decreasing, quasistatic_convergence
 from .errors import ConfigError, GeomworkError, check_keys
-from .geometry import GridSpec, curvature, curvature_closed_form_tls, curvature_field
-from .operators import tls_model
-from .ssh import ssh_curvature, ssh_model
+from .geometry import GridSpec, curvature_closed_form_tls, curvature_field, curvatures
+from .operators import tls_model, tls_stack
+from .ssh import ssh_model, ssh_stack
 from .steadystate import bloch_components, tls_steady_closed_form
 
 ANTISYMMETRY_LIMIT = 1e-10
@@ -140,11 +147,17 @@ def _resolve_model(cfg: dict, kinds=("tls", "ssh"), kind="tls",
     return out
 
 
-def _build_model(mspec: dict, gamma_phi=None):
-    gp = mspec["gamma_phi"] if gamma_phi is None else gamma_phi
+def _build_model(mspec: dict):
     if mspec["kind"] == "tls":
-        return tls_model(mspec["gamma"], gp)
-    return ssh_model(mspec["gamma"], gp, mspec["k"])
+        return tls_model(mspec["gamma"], mspec["gamma_phi"])
+    return ssh_model(mspec["gamma"], mspec["gamma_phi"], mspec["k"])
+
+
+def _build_stack(mspec: dict, gamma_phi):
+    """The model of every dephasing rate in ``gamma_phi`` as one GeneratorStack."""
+    if mspec["kind"] == "tls":
+        return tls_stack(mspec["gamma"], gamma_phi)
+    return ssh_stack(mspec["gamma"], gamma_phi, mspec["k"])
 
 
 def _resolve_cycles(cfg: dict) -> list:
@@ -321,21 +334,26 @@ def _cmd_field(resolved: dict, outdir: str) -> int:
 
 
 def _cells(resolved: dict):
-    """(gamma_phi, loop id, model, cycle) for every cell of a loop study,
-    gamma_phi-major, one model per gamma_phi."""
+    """The (gamma_phi, loop id, cycle) cells of a loop study, gamma_phi-major,
+    and the GeneratorStack that gives each cell the model of its gamma_phi."""
     cycles = [(spec["id"], cycle_from_json({k: v for k, v in spec.items() if k != "id"}))
               for spec in resolved["cycles"]]
-    for gp in resolved["gamma_phi_sweep"]:
-        model = _build_model(resolved["model"], gamma_phi=gp)
-        for loop_id, cycle in cycles:
-            yield gp, loop_id, model, cycle
+    sweep = resolved["gamma_phi_sweep"]
+    stack = _build_stack(resolved["model"], sweep)
+    cells = [(gp, loop_id, cycle) for gp in sweep for loop_id, cycle in cycles]
+    return cells, stack._replace(index=np.repeat(stack.index, len(cycles)))
 
 
 def _cmd_loops(resolved: dict, outdir: str) -> int:
+    cells, stack = _cells(resolved)
+    cycles = [cycle for *_, cycle in cells]
+    lines = line_integral_works(stack, cycles, resolved["n_path"])
+    fluxes = flux_works(stack, cycles, resolved["m_quad"])
     rows = []
     worst = 0.0
-    for gp, loop_id, model, cycle in _cells(resolved):
-        wr = cycle_work(model, cycle, n_path=resolved["n_path"], m_quad=resolved["m_quad"])
+    for c, (gp, loop_id, _) in enumerate(cells):
+        wr = WorkResult(float(lines.at(c)), float(fluxes.at(c)),
+                        resolved["n_path"], resolved["m_quad"])
         worst = max(worst, wr.stokes_residual)
         rows.append(f"{_fmt(gp)},{loop_id},{_fmt(wr.w_line)},{_fmt(wr.w_flux)},"
                     f"{_fmt(wr.stokes_residual)}")
@@ -350,10 +368,14 @@ def _cmd_loops(resolved: dict, outdir: str) -> int:
 
 
 def _cmd_orientation(resolved: dict, outdir: str) -> int:
+    cells, stack = _cells(resolved)
+    # each cycle followed by its reverse, so cell c's pair is entries 2c, 2c + 1
+    paths = [path for *_, cycle in cells for path in (cycle, reverse(cycle))]
+    works = line_integral_works(stack._replace(index=np.repeat(stack.index, 2)), paths,
+                                resolved["n_path"])
     results = []
-    for gp, loop_id, model, cycle in _cells(resolved):
-        w_fwd = line_integral_work(model, cycle, resolved["n_path"])
-        w_rev = line_integral_work(model, reverse(cycle), resolved["n_path"])
+    for c, (gp, loop_id, _) in enumerate(cells):
+        w_fwd, w_rev = float(works.at(2 * c)), float(works.at(2 * c + 1))
         results.append((gp, loop_id, w_fwd, w_rev, abs(w_fwd + w_rev)))
     rows = [f"{_fmt(gp)},{loop_id},{_fmt(wf)},{_fmt(wr)},{_fmt(res)}"
             for gp, loop_id, wf, wr, res in results]
@@ -408,15 +430,15 @@ def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
 def _cmd_scaling(resolved: dict, outdir: str) -> int:
     gamma = resolved["model"]["gamma"]
     delta, omega = resolved["point"]
-
-    def cell(g2):
-        gp = g2 - 0.5 * gamma
+    sweep = resolved["gamma2_sweep"]
+    gamma_phi = [g2 - 0.5 * gamma for g2 in sweep]
+    pipeline = curvatures(tls_stack(gamma, gamma_phi), [resolved["point"]] * len(sweep))
+    results = []
+    for n, (g2, gp) in enumerate(zip(sweep, gamma_phi)):
         f_closed = curvature_closed_form_tls(delta, omega, gamma, gp)
-        f_pipeline = curvature(tls_model(gamma, gp), (delta, omega))
+        f_pipeline = float(pipeline.at(n))
         b = tls_steady_closed_form(delta, omega, gamma, gp)
-        return g2, abs(f_closed), abs(f_pipeline), abs(b.x), abs(b.y)
-
-    results = [cell(g2) for g2 in resolved["gamma2_sweep"]]
+        results.append((g2, abs(f_closed), abs(f_pipeline), abs(b.x), abs(b.y)))
     rows = [f"{_fmt(g2)},{_fmt(af)},{_fmt(ax)},{_fmt(ay)}"
             for g2, af, _afp, ax, ay in results]
     _write_csv(os.path.join(outdir, "scaling.csv"), "gamma2,abs_F,abs_x,abs_y", rows)
@@ -448,12 +470,10 @@ def _cmd_scaling(resolved: dict, outdir: str) -> int:
 def _cmd_ssh(resolved: dict, outdir: str) -> int:
     t1, t2 = resolved["point"]
     mspec = resolved["model"]
-
-    def cell(k):
-        f = ssh_curvature(t1, t2, k, mspec["gamma"], mspec["gamma_phi"])
-        return f"{_fmt(k)},{_fmt(t1)},{_fmt(t2)},{_fmt(f)}"
-
-    rows = [cell(k) for k in resolved["k_values"]]
+    ks = resolved["k_values"]
+    curv = curvatures(ssh_stack(mspec["gamma"], mspec["gamma_phi"], ks),
+                      [resolved["point"]] * len(ks))
+    rows = [f"{_fmt(k)},{_fmt(t1)},{_fmt(t2)},{_fmt(curv.at(n))}" for n, k in enumerate(ks)]
     _write_csv(os.path.join(outdir, "ssh.csv"), "k,t1,t2,F", rows)
     _write_json(os.path.join(outdir, "metadata.json"),
                 _metadata(resolved, {"point": resolved["point"]}))
@@ -506,8 +526,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once per process; parsing does not change it
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     _, resolve, run = _COMMANDS[args.command]
     try:
         raw = _load_config(args.config) if args.config else {}

@@ -9,9 +9,11 @@ integrands) and Gauss-Legendre on each rectangle edge, with no node on a
 corner, where the velocity jumps. ``area_rule(m)`` gives tensor-product
 Gauss-Legendre nodes over the enclosed region, mapped to the disk with
 Jacobian r1 r2 rho for circles, with the orientation sign folded into the
-weights. Every integral evaluates all of its samples or nodes in one batched
-call and returns one correctly rounded weighted sum (``math.fsum``); the
-first failing sample, in sample order, raises with its location.
+weights. The integrals of many cycles, each with its own model, evaluate all
+of their samples or nodes in one batched call (`line_integral_works`,
+`flux_works`), and each cycle's integral is one correctly rounded weighted
+sum (``math.fsum``); a cycle's first failing sample, in its own sample
+order, is its error, with its location.
 
 Positive orientation is counterclockwise in the (lambda_1, lambda_2) plane,
 and work follows the convention of work done on the system. Reversal keeps
@@ -30,8 +32,8 @@ import numpy as np
 
 from .errors import ConfigError, check_keys
 from .geometry import curvatures, work_one_forms
-from .operators import LindbladModel
-from .steadystate import Batch
+from .operators import LindbladModel, point_stack
+from .steadystate import Batch, _not_finite
 
 _TWO_PI = 2.0 * np.pi
 
@@ -208,55 +210,113 @@ def cycle_from_json(obj: dict) -> Cycle:
         raise ConfigError(f"invalid {kind} cycle: {exc}") from exc
 
 
-def _weighted_sum(batch: Batch, points: np.ndarray, weights: np.ndarray, where) -> float:
-    """Correctly rounded sum of ``batch.values * weights``. The first failed
-    point raises its error again, with ``where(n)`` and the point appended."""
+def _weighted_sum(batch: Batch, points: np.ndarray, weights: np.ndarray, where):
+    """(correctly rounded sum of ``batch.values * weights``, None), or
+    (NaN, error) where a point failed: the first failed point's error again,
+    with ``where(n)`` and the point appended."""
     first = batch.first_error()
     if first is not None:
         n, exc = first
-        raise type(exc)(f"{exc} [{where(n)}, point={np.asarray(points[n]).tolist()}]") from exc
-    return math.fsum((batch.values * weights).ravel())
+        err = type(exc)(f"{exc} [{where(n)}, point={np.asarray(points[n]).tolist()}]")
+        err.__cause__ = exc
+        return np.nan, err
+    return math.fsum((batch.values * weights).ravel()), None
 
 
-def line_integral_work(model: LindbladModel, cycle: Cycle, n: int = 1024) -> float:
-    """Cycle work as the closed line integral of the work one-form.
+def _integrals(model, cycles, rule, evaluate) -> Batch:
+    """One weighted sum per cycle, from one batched ``evaluate`` call over the
+    nodes of every cycle.
+
+    ``rule(cycle)`` gives a cycle's nodes, weights and ``where`` (its node
+    names for errors); ``model`` is a LindbladModel or a GeneratorStack with
+    one index entry per cycle. Each cycle's sum, or its error, is the one it
+    gets when evaluated alone: the first failed node in its own node order,
+    or, for a cycle with a node that is not finite, the
+    InvalidParametersError of that cycle's own stack (its other nodes are not
+    evaluated).
+    """
+    stack = point_stack(model, len(cycles))
+    rules = [rule(cycle) for cycle in cycles]
+    errors = [_not_finite(nodes) for nodes, _, _ in rules]
+    keep = [c for c, err in enumerate(errors) if err is None]
+    sizes = [len(rules[c][0]) for c in keep]
+    nodes = np.concatenate([rules[c][0] for c in keep] or [np.empty((0, 2))])
+    batch = evaluate(stack._replace(index=np.repeat(stack.index[keep], sizes)), nodes)
+    values = np.full(len(cycles), np.nan)
+    for c, lo, size in zip(keep, np.cumsum([0] + sizes), sizes):
+        part = Batch(batch.values[lo:lo + size], batch.errors[lo:lo + size])
+        values[c], errors[c] = _weighted_sum(part, *rules[c])
+    return Batch(values, tuple(errors))
+
+
+def _path(cycle: Cycle, n: int):
+    s, w = cycle.path_rule(n)
+    return (cycle.position(s), cycle.velocity(s) * w[:, None],
+            lambda k: f"path sample s={s[k]:.8g}")
+
+
+def _area(cycle: Cycle, m: int):
+    nodes, weights = cycle.area_rule(m)
+    return nodes, weights, lambda k: f"flux node ({k // m},{k % m})"
+
+
+def line_integral_works(model, cycles, n: int = 1024) -> Batch:
+    """Cycle work of each cycle as the closed line integral of the work
+    one-form, with every path sample of every cycle in one batched
+    `work_one_forms` call.
 
     Parameters
     ----------
-    model : LindbladModel
-    cycle : Circle or Rectangle
+    model : LindbladModel, or GeneratorStack with one index entry per cycle
+    cycles : sequence of Circle or Rectangle
     n : int
         Path samples (>= 8), placed by ``cycle.path_rule(n)``. Circles
         converge spectrally; rectangles integrate polynomials of degree
         < 2 max(2, ceil(n/4)) exactly along each edge.
+
+    Returns
+    -------
+    Batch
+        One value per cycle, or NaN and the error that cycle raises alone:
+        its first failing sample's error, naming the sample and the point.
     """
     if n < 8:
         raise ValueError(f"need at least 8 path samples, got {n}")
-    s, w = cycle.path_rule(n)
-    points = cycle.position(s)
-    return _weighted_sum(work_one_forms(model, points), points, cycle.velocity(s) * w[:, None],
-                         lambda k: f"path sample s={s[k]:.8g}")
+    return _integrals(model, cycles, lambda cycle: _path(cycle, n), work_one_forms)
 
 
-def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64) -> float:
-    """Cycle work as the curvature flux through the enclosed region.
+def line_integral_work(model: LindbladModel, cycle: Cycle, n: int = 1024) -> float:
+    """Cycle work as the closed line integral of the work one-form: the
+    one-cycle call of `line_integral_works`; the first failing sample raises."""
+    return float(line_integral_works(model, [cycle], n).at(0))
+
+
+def flux_works(model, cycles, m: int = 64) -> Batch:
+    """Cycle work of each cycle as the curvature flux through its enclosed
+    region, with every node of every cycle in one batched `curvatures` call.
 
     Parameters
     ----------
-    model : LindbladModel
-    cycle : Circle or Rectangle
+    model : LindbladModel, or GeneratorStack with one index entry per cycle
+    cycles : sequence of Circle or Rectangle
         The enclosed region is known analytically for both kinds.
     m : int
         Gauss-Legendre order per tensor direction (>= 4).
 
-    The sign follows the cycle orientation: positive (counterclockwise)
-    orientation returns +flux.
+    The sign follows each cycle's orientation: positive (counterclockwise)
+    orientation gives +flux. Failures are reported per cycle as in
+    `line_integral_works`, naming the flux node.
     """
     if m < 4:
         raise ValueError(f"need Gauss order >= 4, got {m}")
-    nodes, weights = cycle.area_rule(m)
-    return _weighted_sum(curvatures(model, nodes, 0, 1), nodes, weights,
-                         lambda k: f"flux node ({k // m},{k % m})")
+    return _integrals(model, cycles, lambda cycle: _area(cycle, m),
+                      lambda stack, nodes: curvatures(stack, nodes, 0, 1))
+
+
+def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64) -> float:
+    """Cycle work as the curvature flux through the enclosed region: the
+    one-cycle call of `flux_works`; the first failing node raises."""
+    return float(flux_works(model, [cycle], m).at(0))
 
 
 @dataclass(frozen=True)

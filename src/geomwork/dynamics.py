@@ -112,7 +112,7 @@ def _default_time_step(model: LindbladModel, schedule: DriveSchedule) -> float:
 def _work_integrands(model: LindbladModel, schedule: DriveSchedule,
                      times: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Tr(rho H_i) lambda_dot_i at a stack of (time, coherence vector) samples."""
-    comps = gradient_traces(model, vectors)
+    comps = gradient_traces(model.h, vectors)
     vel = schedule.velocity_at(times)
     total = np.zeros(len(times))
     for i in range(model.hamiltonian.n_params):

@@ -20,29 +20,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeomworkError, InvalidParametersError
-from .operators import LindbladModel, _affine_sum
-from .steadystate import Batch, _tls_denominator, steady_vector_derivatives, steady_vectors
+from .operators import LindbladModel
+from .steadystate import Batch, _derivatives, _factor, _solve_chunks, _tls_denominator
 
 
-def gradient_traces(model: LindbladModel, vectors) -> np.ndarray:
+def gradient_traces(h: np.ndarray, vectors) -> np.ndarray:
     """Tr(rho H_i) = h_i . c for a stack of coherence vectors (or their
     derivatives) and each generator H_i of the family.
 
-    ``vectors`` has shape (..., d^2) and the result (..., n_params); NaN
+    ``h`` is a model's (n_params, d^2) coefficients, or per-point
+    coefficients whose ``h[..., a]`` broadcast against ``vectors[..., a, None]``;
+    ``vectors`` has shape (..., d^2) and the result (..., n_params). NaN
     vectors give NaN rows. Each dot product sums in basis order, one term at
     a time, so the values do not depend on how the vectors are stacked.
     """
-    return _affine_sum(np.asarray(vectors, dtype=float), model.h.T)
+    vectors = np.asarray(vectors, dtype=float)
+    out = vectors[..., 0, None] * h[..., 0]
+    for a in range(1, vectors.shape[-1]):
+        out = out + vectors[..., a, None] * h[..., a]
+    return out
 
 
-def work_one_forms(model: LindbladModel, points) -> Batch:
+def _one_forms(G, generator, h) -> Batch:
+    """One-form components at a chunk of assembled generators G, with the
+    per-point coefficients h."""
+    states = _factor(G)[0]
+    return states._replace(values=gradient_traces(h, states.values))
+
+
+def work_one_forms(model, points) -> Batch:
     """One-form components A_i = Tr(rho_ss H_i) at a stack of points.
 
-    Returns a Batch whose ``values`` has shape (N, n_params), with NaN rows
-    and the steady-state error where a point's steady state fails.
+    ``model`` is a LindbladModel or a GeneratorStack with one index entry
+    per point. Returns a Batch whose ``values`` has shape (N, n_params),
+    with NaN rows and the steady-state error where a point's steady state
+    fails.
     """
-    vectors = steady_vectors(model, points)
-    return vectors._replace(values=gradient_traces(model, vectors.values))
+    return _solve_chunks(model, points, _one_forms)
 
 
 def work_one_form(model: LindbladModel, point) -> np.ndarray:
@@ -50,7 +64,7 @@ def work_one_form(model: LindbladModel, point) -> np.ndarray:
 
     Steady-state errors propagate.
     """
-    return work_one_forms(model, [point]).single()
+    return work_one_forms(model, [point]).at(0)
 
 
 def curvature_closed_form_tls(delta: float, omega: float, gamma: float,
@@ -70,24 +84,29 @@ def curvature_closed_form_tls(delta: float, omega: float, gamma: float,
     return -2.0 * omega * gamma * num / (denom * denom)
 
 
-def curvatures(model: LindbladModel, points, i: int = 0, j: int = 1) -> Batch:
+def curvatures(model, points, i: int = 0, j: int = 1) -> Batch:
     """Exact curvature F_ij = h_j . d_i c - h_i . d_j c at a stack of nodes.
 
-    The state derivatives come from `steady_vector_derivatives`, so the whole
-    stack costs one chunked factorization and no step size enters. A node fails, with
-    NaN and the error of its steady state, only where its own steady state
-    fails, never because of a neighbouring point. Antisymmetric by
-    construction: swapping (i, j) produces exactly the negated values, and
-    i == j returns exactly 0 at every node that has a steady state.
+    ``model`` is a LindbladModel or a GeneratorStack with one index entry
+    per node. The state derivatives come from the chunked factorization of
+    `steady_vector_derivatives`, so the whole stack costs one chunked call
+    and no step size enters. A node fails, with NaN and the error of its
+    steady state, only where its own steady state fails, never because of a
+    neighbouring point. Antisymmetric by construction: swapping (i, j)
+    produces exactly the negated values, and i == j returns exactly 0 at
+    every node that has a steady state.
     """
-    derivs = steady_vector_derivatives(model, points)
-    traces = gradient_traces(model, derivs.values)  # [n, k, l] = h_l . d_k c
-    return Batch(traces[:, i, j] - traces[:, j, i], derivs.errors)
+    def solve(G, generator, h):
+        derivs = _derivatives(G, generator)
+        traces = gradient_traces(h[:, None], derivs.values)  # [n, k, l] = h_l . d_k c
+        return Batch(traces[:, i, j] - traces[:, j, i], derivs.errors)
+
+    return _solve_chunks(model, points, solve)
 
 
 def curvature(model: LindbladModel, point, i: int = 0, j: int = 1) -> float:
     """F_ij at one point: the one-point call of `curvatures`; errors propagate."""
-    return float(curvatures(model, [point], i, j).single())
+    return float(curvatures(model, [point], i, j).at(0))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,6 +207,45 @@ def density_matrices(vectors) -> np.ndarray:
     return _affine_sum(vectors, hermitian_basis(math.isqrt(vectors.shape[-1])))
 
 
+def _generators(h: np.ndarray, rates: np.ndarray, ops) -> np.ndarray:
+    """Real generator stacks (M, 1 + n_params, d^2, d^2), one per row of
+    ``rates`` (M, n_channels), from the coherence coefficients ``h``
+    (M, 1 + n_params, d^2) of H_0 and the H_i, and the collapse operators
+    ``ops``.
+
+    Slot 0 adds rate * D[L] for each channel in channel order, so a row's
+    stack does not depend on the other rows: a LindbladModel is the case
+    M = 1, and a sweep over rates gives each row the model's generator bit
+    for bit. The trace row is zeroed.
+    """
+    dim = h.shape[-1]
+    d = math.isqrt(dim)
+    gen = (h @ _basis_tensors(d)[2]).reshape(h.shape[:-1] + (dim, dim))
+    slot0 = gen[:, 0]
+    for rate, L in zip(rates.T[..., None, None], ops):
+        slot0 += rate * _channel_generator(d, L.tobytes())
+    gen[:, :, 0] = 0.0
+    return gen
+
+
+class GeneratorStack(NamedTuple):
+    """The generators of every point of a batched evaluation.
+
+    Point n evaluates with the stack ``generator[index[n]]``
+    (1 + n_params, d^2, d^2), laid out like `LindbladModel.generator`, and
+    the coefficients ``h[index[n]]`` (n_params, d^2) of `LindbladModel.h`.
+    The tables hold one entry per distinct model, so a sweep over rates or
+    over a frozen Hamiltonian parameter is one call, and the kernels gather
+    the per-point stacks one chunk of points at a time, never all at once.
+    A single model is the broadcast case: a table of one entry, the
+    model's own arrays, that every point indexes (`point_stack`).
+    """
+
+    generator: np.ndarray
+    h: np.ndarray
+    index: np.ndarray
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """A Hamiltonian family plus rate-weighted collapse channels.
@@ -248,13 +288,9 @@ class LindbladModel:
             checked.append((rate, L))
         h = coherence_vectors(np.concatenate([self.hamiltonian.base[None],
                                               self.hamiltonian.generators]))
-        gen = (h @ _basis_tensors(d)[2]).reshape(-1, d * d, d * d)
-        for rate, L in checked:
-            if rate:
-                gen[0] += rate * _channel_generator(d, L.tobytes())
-        gen[:, 0] = 0.0
+        gen = _generators(h[None], np.array([[rate for rate, _ in checked]]), [L for _, L in checked])
         object.__setattr__(self, "channels", tuple(checked))
-        object.__setattr__(self, "generator", _read_only(gen))
+        object.__setattr__(self, "generator", _read_only(gen[0]))
         object.__setattr__(self, "h", _read_only(h[1:]))
 
     @property
@@ -281,6 +317,45 @@ def tls_model(gamma: float, gamma_phi: float = 0.0) -> LindbladModel:
         label="tls",
         params={"gamma": float(gamma), "gamma_phi": float(gamma_phi)},
     )
+
+
+def point_stack(model, n: int) -> GeneratorStack:
+    """The GeneratorStack of ``n`` points: a GeneratorStack with one index
+    entry per point is returned as it is, and a LindbladModel becomes a
+    table of its one entry, without a copy, that every point indexes."""
+    if isinstance(model, GeneratorStack):
+        if len(model.index) != n:
+            raise ValueError(f"generator stack indexes {len(model.index)} points, expected {n}")
+        return model
+    return GeneratorStack(model.generator[None], model.h[None], np.zeros(n, dtype=np.intp))
+
+
+def _tls_rates(gamma, gamma_phi) -> np.ndarray:
+    """Channel rates (M, 2) of `_tls_channels` for M pairs (gamma, gamma_phi)."""
+    gamma, gamma_phi = np.broadcast_arrays(np.asarray(gamma, dtype=float),
+                                           np.asarray(gamma_phi, dtype=float))
+    if (gamma < 0).any() or (gamma_phi < 0).any():
+        raise InvalidParametersError("rates must be nonnegative")
+    return np.stack([gamma.ravel(), 0.5 * gamma_phi.ravel()], axis=-1)
+
+
+def _tls_stack(h: np.ndarray, gamma, gamma_phi) -> GeneratorStack:
+    """One table entry per rate pair under the TLS channels, indexed in
+    order, for the coherence coefficients ``h`` (1 + n_params, d^2) of a
+    family, or (M, 1 + n_params, d^2) for one family per entry."""
+    rates = _tls_rates(gamma, gamma_phi)
+    h = np.broadcast_to(h, (len(rates),) + h.shape[-2:])
+    return GeneratorStack(_generators(h, rates, (SIGMA_MINUS, SIGMA_Z)), h[:, 1:],
+                          np.arange(len(rates)))
+
+
+def tls_stack(gamma, gamma_phi) -> GeneratorStack:
+    """The `tls_model` of every pair of rates (arrays broadcast to M entries)
+    as one GeneratorStack, indexed in order; each entry is bit-identical to
+    ``tls_model(gamma[m], gamma_phi[m])``."""
+    family = tls_family()
+    return _tls_stack(coherence_vectors(np.concatenate([family.base[None], family.generators])),
+                      gamma, gamma_phi)
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:

@@ -3,9 +3,15 @@
 The master equation is solved in coherence coordinates, rho = sum_a c_a B_a
 over the orthonormal Hermitian basis of `operators.hermitian_basis`, where
 it is the real linear system dc/dt = G(lambda) c with a d^2 x d^2 matrix G.
-`liouvillians` is the one assembly path: the affine combination
-G_0 + sum_i lambda_i G_i of the model's precomputed ``generator`` stack at a
-stack of control points.
+Every kernel takes a stack of control points and, for each point, the
+affine generator stack (G_0, G_1, ..., G_n) of its model: the per-point
+stack (N, 1 + n_params, d^2, d^2), with the per-point coefficients h
+(N, n_params, d^2) of the one-form. A `GeneratorStack` holds them as tables
+of distinct models and a per-point index, so a sweep over rates or over a
+frozen Hamiltonian parameter is one call; a single LindbladModel is the
+broadcast case, one table entry for every point. `_assemble` is the one
+assembly path: G_0 + sum_i lambda_i G_i at every point, for steady states,
+dynamics (`liouvillians`) and tests alike.
 
 The trace row of every generator is exactly zero, so G = [[0, 0], [g, M]]
 with M the (d^2 - 1) x (d^2 - 1) block below it, and a unit-trace state has
@@ -19,7 +25,8 @@ steady state is only returned when it is unique and well determined:
   the sign from `np.linalg.slogdet` is 0): DegenerateSteadyStateError. A
   Lindblad generator always has a steady state c, so M r = 0 makes (0, r) a
   second null direction beside it.
-- Frobenius condition number ||M||_F ||M^-1||_F above CONDITION_LIMIT:
+- Frobenius condition number ||M||_F ||M^-1||_F above CONDITION_LIMIT, or
+  not finite because a nearly singular M overflowed its inverse:
   NoSteadyStateError. It bounds the 2-norm condition number from above,
   within a factor d^2 - 1.
 
@@ -27,9 +34,11 @@ The tests run as array comparisons over the stack, and error objects are
 built for the failed points only.
 
 `steady_vectors` solves a stack of control points with one stacked `inv` of
-M per chunk of CHUNK_POINTS; `steady_states` returns the same states as
-density matrices. Each point's arithmetic does not depend on the stack it is
-in, so `steady_state`, the one-point call, gives bit-identical states.
+M per chunk of CHUNK_POINTS, gathering the chunk's per-point generators
+from the tables, so the generator temporaries stay at chunk size; `steady_states`
+returns the same states as density matrices. Each point's arithmetic does
+not depend on the stack it is in or on the models of the other points, so
+`steady_state`, the one-point call of one model, gives bit-identical states.
 
 `steady_vector_derivatives` reuses each chunk's M^-1 for the exact linear
 response: d_i c solves G d_i c = -G_i c (Avron, Fraas, Graf & Grech, Commun.
@@ -41,13 +50,14 @@ first row of G_i is zero too, so the other coordinates are
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, InvalidParametersError, NoSteadyStateError
-from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, _affine_sum,
-                        density_matrices, hermitian_basis)
+from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, density_matrices,
+                        hermitian_basis, point_stack)
 
 CONDITION_LIMIT = 1e8
 CHUNK_POINTS = 256
@@ -77,11 +87,22 @@ class Batch(NamedTuple):
                 return n, err
         return None
 
-    def single(self):
-        """The value of a one-point batch; raises that point's error."""
-        if self.errors[0] is not None:
-            raise self.errors[0]
-        return self.values[0]
+    def at(self, n: int):
+        """The value of point n; raises that point's error."""
+        if self.errors[n] is not None:
+            raise self.errors[n]
+        return self.values[n]
+
+
+def _assemble(generator: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """G_0 + sum_i lambda_i G_i for generator stacks (..., 1 + n_params, d^2,
+    d^2), per point or one model's stack that broadcasts to every point, and
+    points (..., n_params), formed one term at a time so each matrix does not
+    depend on the stack it is in."""
+    out = generator[..., 0, :, :]
+    for i in range(points.shape[-1]):
+        out = out + points[..., i, None, None] * generator[..., 1 + i, :, :]
+    return out
 
 
 def liouvillians(model: LindbladModel, points) -> np.ndarray:
@@ -89,14 +110,13 @@ def liouvillians(model: LindbladModel, points) -> np.ndarray:
 
     ``points`` of shape (..., n_params) give shape (..., d^2, d^2): the
     affine combination G_0 + sum_i lambda_i G_i of the model's ``generator``
-    stack, formed one term at a time so each matrix does not depend on the
-    stack it is in. The first row is zero.
+    stack, which broadcasts against every point. The first row is zero.
     """
     points = np.asarray(points, dtype=float)
     gen = model.generator
     if points.shape[-1:] != (len(gen) - 1,):
         raise ValueError(f"points must have {len(gen) - 1} coordinates, got shape {points.shape}")
-    return _affine_sum(points, gen[1:], gen[0])
+    return _assemble(gen, points)
 
 
 def _solve_error(generator: np.ndarray, singular: bool, cond: float):
@@ -112,7 +132,7 @@ def _solve_error(generator: np.ndarray, singular: bool, cond: float):
         f"exceeds {CONDITION_LIMIT:.0e}")
 
 
-def _factor(G: np.ndarray, dim: int):
+def _factor(G: np.ndarray):
     """Steady coherence vectors of a stack (N, d^2, d^2) of generators, as a
     Batch, and the inverses of their blocks M, for the derivatives.
 
@@ -130,9 +150,11 @@ def _factor(G: np.ndarray, dim: int):
         singular = np.zeros(len(G), dtype=bool)
     cond = np.sqrt(np.einsum("nij,nij->n", m, m) * np.einsum("nij,nij->n", inv, inv))
     failed = singular | ~(cond <= CONDITION_LIMIT)
+    inv[failed] = 0.0  # a failed point's inverse may have overflowed; keep it out of the states
     errors = [None] * len(G)
     for n in np.flatnonzero(failed):
         errors[n] = _solve_error(G[n], singular[n], cond[n])
+    dim = math.isqrt(G.shape[-1])
     c0 = 1.0 / (dim * hermitian_basis(dim)[0, 0, 0].real)  # unit trace in the stored basis
     vectors = np.empty(G.shape[:2])
     vectors[:, 0] = c0
@@ -141,59 +163,83 @@ def _factor(G: np.ndarray, dim: int):
     return Batch(vectors, tuple(errors)), inv
 
 
-def _derivatives(G: np.ndarray, model: LindbladModel) -> Batch:
-    """d_i c for each family generator at a stack of generators, from the
-    inverses that also give the steady coherence vectors.
+def _derivatives(G: np.ndarray, generator: np.ndarray) -> Batch:
+    """d_i c for each family generator at a stack of generators G, with the
+    per-point generator stacks they were assembled from, from the inverses
+    that also give the steady coherence vectors.
 
     A failed point's state is NaN, so its right-hand side and solution are
     NaN too.
     """
-    states, inv = _factor(G, model.dim)
+    states, inv = _factor(G)
     c = states.values
-    rhs = (model.generator[1:, 1:] @ c[:, None, :, None])[..., 0]  # (G_i c) below the trace row
+    rhs = (generator[:, 1:, 1:] @ c[:, None, :, None])[..., 0]  # (G_i c) below the trace row
     x = np.empty(rhs.shape[:2] + c.shape[1:])
     x[..., 0] = c[:, None, 0] * 0.0  # d_i c_0 = 0, NaN where the point failed
     x[..., 1:] = -(inv @ rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
     return Batch(x, states.errors)
 
 
-def _solve_chunks(model: LindbladModel, points, solve) -> Batch:
-    """``solve(G)`` on the generators of each chunk of CHUNK_POINTS points,
-    joined into one Batch over the stack. A non-finite point raises
-    InvalidParametersError for the whole stack, before any assembly."""
+def _not_finite(points: np.ndarray):
+    """InvalidParametersError naming the first non-finite point of a stack
+    (N, n_params), or None if every point is finite."""
+    finite = np.isfinite(points).all(axis=1)
+    if finite.all():
+        return None
+    n = int(np.argmin(finite))
+    return InvalidParametersError(f"control point {n} is not finite: {points[n].tolist()}")
+
+
+def _solve_chunks(model, points, solve) -> Batch:
+    """``solve(G, generator, h)`` on each chunk of CHUNK_POINTS points, joined
+    into one Batch over the stack: G are the chunk's assembled generators,
+    ``generator`` and ``h`` its per-point generator stacks and coefficients.
+
+    ``model`` is a LindbladModel, broadcast to every point, or a
+    GeneratorStack with one index entry per point (`point_stack`). A
+    non-finite point raises InvalidParametersError for the whole stack,
+    before any assembly.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be a (N, n_params) stack, got shape {points.shape}")
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        n = int(np.argmin(finite))
-        raise InvalidParametersError(f"control point {n} is not finite: {points[n].tolist()}")
+    bad = _not_finite(points)
+    if bad is not None:
+        raise bad
+    stack = point_stack(model, len(points))
+    n_params = stack.generator.shape[1] - 1
+    if points.shape[1] != n_params:
+        raise ValueError(f"points must have {n_params} coordinates, got shape {points.shape}")
+    parts = []
     # an empty stack still runs one (empty) chunk, so the values keep their shape
-    parts = [solve(liouvillians(model, points[lo:lo + CHUNK_POINTS]))
-             for lo in range(0, max(1, len(points)), CHUNK_POINTS)]
+    for lo in range(0, max(1, len(points)), CHUNK_POINTS):
+        index = stack.index[lo:lo + CHUNK_POINTS]
+        generator = stack.generator[index]
+        parts.append(solve(_assemble(generator, points[lo:lo + CHUNK_POINTS]), generator,
+                           stack.h[index]))
     return Batch(np.concatenate([part.values for part in parts]),
                  tuple(itertools.chain.from_iterable(part.errors for part in parts)))
 
 
-def steady_vectors(model: LindbladModel, points) -> Batch:
+def steady_vectors(model, points) -> Batch:
     """Steady coherence vectors c, with rho = sum_a c_a B_a, at a stack of
     points: shape (N, d^2), NaN and the error of `steady_states` where a
     point fails."""
-    return _solve_chunks(model, points, lambda G: _factor(G, model.dim)[0])
+    return _solve_chunks(model, points, lambda G, generator, h: _factor(G)[0])
 
 
-def steady_vector_derivatives(model: LindbladModel, points) -> Batch:
+def steady_vector_derivatives(model, points) -> Batch:
     """Exact d c / d lambda_i at a stack of points, shape (N, n_params, d^2),
     from the same chunked factorization as `steady_vectors`."""
-    return _solve_chunks(model, points, lambda G: _derivatives(G, model))
+    return _solve_chunks(model, points, lambda G, generator, h: _derivatives(G, generator))
 
 
-def steady_states(model: LindbladModel, points) -> Batch:
+def steady_states(model, points) -> Batch:
     """Unique steady states of the model at a stack of control points.
 
     Parameters
     ----------
-    model : LindbladModel
+    model : LindbladModel or GeneratorStack
     points : array-like, shape (N, n_params)
 
     Returns
@@ -217,7 +263,7 @@ def steady_state(model: LindbladModel, point) -> np.ndarray:
     The one-point call of `steady_states`; returns the d x d density matrix
     and raises that point's DegenerateSteadyStateError or NoSteadyStateError.
     """
-    return steady_states(model, [point]).single()
+    return steady_states(model, [point]).at(0)
 
 
 def bloch_components(rho: np.ndarray) -> BlochVector:

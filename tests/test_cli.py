@@ -251,6 +251,28 @@ def test_loops_run(tmp_path):
     assert "h" not in meta
 
 
+FAR_LOOP = {"id": "far", "kind": "circle", "center": [1e9, 0.5], "radii": [0.2, 0.1]}
+# the first failure that a one-cell-at-a-time loop reports for this config
+FAR_LOOP_FAILURE = ("numeric failure: condition number 1.414e+09 of the generator block below "
+                    "the trace row exceeds 1e+08 [path sample s=0, point=[1000000000.2, 0.5]]\n")
+
+
+@pytest.mark.parametrize("command, config", [
+    ("loops", dict(LOOPS_SMALL, cycles=[DEFAULT_LOOPS[1], FAR_LOOP], n_path=64)),
+    ("orientation", {"cycles": [DEFAULT_LOOPS[1], FAR_LOOP], "gamma_phi_sweep": [0.0, 1.0],
+                     "n_path": 64}),
+])
+def test_first_failing_cell_is_reported(tmp_path, capsys, command, config):
+    # every cell is evaluated in one batched call, yet the error is that of the
+    # first failing (gamma_phi, cycle) cell in output order: cell (0, far),
+    # whose first path sample trips the condition limit; its flux and the
+    # later cells fail too
+    code, out = run(tmp_path, command, config)
+    assert code == 1
+    assert capsys.readouterr().err == FAR_LOOP_FAILURE
+    assert not (out / f"{command}.csv").exists()
+
+
 def test_loops_rejects_unsorted_sweep(tmp_path):
     code, _ = run(tmp_path, "loops", dict(LOOPS_SMALL, gamma_phi_sweep=[5.0, 0.0]))
     assert code == 2

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import geomwork.cycles as cycles
 from closed_forms import gauge_shift_residual
-from geomwork import (Circle, ConfigError, DegenerateSteadyStateError,
-                      DriveSchedule, Rectangle, WorkResult, curvature_closed_form_tls,
-                      cycle_from_json, cycle_to_json, cycle_work, flux_work,
-                      line_integral_work, reverse, tls_model)
+from geomwork import (Circle, ConfigError, DegenerateSteadyStateError, DriveSchedule,
+                      GeomworkError, Rectangle, WorkResult, curvature_closed_form_tls,
+                      cycle_from_json, cycle_to_json, cycle_work, flux_work, flux_works,
+                      line_integral_work, line_integral_works, reverse, tls_model, tls_stack)
 
 LOOP_B = Circle((0.0, 0.6), (0.4, 0.3))
 LOOP_C = Circle((0.8, 0.0), (0.3, 0.4))
@@ -369,3 +369,30 @@ def test_gauge_shift_by_trig_chi_converges(cyc, n, gamma_phi):
 def test_reversal_negates_line_work_on_random_cycles(cyc, n, gamma_phi):
     model = tls_model(1.0, gamma_phi)
     assert abs(line_integral_work(model, cyc, n) + line_integral_work(model, reverse(cyc), n)) <= 1e-14
+
+
+@settings(max_examples=20, deadline=None)
+@given(cells=st.lists(st.tuples(_cycles, st.floats(0.0, 5.0)), min_size=1, max_size=4),
+       failing_at=st.integers(0, 4), n=st.integers(2, 16), m=st.integers(4, 8))
+def test_cycle_batches_match_one_model_per_cycle(cells, failing_at, n, m):
+    # every cycle with its own model in one batched call, against one call per
+    # cycle: the same value bit for bit, or the same error; under pure
+    # dephasing (gamma = 0) the circle's path sample at s = 0.75 and its
+    # flux nodes near omega = 0 are degenerate or ill-conditioned
+    cells = [(cyc, 1.0, gp) for cyc, gp in cells]
+    at = failing_at % (len(cells) + 1)
+    cells.insert(at, (Circle((1.0, 0.5), (0.2, 0.5)), 0.0, 1.0))
+    cycs, gamma, gamma_phi = (list(column) for column in zip(*cells))
+    stack = tls_stack(gamma, gamma_phi)
+    for batched, single, order in ((line_integral_works, line_integral_work, 4 * n),
+                                   (flux_works, flux_work, m)):
+        batch = batched(stack, cycs, order)
+        assert batched is flux_works or isinstance(batch.errors[at], DegenerateSteadyStateError)
+        for c, (cyc, g, gp) in enumerate(cells):
+            try:
+                one = single(tls_model(g, gp), cyc, order)
+            except GeomworkError as exc:
+                assert type(batch.errors[c]) is type(exc) and str(batch.errors[c]) == str(exc)
+                assert np.isnan(batch.values[c])
+            else:
+                assert batch.errors[c] is None and batch.values[c] == one

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import geomwork
 from fd_oracle import curvature_fd
 from geomwork import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, DegenerateSteadyStateError,
-                      GridSpec, InvalidParametersError, ParamHamiltonian, curvature,
-                      curvature_closed_form_tls, curvature_field, curvatures, ssh_model,
-                      steady_state, steady_states, tls_model, tls_steady_closed_form,
-                      work_one_form, work_one_forms)
+                      GeomworkError, GridSpec, InvalidParametersError, ParamHamiltonian,
+                      curvature, curvature_closed_form_tls, curvature_field, curvatures,
+                      ssh_model, ssh_stack, steady_state, steady_states, tls_model, tls_stack,
+                      tls_steady_closed_form, validate_density_matrix, work_one_form,
+                      work_one_forms)
 from geomwork.steadystate import CHUNK_POINTS
 
 
@@ -197,7 +198,7 @@ def _bits(x):
 def _error_or_value(fn, *args):
     try:
         return fn(*args)
-    except DegenerateSteadyStateError as exc:
+    except GeomworkError as exc:
         return exc
 
 
@@ -234,6 +235,80 @@ def test_batched_matches_per_point(gamma, gamma_phi, points, degenerate_delta, d
                 assert batch.errors[n] is None
                 assert _bits(batch.values[n]) == _bits(one)
     assert sum(err is not None for err in curvs.errors) == (gamma == 0.0)
+
+
+_momentum = st.floats(-np.pi, np.pi).filter(lambda k: k > -np.pi)  # k in (-pi, pi]
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["tls", "ssh"]),
+       entries=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 5.0), _momentum,
+                                  _coord, _drive, st.booleans()), min_size=1, max_size=5),
+       failing_at=st.integers(0, 5))
+def test_sweep_stack_matches_one_model_per_point(family, entries, failing_at):
+    # One batched call over a stack of models, one (gamma, gamma_phi, k) per
+    # point, against one model per point: the generators are bit-identical
+    # and each point's arithmetic is unchanged, so the values agree bit for
+    # bit. gamma = gamma_phi = 0 leaves a purely coherent generator whose
+    # block M is singular, so that entry fails with its own error. The
+    # entries straddle the first chunk boundary, behind filler points that
+    # use the entry after the failing one.
+    entries = [(g, gp, k, (d, o if positive else -o)) for g, gp, k, d, o, positive in entries]
+    at = failing_at % (len(entries) + 1)
+    entries.insert(at, (0.0, 0.0) + entries[0][2:])
+    gamma, gamma_phi, ks, points = (list(column) for column in zip(*entries))
+    if family == "tls":
+        stack = tls_stack(gamma, gamma_phi)
+        models = [tls_model(g, gp) for g, gp in zip(gamma, gamma_phi)]
+    else:
+        stack = ssh_stack(gamma, gamma_phi, ks)
+        models = [ssh_model(g, gp, k) for g, gp, k in zip(gamma, gamma_phi, ks)]
+    filler = CHUNK_POINTS - len(entries) // 2
+    stack = stack._replace(index=np.concatenate([np.full(filler, (at + 1) % len(entries)),
+                                                 np.arange(len(entries))]))
+    nodes = np.array([points[(at + 1) % len(entries)]] * filler + points)
+    for batched, single in ((steady_states, steady_state), (work_one_forms, work_one_form),
+                            (curvatures, curvature)):
+        batch = batched(stack, nodes)
+        assert all(err is None for err in batch.errors[:filler])
+        for m, (model, point) in enumerate(zip(models, points)):
+            n = filler + m
+            one = _error_or_value(single, model, point)
+            if m == at:
+                assert isinstance(one, GeomworkError)
+                assert type(batch.errors[n]) is type(one) and str(batch.errors[n]) == str(one)
+                assert np.all(np.isnan(batch.values[n]))
+            else:
+                assert batch.errors[n] is None
+                assert _bits(batch.values[n]) == _bits(one)
+
+
+@settings(max_examples=25, deadline=None)
+@given(entries=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 5.0), _coord,
+                                  st.floats(0.05, 3.0), st.booleans()), min_size=1, max_size=4))
+def test_random_rates_give_positive_states_and_agreeing_curvature(entries):
+    # every (gamma, gamma_phi, delta, omega) point in one stack: the state is
+    # a valid density matrix, and the linear-response curvature equals the
+    # closed form (tolerance of test_curvature_matches_closed_form) and the
+    # finite-difference oracle (tolerance of test_ssh_curvature_matches_fd_oracle:
+    # twice the oracle's own error, estimated by step halving)
+    gamma, gamma_phi, points = [], [], []
+    for g, gp, delta, omega, negative in entries:
+        gamma.append(g)
+        gamma_phi.append(gp)
+        points.append((delta, -omega if negative else omega))
+    stack = tls_stack(gamma, gamma_phi)
+    states = steady_states(stack, points)
+    curv = curvatures(stack, points)
+    for m, (g, gp, point) in enumerate(zip(gamma, gamma_phi, points)):
+        validate_density_matrix(states.at(m))
+        f = curv.at(m)
+        ref = curvature_closed_form_tls(*point, g, gp)
+        assert abs(f - ref) <= 1e-10 * abs(ref) + 1e-13
+        model = tls_model(g, gp)
+        fd_h = curvature_fd(model, point, h=1e-3)
+        fd_half = curvature_fd(model, point, h=5e-4)
+        assert abs(f - fd_h) <= 2.0 * 4.0 / 3.0 * abs(fd_h - fd_half) + 1e-9
 
 
 def test_non_hermitian_gradient_raises_typed_error():

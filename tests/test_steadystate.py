@@ -6,8 +6,9 @@ import pytest
 from closed_forms import density_from_bloch
 from complex_oracle import complex_liouvillians, hamiltonian_superop, lindblad_rhs, vec
 from geomwork import (DegenerateSteadyStateError, InvalidParametersError, LindbladModel,
-                      NoSteadyStateError, ParamHamiltonian, bloch_components, liouvillians,
-                      steady_state, steady_states, tls_model, tls_steady_closed_form)
+                      NoSteadyStateError, ParamHamiltonian, bloch_components, curvature,
+                      liouvillians, ssh_model, steady_state, steady_states, tls_model,
+                      tls_steady_closed_form)
 from geomwork.operators import coherence_vectors, density_matrices
 from geomwork.steadystate import steady_vector_derivatives
 
@@ -149,6 +150,17 @@ def test_missing_null_space_is_an_error():
     # trace row has singular values 1e9, 1e9 and 1
     with pytest.raises(NoSteadyStateError, match="condition number"):
         steady_state(tls_model(1.0), (1e9, 0.5))
+
+
+def test_overflowing_inverse_is_a_typed_error():
+    # without dissipation the block M is singular, but a subnormal momentum
+    # leaves a subnormal pivot, so the inverse overflows instead of raising;
+    # the point fails on its non-finite condition number, without a RuntimeWarning
+    model = ssh_model(0.0, 0.0, 2.2250738585e-313)
+    with pytest.raises(NoSteadyStateError, match=r"condition number (inf|nan) "):
+        steady_state(model, (0.0, 1.0))
+    with pytest.raises(NoSteadyStateError, match=r"condition number (inf|nan) "):
+        curvature(model, (0.0, 1.0))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
