@@ -2,7 +2,8 @@
 
 The pipeline: Lindblad models over affine Hamiltonian families
 H = H_0 + sum_i lambda_i H_i, with Hermiticity checked when a family is built
-(`operators`), steady states from the Liouvillian null space (`steadystate`),
+(`operators`), steady states by one solve with the real generator below its
+trace row (`steadystate`),
 the work one-form and curvature over control space (`geometry`), cycle work
 by line and flux integrals (`cycles`), dynamical verification of the
 quasistatic limit (`dynamics`), the hopping-plane case study (`ssh`), and a
@@ -23,13 +24,12 @@ from .operators import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorStack, 
 from .steadystate import (Batch, BlochVector, bloch_components, liouvillians,
                           steady_state, steady_states, tls_steady_closed_form)
 from .geometry import (GridSpec, curvature, curvature_closed_form_tls,
-                       curvature_field, curvatures, work_one_form, work_one_forms)
-from .cycles import (Circle, Cycle, Rectangle, WorkResult, cycle_from_json, cycle_to_json,
-                     cycle_work, flux_work, flux_works, line_integral_work,
-                     line_integral_works, reverse)
+                       curvature_field, curvatures, work_one_forms)
+from .cycles import (Circle, Cycle, Rectangle, cycle_from_json, cycle_to_json, flux_works,
+                     line_integral_work, line_integral_works, reverse)
 from .dynamics import (ConvergencePoint, DriveSchedule, Trajectory, accumulated_work,
                        dynamic_work, errors_decreasing, evolve, quasistatic_convergence)
-from .ssh import ssh_curvature, ssh_family, ssh_model, ssh_stack
+from .ssh import ssh_family, ssh_model, ssh_stack
 
 __all__ = [
     "__version__",
@@ -41,13 +41,12 @@ __all__ = [
     "GeneratorStack", "tls_stack",
     "BlochVector", "liouvillians", "Batch",
     "steady_state", "steady_states", "bloch_components", "tls_steady_closed_form",
-    "work_one_form", "work_one_forms", "curvature_closed_form_tls",
+    "work_one_forms", "curvature_closed_form_tls",
     "curvature", "curvatures", "GridSpec", "curvature_field",
     "Circle", "Rectangle", "Cycle", "reverse", "cycle_to_json",
-    "cycle_from_json", "line_integral_work", "flux_work", "WorkResult", "cycle_work",
-    "line_integral_works", "flux_works",
+    "cycle_from_json", "line_integral_work", "line_integral_works", "flux_works",
     "DriveSchedule", "Trajectory", "evolve",
     "accumulated_work", "dynamic_work", "ConvergencePoint", "errors_decreasing",
     "quasistatic_convergence",
-    "ssh_family", "ssh_model", "ssh_stack", "ssh_curvature",
+    "ssh_family", "ssh_model", "ssh_stack",
 ]

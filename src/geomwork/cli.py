@@ -46,8 +46,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .cycles import (WorkResult, cycle_from_json, cycle_to_json, flux_works,
-                     line_integral_works, reverse)
+from .cycles import cycle_from_json, cycle_to_json, flux_works, line_integral_works, reverse
 from .dynamics import DriveSchedule, accumulated_work, errors_decreasing, quasistatic_convergence
 from .errors import ConfigError, GeomworkError, check_keys
 from .geometry import GridSpec, curvature_closed_form_tls, curvature_field, curvatures
@@ -352,11 +351,10 @@ def _cmd_loops(resolved: dict, outdir: str) -> int:
     rows = []
     worst = 0.0
     for c, (gp, loop_id, _) in enumerate(cells):
-        wr = WorkResult(float(lines.at(c)), float(fluxes.at(c)),
-                        resolved["n_path"], resolved["m_quad"])
-        worst = max(worst, wr.stokes_residual)
-        rows.append(f"{_fmt(gp)},{loop_id},{_fmt(wr.w_line)},{_fmt(wr.w_flux)},"
-                    f"{_fmt(wr.stokes_residual)}")
+        w_line, w_flux = float(lines.at(c)), float(fluxes.at(c))
+        residual = abs(w_line - w_flux)
+        worst = max(worst, residual)
+        rows.append(f"{_fmt(gp)},{loop_id},{_fmt(w_line)},{_fmt(w_flux)},{_fmt(residual)}")
     _write_csv(os.path.join(outdir, "loops.csv"),
                "gamma_phi,loop_id,w_line,w_flux,stokes_residual", rows)
     _write_json(os.path.join(outdir, "metadata.json"),
@@ -431,16 +429,15 @@ def _cmd_scaling(resolved: dict, outdir: str) -> int:
     gamma = resolved["model"]["gamma"]
     delta, omega = resolved["point"]
     sweep = resolved["gamma2_sweep"]
-    gamma_phi = [g2 - 0.5 * gamma for g2 in sweep]
+    gamma_phi = np.array(sweep) - 0.5 * gamma
     pipeline = curvatures(tls_stack(gamma, gamma_phi), [resolved["point"]] * len(sweep))
-    results = []
-    for n, (g2, gp) in enumerate(zip(sweep, gamma_phi)):
-        f_closed = curvature_closed_form_tls(delta, omega, gamma, gp)
-        f_pipeline = float(pipeline.at(n))
-        b = tls_steady_closed_form(delta, omega, gamma, gp)
-        results.append((g2, abs(f_closed), abs(f_pipeline), abs(b.x), abs(b.y)))
+    if pipeline.first_error() is not None:
+        raise pipeline.first_error()[1]
+    b = tls_steady_closed_form(delta, omega, gamma, gamma_phi)
+    results = np.abs([sweep, curvature_closed_form_tls(delta, omega, gamma, gamma_phi),
+                      pipeline.values, b.x, b.y]).T
     rows = [f"{_fmt(g2)},{_fmt(af)},{_fmt(ax)},{_fmt(ay)}"
-            for g2, af, _afp, ax, ay in results]
+            for g2, af, _afp, ax, ay in results.tolist()]
     _write_csv(os.path.join(outdir, "scaling.csv"), "gamma2,abs_F,abs_x,abs_y", rows)
 
     logs = np.log10(results)

@@ -72,6 +72,12 @@ class Circle:
         radii = _check_pair("radii", self.radii)
         if min(radii) < 0:
             raise ValueError(f"radii must be nonnegative, got {radii}")
+        # bounds on every position, speed and area weight, so that none overflows
+        (c1, c2), (r1, r2) = self.center, radii
+        bounds = (c1 - r1, c1 + r1, c2 - r2, c2 + r2, _TWO_PI * r1, _TWO_PI * r2, _TWO_PI * r1 * r2)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"center +- radii, 2 pi radii and 2 pi r1 r2 must be finite, "
+                             f"got center={self.center}, radii={radii}")
         object.__setattr__(self, "radii", radii)
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
@@ -118,6 +124,10 @@ class Rectangle:
         hi = _check_pair("hi", self.hi)
         if hi[0] < lo[0] or hi[1] < lo[1]:
             raise ValueError(f"rectangle needs hi >= lo componentwise, got lo={lo}, hi={hi}")
+        # bounds on every speed and area weight, so that none overflows
+        size = (hi[0] - lo[0], hi[1] - lo[1])
+        if not all(map(math.isfinite, (4.0 * size[0], 4.0 * size[1], size[0] * size[1]))):
+            raise ValueError(f"4 (hi - lo) and the area must be finite, got lo={lo}, hi={hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if self.orientation not in (1, -1):
@@ -244,9 +254,11 @@ def _integrals(model, cycles, rule, evaluate) -> Batch:
     batch = evaluate(stack._replace(index=np.repeat(stack.index[keep], sizes)), nodes)
     values = np.full(len(cycles), np.nan)
     for c, lo, size in zip(keep, np.cumsum([0] + sizes), sizes):
-        part = Batch(batch.values[lo:lo + size], batch.errors[lo:lo + size])
+        a, b = np.searchsorted(batch.failed, (lo, lo + size))
+        part = Batch(batch.values[lo:lo + size], batch.failed[a:b] - lo, batch.errors[a:b])
         values[c], errors[c] = _weighted_sum(part, *rules[c])
-    return Batch(values, tuple(errors))
+    failed = [c for c, err in enumerate(errors) if err is not None]
+    return Batch(values, np.array(failed, dtype=np.intp), tuple(errors[c] for c in failed))
 
 
 def _path(cycle: Cycle, n: int):
@@ -311,34 +323,3 @@ def flux_works(model, cycles, m: int = 64) -> Batch:
         raise ValueError(f"need Gauss order >= 4, got {m}")
     return _integrals(model, cycles, lambda cycle: _area(cycle, m),
                       lambda stack, nodes: curvatures(stack, nodes, 0, 1))
-
-
-def flux_work(model: LindbladModel, cycle: Cycle, m: int = 64) -> float:
-    """Cycle work as the curvature flux through the enclosed region: the
-    one-cycle call of `flux_works`; the first failing node raises."""
-    return float(flux_works(model, [cycle], m).at(0))
-
-
-@dataclass(frozen=True)
-class WorkResult:
-    """Line-integral and flux evaluations of the same cycle work."""
-
-    w_line: float
-    w_flux: float
-    n_path: int
-    n_quad: int
-
-    @property
-    def stokes_residual(self) -> float:
-        return abs(self.w_line - self.w_flux)
-
-
-def cycle_work(model: LindbladModel, cycle: Cycle, n_path: int = 1024,
-               m_quad: int = 64) -> WorkResult:
-    """Evaluate the cycle work both ways and bundle the Stokes residual."""
-    return WorkResult(
-        w_line=line_integral_work(model, cycle, n_path),
-        w_flux=flux_work(model, cycle, m_quad),
-        n_path=n_path,
-        n_quad=m_quad,
-    )

@@ -43,7 +43,7 @@ import numpy as np
 from .cycles import Cycle, line_integral_work
 from .errors import IntegrationFailureError, StepTooLargeError
 from .geometry import gradient_traces
-from .operators import (LindbladModel, coherence_vectors, density_matrices,
+from .operators import (LindbladModel, _ordered_sum, coherence_vectors, density_matrices,
                         validate_density_matrix)
 from .steadystate import CHUNK_POINTS, liouvillians, steady_state
 
@@ -111,13 +111,10 @@ def _default_time_step(model: LindbladModel, schedule: DriveSchedule) -> float:
 
 def _work_integrands(model: LindbladModel, schedule: DriveSchedule,
                      times: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Tr(rho H_i) lambda_dot_i at a stack of (time, coherence vector) samples."""
-    comps = gradient_traces(model.h, vectors)
-    vel = schedule.velocity_at(times)
-    total = np.zeros(len(times))
-    for i in range(model.hamiltonian.n_params):
-        total += comps[:, i] * vel[:, i]
-    return total
+    """Tr(rho H_i) lambda_dot_i at a stack of (time, coherence vector) samples;
+    the zero base makes a sample whose every term is -0.0 read +0.0."""
+    return _ordered_sum(gradient_traces(model.h, vectors), schedule.velocity_at(times), 0,
+                        np.zeros(len(times)))
 
 
 def _lowest_eigenvalues(vectors: np.ndarray) -> np.ndarray:

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeomworkError, InvalidParametersError
-from .operators import LindbladModel
-from .steadystate import Batch, _derivatives, _factor, _solve_chunks, _tls_denominator
+from .errors import InvalidParametersError
+from .operators import LindbladModel, _ordered_sum
+from .steadystate import (Batch, _derivatives, _factor, _positive_denominator, _solve_chunks,
+                          _tls_denominator)
 
 
 def gradient_traces(h: np.ndarray, vectors) -> np.ndarray:
@@ -31,14 +32,9 @@ def gradient_traces(h: np.ndarray, vectors) -> np.ndarray:
     ``h`` is a model's (n_params, d^2) coefficients, or per-point
     coefficients whose ``h[..., a]`` broadcast against ``vectors[..., a, None]``;
     ``vectors`` has shape (..., d^2) and the result (..., n_params). NaN
-    vectors give NaN rows. Each dot product sums in basis order, one term at
-    a time, so the values do not depend on how the vectors are stacked.
+    vectors give NaN rows.
     """
-    vectors = np.asarray(vectors, dtype=float)
-    out = vectors[..., 0, None] * h[..., 0]
-    for a in range(1, vectors.shape[-1]):
-        out = out + vectors[..., a, None] * h[..., a]
-    return out
+    return _ordered_sum(np.asarray(vectors, dtype=float), h.swapaxes(-1, -2), 1)
 
 
 def _one_forms(G, generator, h) -> Batch:
@@ -59,17 +55,12 @@ def work_one_forms(model, points) -> Batch:
     return _solve_chunks(model, points, _one_forms)
 
 
-def work_one_form(model: LindbladModel, point) -> np.ndarray:
-    """One-form components at one point: the one-point call of `work_one_forms`.
-
-    Steady-state errors propagate.
-    """
-    return work_one_forms(model, [point]).at(0)
-
-
-def curvature_closed_form_tls(delta: float, omega: float, gamma: float,
-                              gamma_phi: float = 0.0) -> float:
+def curvature_closed_form_tls(delta, omega, gamma, gamma_phi=0.0):
     """Closed-form TLS curvature F_{delta omega}.
+
+    Scalar arguments give a Python float; arrays broadcast, and each element
+    is the value of its scalar call. Raises InvalidParametersError unless
+    D > 0 at every point.
 
     F = -2 omega gamma (2 gamma_phi delta^2
         + Gamma_2 (2 Gamma_2^2 + Gamma_2 gamma + 4 omega^2)) / D^2
@@ -79,7 +70,7 @@ def curvature_closed_form_tls(delta: float, omega: float, gamma: float,
     dominates and F -> -4 omega / (gamma Gamma_2) as Gamma_2 -> infinity, with
     relative correction (gamma^2 - 16 omega^2) / (2 gamma Gamma_2).
     """
-    g2, denom = _tls_denominator(delta, omega, gamma, gamma_phi)
+    g2, denom = _positive_denominator(delta, omega, gamma, gamma_phi)
     num = 2.0 * gamma_phi * delta * delta + g2 * (2.0 * g2 * g2 + g2 * gamma + 4.0 * omega * omega)
     return -2.0 * omega * gamma * num / (denom * denom)
 
@@ -99,7 +90,7 @@ def curvatures(model, points, i: int = 0, j: int = 1) -> Batch:
     def solve(G, generator, h):
         derivs = _derivatives(G, generator)
         traces = gradient_traces(h[:, None], derivs.values)  # [n, k, l] = h_l . d_k c
-        return Batch(traces[:, i, j] - traces[:, j, i], derivs.errors)
+        return derivs._replace(values=traces[:, i, j] - traces[:, j, i])
 
     return _solve_chunks(model, points, solve)
 
@@ -162,17 +153,13 @@ def curvature_field(model: LindbladModel, grid: GridSpec,
         raise ValueError(f"unknown method {method!r}")
     if method == "closed_form" and model.label != "tls":
         raise InvalidParametersError("closed_form curvature is only defined for the TLS family")
-    ax1, ax2 = grid.axes()
+    l1, l2 = np.meshgrid(*grid.axes(), indexing="ij")
     if method == "linear_response":
-        nodes = np.stack(np.meshgrid(ax1, ax2, indexing="ij"), axis=-1).reshape(-1, 2)
+        nodes = np.stack([l1, l2], axis=-1).reshape(-1, 2)
         return curvatures(model, nodes).values.reshape(grid.shape)
-    g = model.params.get("gamma")
-    gp = model.params.get("gamma_phi", 0.0)
-
-    def node(l1, l2):
-        try:
-            return curvature_closed_form_tls(l1, l2, g, gp)
-        except GeomworkError:
-            return np.nan
-
-    return np.asarray([[node(l1, l2) for l2 in ax2] for l1 in ax1])
+    g, gp = model.params.get("gamma"), model.params.get("gamma_phi", 0.0)
+    # the closed form exists only where its denominator D is positive
+    ok = _tls_denominator(l1, l2, g, gp)[1] > 0.0
+    field = np.full(grid.shape, np.nan)
+    field[ok] = curvature_closed_form_tls(l1[ok], l2[ok], g, gp)
+    return field

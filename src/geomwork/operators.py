@@ -49,17 +49,21 @@ SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
 SIGMA_MINUS = _read_only(np.array([[0, 0], [1, 0]], dtype=complex))
 
 
-def _affine_sum(coeffs: np.ndarray, terms: np.ndarray, base=None) -> np.ndarray:
-    """base + sum_k coeffs[..., k] * terms[k] for coefficients (..., n) and
-    terms (n, *shape); the result has shape (..., *shape).
+def _ordered_sum(coeffs: np.ndarray, terms: np.ndarray, item_ndim: int, base=None) -> np.ndarray:
+    """base + sum_k coeffs[..., k] * terms[..., k, <item>], where <item> is
+    the last ``item_ndim`` axes of ``terms``; leading axes broadcast.
 
-    The sum runs in term order, one term at a time, so each result does not
-    depend on the stack it is in. Without a base the first term starts it.
+    The sum runs in k order, one term at a time, so each result does not
+    depend on the stack it is in: a reduction (`sum`, `@`, `einsum`) may
+    group the terms differently for different stack shapes, and a batched
+    value would then differ from its one-point call in the last bit. The
+    affine sums, the basis expansions and the one-form's dot products all go
+    through here. Without a base the first term starts the sum.
     """
-    expand = (None,) * (terms.ndim - 1)
+    expand, item = (None,) * item_ndim, (slice(None),) * item_ndim
     out = base
-    for k in range(len(terms)):
-        term = coeffs[(..., k) + expand] * terms[k]
+    for k in range(coeffs.shape[-1]):
+        term = coeffs[(..., k) + expand] * terms[(..., k) + item]
         out = term if out is None else out + term
     return out
 
@@ -116,7 +120,7 @@ class ParamHamiltonian:
         if points.shape[-1:] != (self.n_params,):
             raise ValueError(
                 f"points must have {self.n_params} coordinates, got shape {points.shape}")
-        return _affine_sum(points, self.generators, self.base)
+        return _ordered_sum(points, self.generators, 2, self.base)
 
 
 _TLS_FAMILY = ParamHamiltonian(np.zeros((2, 2)), [0.5 * SIGMA_Z, SIGMA_X])
@@ -198,13 +202,9 @@ def coherence_vectors(ops) -> np.ndarray:
 
 
 def density_matrices(vectors) -> np.ndarray:
-    """sum_a c_a B_a for coherence vectors (..., d^2); shape (..., d, d).
-
-    The sum runs in basis order, one term at a time, so each matrix does not
-    depend on the stack it is in.
-    """
+    """sum_a c_a B_a for coherence vectors (..., d^2); shape (..., d, d)."""
     vectors = np.asarray(vectors, dtype=float)
-    return _affine_sum(vectors, hermitian_basis(math.isqrt(vectors.shape[-1])))
+    return _ordered_sum(vectors, hermitian_basis(math.isqrt(vectors.shape[-1])), 2)
 
 
 def _generators(h: np.ndarray, rates: np.ndarray, ops) -> np.ndarray:
@@ -221,9 +221,8 @@ def _generators(h: np.ndarray, rates: np.ndarray, ops) -> np.ndarray:
     dim = h.shape[-1]
     d = math.isqrt(dim)
     gen = (h @ _basis_tensors(d)[2]).reshape(h.shape[:-1] + (dim, dim))
-    slot0 = gen[:, 0]
-    for rate, L in zip(rates.T[..., None, None], ops):
-        slot0 += rate * _channel_generator(d, L.tobytes())
+    channels = np.array([_channel_generator(d, L.tobytes()) for L in ops])
+    gen[:, 0] = _ordered_sum(rates, channels, 2, gen[:, 0])
     gen[:, :, 0] = 0.0
     return gen
 

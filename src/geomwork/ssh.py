@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import curvature
 from .operators import (SIGMA_X, SIGMA_Y, GeneratorStack, LindbladModel, ParamHamiltonian,
                         _tls_channels, _tls_stack, coherence_vectors)
 
@@ -56,8 +55,3 @@ def ssh_stack(gamma, gamma_phi, k) -> GeneratorStack:
     hamiltonians = np.stack(np.broadcast_arrays(np.zeros((2, 2)), SIGMA_X, _hopping_t2(k)), axis=1)
     gamma, gamma_phi, _ = np.broadcast_arrays(gamma, gamma_phi, k)
     return _tls_stack(coherence_vectors(hamiltonians), gamma, gamma_phi)
-
-
-def ssh_curvature(t1: float, t2: float, k: float, gamma: float, gamma_phi: float) -> float:
-    """Hopping-plane curvature F_{t1 t2} via the generic steady-state pipeline."""
-    return curvature(ssh_model(gamma, gamma_phi, k), (t1, t2), 0, 1)

@@ -31,7 +31,9 @@ steady state is only returned when it is unique and well determined:
   within a factor d^2 - 1.
 
 The tests run as array comparisons over the stack, and error objects are
-built for the failed points only.
+built for the failed points only: a `Batch` holds them beside the ascending
+indices of those points, so a stack with no failure carries no per-point
+entries.
 
 `steady_vectors` solves a stack of control points with one stacked `inv` of
 M per chunk of CHUNK_POINTS, gathering the chunk's per-point generators
@@ -49,15 +51,14 @@ first row of G_i is zero too, so the other coordinates are
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, InvalidParametersError, NoSteadyStateError
-from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, density_matrices,
-                        hermitian_basis, point_stack)
+from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, _ordered_sum,
+                        density_matrices, hermitian_basis, point_stack)
 
 CONDITION_LIMIT = 1e8
 CHUNK_POINTS = 256
@@ -72,37 +73,38 @@ class BlochVector(NamedTuple):
 class Batch(NamedTuple):
     """Per-point results over a stack of control points.
 
-    ``values[n]`` is the result at point n, or NaN where ``errors[n]`` holds
-    the error that point raises when evaluated alone; ``errors[n]`` is None
-    where the point succeeded.
+    ``values[n]`` is the result at point n, or NaN where point n failed.
+    ``failed`` holds the indices of the failed points in ascending order, and
+    ``errors[j]`` the error that point ``failed[j]`` raises when evaluated
+    alone.
     """
 
     values: np.ndarray
+    failed: np.ndarray
     errors: tuple
+
+    def error(self, n: int):
+        """The error of point n, or None where it succeeded."""
+        n = range(len(self.values))[n]
+        return dict(zip(self.failed.tolist(), self.errors)).get(n)
 
     def first_error(self):
         """(index, error) of the first failed point in stack order, or None."""
-        for n, err in enumerate(self.errors):
-            if err is not None:
-                return n, err
-        return None
+        return (int(self.failed[0]), self.errors[0]) if len(self.failed) else None
 
     def at(self, n: int):
         """The value of point n; raises that point's error."""
-        if self.errors[n] is not None:
-            raise self.errors[n]
+        err = self.error(n)
+        if err is not None:
+            raise err
         return self.values[n]
 
 
 def _assemble(generator: np.ndarray, points: np.ndarray) -> np.ndarray:
     """G_0 + sum_i lambda_i G_i for generator stacks (..., 1 + n_params, d^2,
     d^2), per point or one model's stack that broadcasts to every point, and
-    points (..., n_params), formed one term at a time so each matrix does not
-    depend on the stack it is in."""
-    out = generator[..., 0, :, :]
-    for i in range(points.shape[-1]):
-        out = out + points[..., i, None, None] * generator[..., 1 + i, :, :]
-    return out
+    points (..., n_params)."""
+    return _ordered_sum(points, generator[..., 1:, :, :], 2, generator[..., 0, :, :])
 
 
 def liouvillians(model: LindbladModel, points) -> np.ndarray:
@@ -151,16 +153,15 @@ def _factor(G: np.ndarray):
     cond = np.sqrt(np.einsum("nij,nij->n", m, m) * np.einsum("nij,nij->n", inv, inv))
     failed = singular | ~(cond <= CONDITION_LIMIT)
     inv[failed] = 0.0  # a failed point's inverse may have overflowed; keep it out of the states
-    errors = [None] * len(G)
-    for n in np.flatnonzero(failed):
-        errors[n] = _solve_error(G[n], singular[n], cond[n])
+    failed = np.flatnonzero(failed)
     dim = math.isqrt(G.shape[-1])
     c0 = 1.0 / (dim * hermitian_basis(dim)[0, 0, 0].real)  # unit trace in the stored basis
     vectors = np.empty(G.shape[:2])
     vectors[:, 0] = c0
     vectors[:, 1:] = (inv @ G[:, 1:, :1])[..., 0] * -c0
     vectors[failed] = np.nan
-    return Batch(vectors, tuple(errors)), inv
+    errors = tuple(_solve_error(G[n], singular[n], cond[n]) for n in failed)
+    return Batch(vectors, failed, errors), inv
 
 
 def _derivatives(G: np.ndarray, generator: np.ndarray) -> Batch:
@@ -177,7 +178,7 @@ def _derivatives(G: np.ndarray, generator: np.ndarray) -> Batch:
     x = np.empty(rhs.shape[:2] + c.shape[1:])
     x[..., 0] = c[:, None, 0] * 0.0  # d_i c_0 = 0, NaN where the point failed
     x[..., 1:] = -(inv @ rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return Batch(x, states.errors)
+    return states._replace(values=x)
 
 
 def _not_finite(points: np.ndarray):
@@ -215,10 +216,11 @@ def _solve_chunks(model, points, solve) -> Batch:
     for lo in range(0, max(1, len(points)), CHUNK_POINTS):
         index = stack.index[lo:lo + CHUNK_POINTS]
         generator = stack.generator[index]
-        parts.append(solve(_assemble(generator, points[lo:lo + CHUNK_POINTS]), generator,
-                           stack.h[index]))
-    return Batch(np.concatenate([part.values for part in parts]),
-                 tuple(itertools.chain.from_iterable(part.errors for part in parts)))
+        parts.append((lo, solve(_assemble(generator, points[lo:lo + CHUNK_POINTS]), generator,
+                                stack.h[index])))
+    return Batch(np.concatenate([part.values for _, part in parts]),
+                 np.concatenate([part.failed + lo for lo, part in parts]),
+                 tuple(err for _, part in parts for err in part.errors))
 
 
 def steady_vectors(model, points) -> Batch:
@@ -246,9 +248,9 @@ def steady_states(model, points) -> Batch:
     -------
     Batch
         ``values`` has shape (N, d, d): Hermitian, unit-trace states with
-        G c = 0, NaN where the point failed. ``errors[n]`` is the
+        G c = 0, NaN where the point failed. ``error(n)`` is the
         DegenerateSteadyStateError (null space not one-dimensional) or
-        NoSteadyStateError (ill-conditioned block M) of a failed point.
+        NoSteadyStateError (ill-conditioned block M) of a failed point n.
 
     The generators are assembled and factorized CHUNK_POINTS at a time,
     which bounds the size of the temporary stacks.
@@ -278,20 +280,29 @@ def bloch_components(rho: np.ndarray) -> BlochVector:
     )
 
 
-def _tls_denominator(delta: float, omega: float, gamma: float, gamma_phi: float):
+def _tls_denominator(delta, omega, gamma, gamma_phi):
     """Gamma_2 = gamma/2 + gamma_phi and D = 4 omega^2 Gamma_2 + gamma (delta^2
-    + Gamma_2^2) of the two-level closed forms; raises InvalidParametersError
-    unless D > 0."""
+    + Gamma_2^2) of the two-level closed forms, for scalars or arrays that
+    broadcast together; D is not checked."""
     g2 = 0.5 * gamma + gamma_phi
-    denom = 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
-    if denom <= 0.0:
-        raise InvalidParametersError(f"steady-state denominator D = {denom} must be positive")
+    return g2, 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
+
+
+def _positive_denominator(delta, omega, gamma, gamma_phi):
+    """`_tls_denominator`; raises InvalidParametersError unless D > 0 everywhere."""
+    g2, denom = _tls_denominator(delta, omega, gamma, gamma_phi)
+    if np.any(denom <= 0.0):
+        raise InvalidParametersError(
+            f"steady-state denominator D = {np.min(denom)} must be positive")
     return g2, denom
 
 
-def tls_steady_closed_form(delta: float, omega: float, gamma: float,
-                           gamma_phi: float = 0.0) -> BlochVector:
+def tls_steady_closed_form(delta, omega, gamma, gamma_phi=0.0) -> BlochVector:
     """Closed-form steady-state Bloch vector of the driven, damped, dephased TLS.
+
+    Scalar arguments give Python floats; arrays broadcast, and each element
+    is the value of its scalar call. Raises InvalidParametersError unless
+    D > 0 at every point.
 
     With Gamma_2 = gamma/2 + gamma_phi and
     D = 4 omega^2 Gamma_2 + gamma (delta^2 + Gamma_2^2):
@@ -304,7 +315,7 @@ def tls_steady_closed_form(delta: float, omega: float, gamma: float,
     y -> 2 omega / Gamma_2, both with relative correction
     -4 omega^2 / (gamma Gamma_2).
     """
-    g2, denom = _tls_denominator(delta, omega, gamma, gamma_phi)
+    g2, denom = _positive_denominator(delta, omega, gamma, gamma_phi)
     return BlochVector(
         -2.0 * gamma * omega * delta / denom,
         2.0 * gamma * omega * g2 / denom,

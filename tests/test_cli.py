@@ -301,6 +301,21 @@ def test_boolean_cycle_coordinate_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cycle", [
+    {"kind": "circle", "center": [1e308, 0.5], "radii": [1e308, 0.1]},
+    {"kind": "rectangle", "lo": [-1e308, 0.1], "hi": [1e308, 0.5]},
+])
+def test_cycle_whose_extent_overflows_exits_2(tmp_path, capsys, cycle):
+    # the cycle is rejected before any of its positions is formed, so no
+    # overflow warning is raised and nothing is written
+    code, out = run(tmp_path, "loops", dict(LOOPS_SMALL, cycles=[cycle]))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cycles[0]: invalid {cycle['kind']} cycle: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("loop_id", ["a,b", 'a"b', "a\rb", "a\nb"])
 def test_loop_id_that_breaks_the_csv_exits_2(tmp_path, capsys, loop_id):
     config = {"cycles": [dict(DEFAULT_LOOPS[0], id=loop_id)], "gamma_phi_sweep": [0.0],

@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 import geomwork.cycles as cycles
 from closed_forms import gauge_shift_residual
 from geomwork import (Circle, ConfigError, DegenerateSteadyStateError, DriveSchedule,
-                      GeomworkError, Rectangle, WorkResult, curvature_closed_form_tls,
-                      cycle_from_json, cycle_to_json, cycle_work, flux_work, flux_works,
-                      line_integral_work, line_integral_works, reverse, tls_model, tls_stack)
+                      GeomworkError, Rectangle, curvature_closed_form_tls, cycle_from_json,
+                      cycle_to_json, flux_works, line_integral_work, line_integral_works,
+                      reverse, tls_model, tls_stack)
 
 LOOP_B = Circle((0.0, 0.6), (0.4, 0.3))
 LOOP_C = Circle((0.8, 0.0), (0.3, 0.4))
+
+
+def flux_work(model, cycle, m):
+    """The flux work of one cycle: the one-cycle call of `flux_works`."""
+    return float(flux_works(model, [cycle], m).at(0))
 
 
 def test_cycles_are_closed():
@@ -191,6 +196,31 @@ def test_steady_state_failure_names_the_sample():
         flux_work(model, square, 5)  # odd order puts a node row on omega = 0
 
 
+def test_two_failing_cycles_in_one_call():
+    # under pure dephasing (gamma = 0) both rectangles put a path sample and,
+    # at odd Gauss order, a row of flux nodes on omega = 0, where the steady
+    # state is degenerate; each fails with its own error between cycles that
+    # succeed, bit for bit as in one call per cycle
+    cells = [(LOOP_B, 1.0, 0.3), (Rectangle((-0.5, -0.5), (0.5, 0.5)), 0.0, 1.0),
+             (LOOP_C, 1.0, 0.0), (Rectangle((0.1, -0.3), (0.6, 0.3)), 0.0, 2.0),
+             (reverse(LOOP_B), 0.5, 2.0)]
+    cycs, gamma, gamma_phi = (list(column) for column in zip(*cells))
+    for batched, single, order in ((line_integral_works, line_integral_work, 20),
+                                   (flux_works, flux_work, 5)):
+        batch = batched(tls_stack(gamma, gamma_phi), cycs, order)
+        assert batch.failed.tolist() == [1, 3] and batch.first_error()[0] == 1
+        for c, (cyc, g, gp) in enumerate(cells):
+            if c in (1, 3):
+                with pytest.raises(DegenerateSteadyStateError) as one:
+                    single(tls_model(g, gp), cyc, order)
+                assert type(batch.error(c)) is type(one.value)
+                assert str(batch.error(c)) == str(one.value)
+                assert np.isnan(batch.values[c])
+            else:
+                assert batch.error(c) is None
+                assert batch.values[c] == single(tls_model(g, gp), cyc, order)
+
+
 def test_cycle_json_round_trip():
     for cyc in (LOOP_B, reverse(LOOP_B), Rectangle((0.0, 0.1), (1.0, 0.9)),
                 Rectangle((0.0, 0.1), (1.0, 0.9), orientation=-1)):
@@ -231,6 +261,20 @@ def test_cycle_json_rejects_boolean_coordinates(key):
         cycle_from_json(obj)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("obj", [
+    {"kind": "circle", "center": [1e308, 0.5], "radii": [1e308, 0.1]},
+    {"kind": "circle", "center": [0.0, 0.5], "radii": [1e308, 0.1]},  # 2 pi r overflows
+    {"kind": "circle", "center": [0.0, 0.5], "radii": [1e200, 1e200]},  # the area overflows
+    {"kind": "rectangle", "lo": [-1e308, 0.1], "hi": [1e308, 0.5]},
+    {"kind": "rectangle", "lo": [0.0, 0.1], "hi": [1e308, 0.5]},  # 4 (hi - lo) overflows
+    {"kind": "rectangle", "lo": [-1e200, -1e200], "hi": [1e200, 1e200]},
+])
+def test_cycle_whose_extent_overflows_is_rejected(obj):
+    with pytest.raises(ConfigError, match=f"invalid {obj['kind']} cycle: .* must be finite"):
+        cycle_from_json(obj)
+
+
 def test_gauss_legendre_rules_are_cached_read_only():
     nodes, weights = cycles._legendre(8)
     assert cycles._legendre(8)[0] is nodes
@@ -245,22 +289,11 @@ def test_gauss_legendre_rules_are_cached_read_only():
     assert cycles._legendre(8)[0].tobytes() == x.tobytes()
 
 
-def test_work_result_bundles_residual():
-    wr = cycle_work(tls_model(1.0, 0.1), Circle((0.2, 0.7), (0.2, 0.2)), n_path=128, m_quad=12)
-    assert wr.stokes_residual == abs(wr.w_line - wr.w_flux)
-    assert wr.n_path == 128 and wr.n_quad == 12
-    assert isinstance(wr, WorkResult)
-
-
 def test_work_values_are_python_floats():
     model = tls_model(1.0, 0.1)
     for cyc in (Circle((0.2, 0.7), (0.2, 0.2)), Rectangle((-0.2, 0.5), (0.2, 0.9))):
         assert type(line_integral_work(model, cyc, 32)) is float
         assert type(flux_work(model, cyc, 8)) is float
-        wr = cycle_work(model, cyc, n_path=32, m_quad=8)
-        assert type(wr.w_line) is float
-        assert type(wr.w_flux) is float
-        assert type(wr.stokes_residual) is float
 
 
 _circles = st.builds(Circle, st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
@@ -387,12 +420,12 @@ def test_cycle_batches_match_one_model_per_cycle(cells, failing_at, n, m):
     for batched, single, order in ((line_integral_works, line_integral_work, 4 * n),
                                    (flux_works, flux_work, m)):
         batch = batched(stack, cycs, order)
-        assert batched is flux_works or isinstance(batch.errors[at], DegenerateSteadyStateError)
+        assert batched is flux_works or isinstance(batch.error(at), DegenerateSteadyStateError)
         for c, (cyc, g, gp) in enumerate(cells):
             try:
                 one = single(tls_model(g, gp), cyc, order)
             except GeomworkError as exc:
-                assert type(batch.errors[c]) is type(exc) and str(batch.errors[c]) == str(exc)
+                assert type(batch.error(c)) is type(exc) and str(batch.error(c)) == str(exc)
                 assert np.isnan(batch.values[c])
             else:
-                assert batch.errors[c] is None and batch.values[c] == one
+                assert batch.error(c) is None and batch.values[c] == one

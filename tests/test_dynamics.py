@@ -22,10 +22,12 @@ TRACE_DRIFT_LIMIT = 1e-6  # the reference's step-size tripwire
 
 
 def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
-    """Per-step oracle for `evolve`: the RK4 loop that assembles two
-    complex column-stacked Liouvillians and Hermitizes the state at every
-    step, checks its finiteness, trace drift and eigenvalues at every stored
-    step, and evaluates the work integrand one sample at a time. Returns (times, states, work,
+    """Per-step oracle for `evolve`: the RK4 loop on complex column-stacked
+    Liouvillians that Hermitizes the state at every step, checks its
+    finiteness, trace drift and eigenvalues at every stored step, and
+    evaluates the work integrand one sample at a time. Every step's start,
+    mid and end Liouvillians, at the times the loop steps through, come from
+    one `complex_liouvillians` call. Returns (times, states, work,
     herm_residual, trace_drift, min_eigenvalue, n_steps)."""
     rho0 = validate_density_matrix(rho0)
     d = model.dim
@@ -40,8 +42,11 @@ def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
     n_per = stride * int(np.ceil(n_per / stride))
     step = period / n_per
     n_steps = n_per * schedule.repeats
-    def superop(t):
-        return complex_liouvillians(model, schedule.point_at(t))
+    # step k starts at t = k * step, where step k - 1 ended
+    t = np.arange(n_steps) * step
+    superops = complex_liouvillians(
+        model, schedule.point_at(np.concatenate([[0.0], t + 0.5 * step, t + step])))
+    l_mids, l_ends = superops[1:n_steps + 1], superops[n_steps + 1:]
 
     v = rho0.flatten(order="F")
     times = [0.0]
@@ -49,12 +54,8 @@ def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
     herm_residual = 0.0
     trace_drift = 0.0
     min_eigenvalue = np.inf
-    l_end = superop(0.0)
     for k in range(n_steps):
-        t = k * step
-        l_start = l_end
-        l_mid = superop(t + 0.5 * step)
-        l_end = superop(t + step)
+        l_start, l_mid, l_end = superops[0] if k == 0 else l_ends[k - 1], l_mids[k], l_ends[k]
         k1 = l_start @ v
         k2 = l_mid @ (v + (0.5 * step) * k1)
         k3 = l_mid @ (v + (0.5 * step) * k2)

@@ -16,9 +16,13 @@ from geomwork import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, DegenerateSteadyStateError,
                       GeomworkError, GridSpec, InvalidParametersError, ParamHamiltonian,
                       curvature, curvature_closed_form_tls, curvature_field, curvatures,
                       ssh_model, ssh_stack, steady_state, steady_states, tls_model, tls_stack,
-                      tls_steady_closed_form, validate_density_matrix, work_one_form,
-                      work_one_forms)
+                      tls_steady_closed_form, validate_density_matrix, work_one_forms)
 from geomwork.steadystate import CHUNK_POINTS
+
+
+def work_one_form(model, point):
+    """The one-form at one point: the one-point call of `work_one_forms`."""
+    return work_one_forms(model, [point]).at(0)
 
 
 def test_one_form_matches_closed_form_components():
@@ -60,6 +64,26 @@ def test_curvature_parity():
         f = curvature_closed_form_tls(d, o, g, gp)
         assert curvature_closed_form_tls(-d, o, g, gp) == pytest.approx(f, rel=1e-12)
         assert curvature_closed_form_tls(d, -o, g, gp) == pytest.approx(-f, rel=1e-12)
+
+
+def test_closed_forms_broadcast_like_scalar_calls():
+    # arrays give each element's scalar call bit for bit; scalars give floats
+    rng = np.random.default_rng(61)
+    delta, omega = rng.uniform(-3, 3, size=(2, 4, 5))
+    gamma, gamma_phi = rng.uniform(0.2, 2.0, 5), rng.uniform(0.0, 2.0, 4)[:, None]
+    f = curvature_closed_form_tls(delta, omega, gamma, gamma_phi)
+    b = tls_steady_closed_form(delta, omega, gamma, gamma_phi)
+    assert f.shape == b.x.shape == b.y.shape == b.z.shape == (4, 5)
+    for m, n in np.ndindex(4, 5):
+        args = (float(delta[m, n]), float(omega[m, n]), float(gamma[n]), float(gamma_phi[m, 0]))
+        one, b_one = curvature_closed_form_tls(*args), tls_steady_closed_form(*args)
+        assert type(one) is float and all(type(v) is float for v in b_one)
+        assert _bits(f[m, n]) == _bits(one)
+        assert _bits([b.x[m, n], b.y[m, n], b.z[m, n]]) == _bits(list(b_one))
+    # one point with D = 0 (no decay and no drive) fails the whole array
+    for closed_form in (curvature_closed_form_tls, tls_steady_closed_form):
+        with pytest.raises(InvalidParametersError, match="D = 0.0 must be positive"):
+            closed_form(np.array([0.3, 0.3]), np.array([0.5, 0.0]), 0.0, 1.0)
 
 
 def test_curvature_antisymmetry_is_structural():
@@ -125,10 +149,10 @@ def test_failed_node_fails_alone_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             batch = curvatures(model, points)
-        assert isinstance(batch.errors[0], DegenerateSteadyStateError)
-        assert message in str(batch.errors[0])
+        assert isinstance(batch.error(0), DegenerateSteadyStateError)
+        assert message in str(batch.error(0))
         assert np.isnan(batch.values[0])
-        assert all(err is None for err in batch.errors[1:])
+        assert batch.failed.tolist() == [0]
         assert np.all(np.isfinite(batch.values[1:]))
         with pytest.raises(DegenerateSteadyStateError, match=message):
             curvature(model, points[0])
@@ -229,12 +253,12 @@ def test_batched_matches_per_point(gamma, gamma_phi, points, degenerate_delta, d
             one = _error_or_value(single, model, node)
             if failed:
                 assert isinstance(one, DegenerateSteadyStateError)
-                assert type(batch.errors[n]) is type(one) and str(batch.errors[n]) == str(one)
+                assert type(batch.error(n)) is type(one) and str(batch.error(n)) == str(one)
                 assert np.all(np.isnan(batch.values[n]))
             else:
-                assert batch.errors[n] is None
+                assert batch.error(n) is None
                 assert _bits(batch.values[n]) == _bits(one)
-    assert sum(err is not None for err in curvs.errors) == (gamma == 0.0)
+    assert len(curvs.failed) == (gamma == 0.0)
 
 
 _momentum = st.floats(-np.pi, np.pi).filter(lambda k: k > -np.pi)  # k in (-pi, pi]
@@ -270,16 +294,16 @@ def test_sweep_stack_matches_one_model_per_point(family, entries, failing_at):
     for batched, single in ((steady_states, steady_state), (work_one_forms, work_one_form),
                             (curvatures, curvature)):
         batch = batched(stack, nodes)
-        assert all(err is None for err in batch.errors[:filler])
+        assert np.all(batch.failed >= filler)
         for m, (model, point) in enumerate(zip(models, points)):
             n = filler + m
             one = _error_or_value(single, model, point)
             if m == at:
                 assert isinstance(one, GeomworkError)
-                assert type(batch.errors[n]) is type(one) and str(batch.errors[n]) == str(one)
+                assert type(batch.error(n)) is type(one) and str(batch.error(n)) == str(one)
                 assert np.all(np.isnan(batch.values[n]))
             else:
-                assert batch.errors[n] is None
+                assert batch.error(n) is None
                 assert _bits(batch.values[n]) == _bits(one)
 
 
@@ -357,6 +381,50 @@ def test_field_records_failed_nodes_as_missing():
     assert np.isnan(field).sum() == 3
     assert np.all(np.isnan(field[:, 0]))
     assert np.all(np.isfinite(field[:, 1:]))
+
+
+def test_closed_form_field_is_nan_exactly_where_d_vanishes():
+    # without decay D = 4 omega^2 gamma_phi vanishes on the omega = 0 row;
+    # every other node is the scalar closed form bit for bit, -0.0 at gamma = 0
+    grid = GridSpec((-1.0, 0.0), (1.0, 1.0), (3, 3))
+    field = curvature_field(tls_model(0.0, 0.5), grid, "closed_form")
+    ax1, ax2 = grid.axes()
+    assert np.array_equal(np.isnan(field), np.broadcast_to(ax2 == 0.0, (3, 3)))
+    for i, j in np.ndindex(3, 3):
+        if ax2[j] != 0.0:
+            assert _bits(field[i, j]) == _bits(curvature_closed_form_tls(ax1[i], ax2[j], 0.0, 0.5))
+            assert field[i, j] == 0.0 and np.signbit(field[i, j])
+
+
+def test_failures_in_several_chunks_keep_their_indices():
+    # one sweep over two full chunks and a partial third; the gamma =
+    # gamma_phi = 0 entries (a purely coherent generator, whose block M is
+    # singular) fail in the first, a middle and the last chunk, each with
+    # its own error, and every other point is its one-point value bit for bit
+    n = 2 * CHUNK_POINTS + 100
+    failing = [3, CHUNK_POINTS + 17, n - 1]
+    rng = np.random.default_rng(67)
+    gamma, gamma_phi = rng.uniform(0.1, 2.0, n), rng.uniform(0.0, 3.0, n)
+    gamma[failing] = gamma_phi[failing] = 0.0
+    points = np.column_stack([rng.uniform(-3.0, 3.0, n), rng.uniform(0.1, 3.0, n)])
+    models = [tls_model(g, gp) for g, gp in zip(gamma, gamma_phi)]
+    stack = tls_stack(gamma, gamma_phi)
+    for batched, single in ((steady_states, steady_state), (work_one_forms, work_one_form),
+                            (curvatures, curvature)):
+        batch = batched(stack, points)
+        assert batch.failed.tolist() == failing and batch.first_error()[0] == failing[0]
+        assert batch.error(-1) is batch.error(n - 1) is not None
+        with pytest.raises(IndexError):
+            batch.error(n)
+        for m, (model, point) in enumerate(zip(models, points)):
+            one = _error_or_value(single, model, point)
+            if m in failing:
+                assert isinstance(one, DegenerateSteadyStateError)
+                assert type(batch.error(m)) is type(one) and str(batch.error(m)) == str(one)
+                assert np.all(np.isnan(batch.values[m]))
+            else:
+                assert batch.error(m) is None
+                assert _bits(batch.values[m]) == _bits(one)
 
 
 def test_closed_form_method_requires_tls():

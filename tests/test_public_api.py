@@ -10,9 +10,12 @@ REMOVED = ("tls_hamiltonian_grad", "ssh_hamiltonian_grad", "dissipator_superop",
            "WORK_RESULT_CSV_HEADER", "CurvatureField",
            "hamiltonian_superop", "lindblad_rhs", "dissipator", "TRACE_DRIFT_LIMIT",
            "pauli", "IDENTITY_2", "coherence", "steady_state_derivatives",
-           "default_time_step")
-# names that moved to the test oracles in tests/closed_forms.py
-MOVED = ("tls_hamiltonian", "ssh_hamiltonian", "density_from_bloch", "gauge_shift_residual")
+           "default_time_step", "cycle_work", "WorkResult", "ssh_curvature")
+# names that moved to the tests: the oracles in tests/closed_forms.py, and the
+# one-point calls `flux_work` (tests/test_cycles.py) and `work_one_form`
+# (tests/test_geometry.py) of the batched `flux_works` and `work_one_forms`
+MOVED = ("tls_hamiltonian", "ssh_hamiltonian", "density_from_bloch", "gauge_shift_residual",
+         "flux_work", "work_one_form")
 
 
 def test_every_exported_name_resolves():

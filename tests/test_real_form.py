@@ -96,7 +96,7 @@ def test_real_generator_is_the_rotated_liouvillian(model, points):
 def test_real_steady_states_match_the_oracle(model, points):
     states = steady_states(model, points)
     derivs = steady_state_derivatives(model, points)
-    assert states.errors == (None,) * len(points) and derivs.errors == states.errors
+    assert states.failed.size == derivs.failed.size == 0 and states.errors == derivs.errors == ()
     for n, point in enumerate(points):
         assert not is_degenerate(model, point)
         rho = oracle_steady_state(model, point)
@@ -131,9 +131,9 @@ def test_degenerate_points_fail_where_the_oracle_says(case):
     states = steady_states(model, [point])
     derivs = steady_state_derivatives(model, [point])
     for batch in (states, derivs):
-        assert isinstance(batch.errors[0], DegenerateSteadyStateError)
+        assert isinstance(batch.error(0), DegenerateSteadyStateError)
         assert np.isnan(batch.values).all()
-    assert str(derivs.errors[0]) == str(states.errors[0])
+    assert str(derivs.error(0)) == str(states.error(0))
 
 
 def tls_exact(delta, omega, gamma, gamma_phi):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from closed_forms import ssh_hamiltonian
-from geomwork import (SIGMA_X, SIGMA_Y, Circle, line_integral_work,
-                      ssh_curvature, ssh_family, ssh_model)
+from geomwork import (SIGMA_X, SIGMA_Y, Circle, curvature, line_integral_work, ssh_family,
+                      ssh_model)
 
 
 def test_hamiltonian_reduces_at_band_edge():
@@ -41,11 +41,11 @@ def test_model_metadata():
 def test_curvature_vanishes_at_band_edge():
     for t1 in np.linspace(0.2, 2.0, 4):
         for t2 in np.linspace(0.2, 2.0, 4):
-            assert abs(ssh_curvature(t1, t2, np.pi, 1.0, 0.1)) <= 1e-12
+            assert abs(curvature(ssh_model(1.0, 0.1, np.pi), (t1, t2))) <= 1e-12
 
 
 def test_curvature_finite_away_from_band_edge():
-    f = ssh_curvature(1.0, 0.5, np.pi / 2, 1.0, 0.1)
+    f = curvature(ssh_model(1.0, 0.1, np.pi / 2), (1.0, 0.5))
     assert abs(f) > 1e-3
     # exact value from the Bloch equations: at k = pi/2, H = t1 sigma_x +
     # t2 sigma_y, and with Gamma_2 = gamma/2 + gamma_phi the steady state is
