@@ -24,8 +24,9 @@ writes ``config_echo.json`` (the fully resolved configuration, defaults
 applied), ``metadata.json`` (run provenance; its ``created`` timestamp is the
 only non-deterministic field; ``field`` adds the grid, model parameters,
 ``failed_nodes`` and ``max_abs_F``, ``loops`` ``max_stokes_residual``,
-``quasistatic`` a ``stats.integrator`` list with each period's step count
-and the lowest eigenvalue over its stored states) and one CSV per data product.
+``quasistatic`` a ``stats.integrator`` list with each period's step count,
+its step h and the lowest eigenvalue over its stored states) and one CSV
+per data product.
 CSVs use a header row, ``,`` delimiters, ``.`` decimals, LF endings, and
 floats with 17 significant digits; identical configurations produce
 byte-identical data files.
@@ -415,6 +416,8 @@ def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
                                      "monotone_error_decay": monotone,
                                      "stats": {"integrator": [
                                          {"period": p.period, "n_steps": p.trajectory.n_steps,
+                                          # each run is two periods of equal steps
+                                          "step": p.period / (p.trajectory.n_steps // 2),
                                           "min_eigenvalue": p.trajectory.min_eigenvalue}
                                          for p in points]}}))
     print(f"quasistatic: w_geom = {_fmt(points[0].w_geom)}, final abs_error = "

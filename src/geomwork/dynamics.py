@@ -6,13 +6,16 @@ generator G(lambda) evaluated as the drive moves the control point. For the
 linear master equation each RK4 step is a fixed real matrix R_k applied to
 c, built from the step's start, mid and end generators. The drive is
 periodic, so every repeat of the period applies the same R_k, and they are
-built for one period only. Its steps run in chunks: the mid-step and
-end-of-step generators of a chunk are formed in one broadcast call
-(CHUNK_POINTS of them, the bound `steady_states` uses), every R_k of the
-chunk is formed as one stack, and an inclusive log-depth prefix product turns
-the stack into R_k ... R_0. Chained onto the product carried in from the
-previous chunk, this gives the propagator from the period start to each
-stored step, with no loop over steps. Each repeat's stored states are then
+built for one period only. Only every stride-th state is stored, and the
+period's steps run in chunks of whole strides, about 2 * CHUNK_POINTS steps
+each: the chunk's mid-step and end-of-step generators are formed in one
+broadcast call, and every R_k of the chunk as one stack. Each stride's steps
+are folded into one matrix T_j = R_{(j+1)s-1} ... R_{js} by pairwise
+products, ceil(log2 s) batched rounds. The product carried in from the
+previous chunk is multiplied into the first T_j, and an inclusive log-depth
+prefix product over the chunk's T_j turns them into the propagators from the
+period start to its stored steps, with no loop over steps and no product
+formed at a step that is not stored. Each repeat's stored states are then
 one batched matrix-vector product of those propagators with the state that
 starts the repeat; the period's last step is always stored, and its state
 starts the next repeat. The trace row of every G is zero, so every R_k keeps
@@ -99,14 +102,30 @@ class Trajectory:
         return density_matrices(self.vectors)
 
 
-def _default_time_step(model: LindbladModel, schedule: DriveSchedule) -> float:
-    """Step heuristic min(T/2000, 0.05 / max(channel rate scale, max ||H||)),
-    with ||H|| sampled at 64 points of the cycle."""
-    H = model.hamiltonian.matrices(schedule.cycle.position(np.linspace(0.0, 1.0, 64)))
+def _step_scale(model: LindbladModel, cycle: Cycle) -> float:
+    """The rate scale of the step heuristic: max(channel rate scale, max ||H||),
+    with ||H|| sampled at 64 points of the cycle (one batched SVD)."""
+    H = model.hamiltonian.matrices(cycle.position(np.linspace(0.0, 1.0, 64)))
     hnorm = float(np.max(np.linalg.norm(H, 2, axis=(-2, -1))))
     rate = max((r * float(np.linalg.norm(L, 2)) ** 2 for r, L in model.channels), default=0.0)
-    scale = max(hnorm, rate, 1e-12)
-    return min(schedule.period / 2000.0, 0.05 / scale)
+    return max(hnorm, rate, 1e-12)
+
+
+def _default_time_step(period: float, scale: float) -> float:
+    """Step heuristic min(T/2000, 0.05 / scale), scale from `_step_scale`."""
+    return min(period / 2000.0, 0.05 / scale)
+
+
+def _fold_strides(steps: np.ndarray) -> np.ndarray:
+    """The product R_{s-1} ... R_0 of each row of a stack (m, s, D, D) of
+    step matrices, as (m, D, D): pairwise products, ceil(log2 s) batched
+    rounds, with an odd round's leftover (the latest step) carried to the
+    next round."""
+    while steps.shape[1] > 1:
+        n = steps.shape[1] - steps.shape[1] % 2
+        pairs = steps[:, 1:n:2] @ steps[:, 0:n:2]
+        steps = pairs if n == steps.shape[1] else np.concatenate([pairs, steps[:, n:]], axis=1)
+    return steps[:, 0]
 
 
 def _work_integrands(model: LindbladModel, schedule: DriveSchedule,
@@ -177,13 +196,26 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
         A stored state is not finite.
     IntegrationFailureError
         State eigenvalue below -1e-6.
+
+    Notes
+    -----
+    Memory: a chunk of n = max(2 * CHUNK_POINTS, stride) steps holds about
+    7 n matrices of d^4 floats at once (its mid and end generators, the
+    start generators and RK4 stages, the fold's first round); at
+    n = 2 * CHUNK_POINTS and d = 2 its generators take 128 KiB. A stride
+    longer than 2 * CHUNK_POINTS steps, as with a small
+    ``max_store_per_period``, makes each chunk exactly one stride, so the
+    chunk grows with the stride. The stored propagators of one period take
+    n_per / stride matrices.
     """
     rho0 = validate_density_matrix(rho0)
     d = model.dim
     if rho0.shape != (d, d):
         raise ValueError(f"initial state shape {rho0.shape} does not match model dimension {d}")
     period = schedule.period
-    dt_target = _default_time_step(model, schedule) if dt is None else float(dt)
+    if dt is None:
+        dt = _default_time_step(period, _step_scale(model, schedule.cycle))
+    dt_target = float(dt)
     if dt_target > period / 1000.0:
         raise ValueError(f"dt={dt_target} too coarse; need dt <= period/1000 = {period / 1000.0}")
     n_per = int(np.ceil(period / dt_target))
@@ -195,7 +227,9 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     eye = np.eye(d * d)
     half = 0.5 * step
     sixth = step / 6.0
-    chunk = CHUNK_POINTS // 2  # steps per chunk: a mid and an end generator each
+    # steps per chunk: whole strides, about 2 * CHUNK_POINTS steps (a mid and
+    # an end generator each), or one stride when a stride is longer than that
+    chunk = stride * max(1, 2 * CHUNK_POINTS // stride)
     # Every repeat applies the same step matrices, so the products
     # R_k ... R_0 from the period start are built once, at the stored steps
     # of one period; phi carries that product from chunk to chunk.
@@ -205,29 +239,44 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     # a blown-up step overflows; _check_stored raises for it below
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_per, chunk):
-            ks = np.arange(lo, min(lo + chunk, n_per))
-            t = ks * step
+            t = np.arange(lo, min(lo + chunk, n_per)) * step
             mid_and_end = np.concatenate([t + 0.5 * step, t + step])
             stack = liouvillians(model, schedule.point_at(mid_and_end))
-            l_mids, l_ends = stack[:len(ks)], stack[len(ks):]
+            l_mids, l_ends = stack[:len(t)], stack[len(t):]
             l_starts = np.concatenate([l_end, l_ends[:-1]])
             l_end = l_ends[-1:]
             # RK4 stages as matrices: the stages of step k are l_starts[k] v,
-            # k2[k] v, k3[k] v and k4[k] v, and prop[k] is that step's R_k
-            k2 = l_mids + half * (l_mids @ l_starts)
-            k3 = l_mids + half * (l_mids @ k2)
-            k4 = l_ends + step * (l_ends @ k3)
-            prop = eye + sixth * (l_starts + 2.0 * k2 + 2.0 * k3 + k4)
-            # inclusive prefix product: prop[j] becomes R_j ... R_0 of this chunk
+            # k2[k] v, k3[k] v and k4[k] v, with k2 = l_mids + half l_mids
+            # l_starts, k3 = l_mids + half l_mids k2, k4 = l_ends + step l_ends
+            # k3, and R_k = eye + sixth (l_starts + 2 k2 + 2 k3 + k4), formed
+            # in place in k2 by the same operations in the same order
+            k2 = l_mids @ l_starts
+            k2 *= half
+            k2 += l_mids
+            k3 = l_mids @ k2
+            k3 *= half
+            k3 += l_mids
+            k4 = l_ends @ k3
+            k4 *= step
+            k4 += l_ends
+            k2 *= 2.0
+            k2 += l_starts
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= sixth
+            k2 += eye
+            # fold each stride into one matrix, then take the inclusive
+            # prefix product over the chunk's strides: its rows are the
+            # propagators to the stored steps, the last one carried on
+            prop = _fold_strides(k2.reshape(-1, stride, d * d, d * d))
+            prop[0] = prop[0] @ phi
             off = 1
-            while off < len(ks):
+            while off < len(prop):
                 prop[off:] = prop[off:] @ prop[:-off]
                 off *= 2
-            # the stored steps, then the chunk's last step for the carried product
-            rows = np.append(np.flatnonzero((ks + 1) % stride == 0), len(ks) - 1)
-            out = prop[rows] @ phi
-            phi = out[-1]
-            stored_props.append(out[:-1])
+            phi = prop[-1]
+            stored_props.append(prop)
     stored_props = np.concatenate(stored_props)
     # n_per is a multiple of the stride, so the period's last step is stored
     # and its state starts the next repeat
@@ -300,7 +349,9 @@ def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,
 
     Each run starts from the steady state at the cycle's start point, evolves
     two periods, and measures the second (the first is transient). Each
-    point keeps its run's trajectory.
+    point keeps its run's trajectory. Without ``dt``, the step heuristic's
+    scale, which does not depend on the period, is computed once for the
+    sweep, and each period gets the step `evolve` would choose for it.
     """
     periods = [float(T) for T in periods]
     if not periods:
@@ -309,9 +360,11 @@ def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,
         raise ValueError("periods must be strictly increasing")
     w_geom = line_integral_work(model, cycle, n_path)
     rho0 = steady_state(model, cycle.position(0.0))
+    scale = _step_scale(model, cycle) if dt is None else None
     points = []
     for T in periods:
         schedule = DriveSchedule(cycle, T, repeats=2)
-        traj = evolve(model, schedule, rho0, dt=dt)
+        step = dt if dt is not None else _default_time_step(T, scale)
+        traj = evolve(model, schedule, rho0, dt=step)
         points.append(ConvergencePoint(T, dynamic_work(model, traj, schedule), w_geom, traj))
     return points

@@ -362,9 +362,12 @@ def test_quasistatic_run_with_trajectory(tmp_path, capsys):
     integrator = meta["stats"]["integrator"]
     assert [entry["period"] for entry in integrator] == [40.0, 160.0]
     for entry in integrator:
-        assert set(entry) == {"period", "n_steps", "min_eigenvalue"}
+        assert set(entry) == {"period", "n_steps", "step", "min_eigenvalue"}
         # two periods of at least 1000 steps each
         assert isinstance(entry["n_steps"], int) and entry["n_steps"] >= 2000
+        # the step that divides the period, no longer than T/2000
+        assert 0.0 < entry["step"] <= entry["period"] / 2000.0
+        assert entry["n_steps"] * entry["step"] == pytest.approx(2.0 * entry["period"], rel=1e-12)
         assert POSITIVITY_FLOOR <= entry["min_eigenvalue"] <= 0.5
 
 
@@ -390,6 +393,39 @@ def test_quasistatic_trajectory_reuses_the_longest_run(tmp_path, monkeypatch):
     _, t_rows = read_csv(out / "trajectory.csv")
     assert [float(r[0]) for r in t_rows] == traj.times.tolist()
     assert [float(r[3]) for r in t_rows] == [bloch_components(rho).z for rho in traj.states]
+
+
+@pytest.mark.parametrize("config, n_steps", [
+    # the default run: 0.05 / scale with scale 1 (the decay rate) sets the
+    # step from T = 10^3 on, and ties with T/2000 at T = 10^2
+    ({}, [4000, 40000, 400000]),
+    # periods like the drive benchmark's: T/2000 sets every step
+    ({"model": {"kind": "tls", "gamma": 1.0, "gamma_phi": 0.3},
+      "cycle": {"kind": "circle", "center": [0.0, 0.45], "radii": [0.35, 0.25]},
+      "periods": [25.0, 50.0, 100.0]}, [4000, 4000, 4000]),
+])
+def test_quasistatic_steps_as_evolve_would_from_one_scale(monkeypatch, config, n_steps):
+    resolved = cli._resolve_quasistatic(config)
+    model = cli._build_model(resolved["model"])
+    cycle = cycle_from_json(resolved["cycle"])
+    scales = []
+    step_scale = dynamics._step_scale
+
+    def counted(*args):
+        scales.append(args)
+        return step_scale(*args)
+
+    monkeypatch.setattr(dynamics, "_step_scale", counted)
+    points = dynamics.quasistatic_convergence(model, cycle, resolved["periods"], n_path=128)
+    assert len(scales) == 1
+    assert [p.trajectory.n_steps for p in points] == n_steps
+    # evolve with its own default step stores the same samples
+    monkeypatch.undo()
+    rho0 = steady_state(model, cycle.position(0.0))
+    for p in points:
+        own = evolve(model, DriveSchedule(cycle, p.period, repeats=2), rho0)
+        assert own.n_steps == p.trajectory.n_steps
+        assert own.times.tobytes() == p.trajectory.times.tobytes()
 
 
 @pytest.mark.parametrize("config, message", [

@@ -196,10 +196,10 @@ _rectangles = st.builds(
        bloch=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
 def test_chunked_evolve_matches_per_step_reference(cycle, gamma, gamma_phi, period, steps,
                                                    store, repeats, bloch):
-    # At least 1000 steps per period span several chunks of steps; strides
-    # above 1 put stored samples on both sides of chunk boundaries, and
-    # strides above a chunk leave some chunks with none. Later repeats reuse
-    # the first period's propagators.
+    # At least 1000 steps per period span two or more chunks of whole
+    # strides, the last one usually partial; strides from 1 to 250, odd and
+    # even, are folded before the prefix product. Later repeats reuse the
+    # first period's propagators.
     model = tls_model(gamma, gamma_phi)
     schedule = DriveSchedule(cycle, period, repeats)
     rho0 = density_from_bloch(bloch)
@@ -243,8 +243,8 @@ def test_frozen_drive_matches_matrix_power_oracle():
     # Constant L: every step has the same RK4 matrix, the Taylor polynomial
     # of exp(hL) to 4th order, and the stored state after k steps is R^k v0.
     # matrix_power squares repeatedly, an association different from both
-    # the prefix product and the step loop. 1002 steps span eight chunks,
-    # the last one partial, and the stride is 3.
+    # the prefix product and the step loop. The stride is 3, and 1002 steps
+    # span two chunks, of 170 strides and of 164.
     model = tls_model(0.7, 0.3)
     point = (0.4, 0.9)
     sched = frozen_schedule(point, period=10.0)
@@ -262,6 +262,42 @@ def test_frozen_drive_matches_matrix_power_oracle():
         assert np.max(np.abs(rho - expected)) <= 1e-13
 
 
+@pytest.mark.parametrize("steps, store, repeats, stride, chunks", [
+    # odd strides: the fold carries a leftover step; the last chunk is partial
+    pytest.param(1500, 500, 1, 3, 3, id="stride-3-three-chunks"),
+    pytest.param(1000, 200, 2, 5, 2, id="stride-5"),
+    pytest.param(2100, 300, 1, 7, 5, id="stride-7-five-chunks"),
+    # nothing to fold: chunks of 512 steps, the last one of 276
+    pytest.param(1300, 1000, 1, 1, 3, id="stride-1-three-chunks"),
+    # strides longer than 512 steps: each chunk is exactly one stride
+    pytest.param(1200, 2, 2, 600, 2, id="stride-600"),
+    pytest.param(1000, 1, 3, 1000, 1, id="stride-1000"),
+])
+def test_chunk_and_fold_edges_match_per_step_reference(monkeypatch, steps, store, repeats,
+                                                       stride, chunks):
+    assembled = []
+    assemble = dynamics.liouvillians
+
+    def counting(model, points):
+        assembled.append(len(points))
+        return assemble(model, points)
+
+    monkeypatch.setattr(dynamics, "liouvillians", counting)
+    model = tls_model(0.8, 0.3)
+    schedule = DriveSchedule(LOOP_B, 10.0, repeats)
+    rho0 = density_from_bloch((0.2, -0.3, 0.4))
+    traj = evolve(model, schedule, rho0, dt=10.0 / steps, max_store_per_period=store)
+    # the start generator, then one call per chunk
+    assert len(assembled) == 1 + chunks and sum(assembled) == 2 * steps + 1
+    assert len(traj.times) == 1 + repeats * steps // stride
+    times, states, work, _, _, min_eigenvalue, n_steps = reference_evolve(
+        model, schedule, rho0, dt=10.0 / steps, max_store_per_period=store)
+    assert _bits(traj.times) == _bits(times) and traj.n_steps == n_steps == repeats * steps
+    assert np.max(np.abs(traj.states - states)) <= 1e-12
+    assert np.max(np.abs(accumulated_work(model, schedule, traj) - work)) <= 1e-12
+    assert abs(traj.min_eigenvalue - min_eigenvalue) <= 1e-12
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("gamma, store, period, repeats", [
     # negative eigenvalue at the second stored state
@@ -270,10 +306,12 @@ def test_frozen_drive_matches_matrix_power_oracle():
     pytest.param(4000.0, 10, 10.0, 1, id="4000.0-10"),
     # slow instability, first chunk
     pytest.param(570.0, 1000, 10.0, 1, id="570.0-1000"),
-    # slow instability, second chunk
-    pytest.param(565.0, 1000, 10.0, 1, id="565.0-1000"),
-    # stride 6, a later chunk
+    # slow instability, second chunk (steps 512 to 1023), at t = 3.09
+    pytest.param(559.5, 1000, 10.0, 1, id="559.5-1000"),
+    # stride 6, second chunk (strides 85 to 169), at t = 4.13174
     pytest.param(560.0, 300, 10.0, 1, id="560.0-300"),
+    # stride 6, third chunk (strides 170 to 254), at t = 6.73653
+    pytest.param(559.3, 300, 10.0, 1, id="559.3-300"),
     # slow instability in the second repeat, at t = 8.065
     pytest.param(558.0, 1000, 5.0, 2, id="558.0-1000-second-repeat"),
 ])
