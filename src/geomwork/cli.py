@@ -25,8 +25,10 @@ applied), ``metadata.json`` (run provenance; its ``created`` timestamp is the
 only non-deterministic field; ``field`` adds the grid, model parameters,
 ``failed_nodes`` and ``max_abs_F``, ``loops`` ``max_stokes_residual``,
 ``quasistatic`` a ``stats.integrator`` list with each period's step count,
-its step h and the lowest eigenvalue over its stored states) and one CSV
-per data product.
+its step h, the lowest eigenvalue over its states and its orbit residual
+max |c(T) - c(0)|) and one CSV per data product; ``quasistatic``'s optional
+``trajectory.csv`` is one period, t in [0, T], of the longest period's
+periodic orbit.
 CSVs use a header row, ``,`` delimiters, ``.`` decimals, LF endings, and
 floats with 17 significant digits; identical configurations produce
 byte-identical data files.
@@ -404,7 +406,7 @@ def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
     if resolved["dump_trajectory"]:
         # the longest period's run, as quasistatic_convergence drove it
         traj = points[-1].trajectory
-        schedule = DriveSchedule(cycle, points[-1].period, repeats=2)
+        schedule = DriveSchedule(cycle, points[-1].period)
         dump = []
         for t, rho, w in zip(traj.times, traj.states, accumulated_work(model, schedule, traj)):
             b = bloch_components(rho)
@@ -416,9 +418,10 @@ def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
                                      "monotone_error_decay": monotone,
                                      "stats": {"integrator": [
                                          {"period": p.period, "n_steps": p.trajectory.n_steps,
-                                          # each run is two periods of equal steps
-                                          "step": p.period / (p.trajectory.n_steps // 2),
-                                          "min_eigenvalue": p.trajectory.min_eigenvalue}
+                                          "step": p.period / p.trajectory.n_steps,
+                                          "min_eigenvalue": p.trajectory.min_eigenvalue,
+                                          "orbit_residual": float(np.max(np.abs(
+                                              p.trajectory.vectors[-1] - p.trajectory.vectors[0])))}
                                          for p in points]}}))
     print(f"quasistatic: w_geom = {_fmt(points[0].w_geom)}, final abs_error = "
           f"{_fmt(points[-1].abs_error)}, monotone = {monotone}")

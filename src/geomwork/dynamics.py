@@ -4,37 +4,40 @@ The integrator is classical fourth-order Runge-Kutta on the real coherence
 vector c of the state (rho = sum_a c_a B_a, see `operators`), with the
 generator G(lambda) evaluated as the drive moves the control point. For the
 linear master equation each RK4 step is a fixed real matrix R_k applied to
-c, built from the step's start, mid and end generators. The drive is
-periodic, so every repeat of the period applies the same R_k, and they are
-built for one period only. Only every stride-th state is stored, and the
-period's steps run in chunks of whole strides, about 2 * CHUNK_POINTS steps
-each: the chunk's mid-step and end-of-step generators are formed in one
-broadcast call, and every R_k of the chunk as one stack. Each stride's steps
+c, built from the step's start, mid and end generators. A run integrates
+one drive period. Only every stride-th state is stored, and the period's
+steps run in chunks of whole strides, at most 2 * CHUNK_POINTS steps each,
+or in pieces of 2 * CHUNK_POINTS steps of a longer stride: the chunk's
+mid-step and end-of-step generators are formed in one broadcast call, and
+every R_k of the chunk as one stack. Each stride's steps (or the piece's)
 are folded into one matrix T_j = R_{(j+1)s-1} ... R_{js} by pairwise
-products, ceil(log2 s) batched rounds. The product carried in from the
+products, ceil(log2 s) batched rounds. The product phi carried in from the
 previous chunk is multiplied into the first T_j, and an inclusive log-depth
-prefix product over the chunk's T_j turns them into the propagators from the
-period start to its stored steps, with no loop over steps and no product
-formed at a step that is not stored. Each repeat's stored states are then
-one batched matrix-vector product of those propagators with the state that
-starts the repeat; the period's last step is always stored, and its state
-starts the next repeat. The trace row of every G is zero, so every R_k keeps
-the trace exactly and every state is Hermitian by construction. The stored
-states of a repeat are checked together: the first sample that is not
-finite (a blown-up step) raises StepTooLargeError, and the first with an
+prefix product over the chunk's T_j turns them into the propagators from
+the period start to its stored steps, with no loop over steps and no
+product formed at a step that is not stored. The stored states are one
+batched matrix-vector product of those propagators with the start state.
+
+The trace row of every G is zero, so every R_k keeps the trace exactly, the
+one-period propagator P = phi has the trace row e_0, and every state is
+Hermitian by construction. P - I is then a generator with a zero trace row,
+and its steady state, from the same factorization as `steadystate`, is the
+periodic orbit's state at t = 0: P c = c. A run starts there unless it is
+given an initial state, so its period has no transient and ends where it
+began. The stored states are checked together: the first sample that is
+not finite (a blown-up step) raises StepTooLargeError, and the first with an
 eigenvalue below POSITIVITY_FLOOR raises IntegrationFailureError, whichever
 comes first in sample order. A failing run builds the period's propagators
 before any state is checked, and raises at the same sample, with the same
 message, as a step-by-step check would. The lowest eigenvalue over the
-stored states is the run's diagnostic.
+states the run computed is its diagnostic.
 
 Dynamic work integrates Tr(rho(t) H_i) lambda_dot_i along the actual (not
 steady) state, evaluated over many samples at once: `dynamic_work` over the
-final period, `accumulated_work` from t = 0 at every stored sample. Driving a
-cycle ever slower, this converges to the geometric line integral of the work
-one-form; `quasistatic_convergence` tabulates that approach for increasing
-periods, starting each run from the steady state at the cycle's start point
-and discarding the first period as transient.
+period, `accumulated_work` from t = 0 at every stored sample. Driving a
+cycle ever slower, the work on the periodic orbit converges to the geometric
+line integral of the work one-form; `quasistatic_convergence` tabulates that
+approach for increasing periods.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .errors import IntegrationFailureError, StepTooLargeError
 from .geometry import gradient_traces
 from .operators import (LindbladModel, _ordered_sum, coherence_vectors, density_matrices,
                         validate_density_matrix)
-from .steadystate import CHUNK_POINTS, liouvillians, steady_state
+from .steadystate import CHUNK_POINTS, _factor, liouvillians
 
 POSITIVITY_FLOOR = -1e-6
 ERROR_JITTER = 0.10  # fractional rise allowed per step by `errors_decreasing`
@@ -60,17 +63,10 @@ class DriveSchedule:
 
     cycle: Cycle
     period: float
-    repeats: int = 1
 
     def __post_init__(self):
         if not (self.period > 0):
             raise ValueError(f"period must be positive, got {self.period}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-
-    @property
-    def duration(self) -> float:
-        return self.period * self.repeats
 
     def _phase(self, t):
         return (np.asarray(t, dtype=float) % self.period) / self.period
@@ -88,8 +84,8 @@ class DriveSchedule:
 class Trajectory:
     """Stored integration output at a uniform stride: the sample times, the
     coherence vectors of the states (rho = sum_a c_a B_a), the integrator's
-    diagnostic, the lowest eigenvalue over the states it stored, and the
-    number of steps."""
+    diagnostic, the lowest eigenvalue over the states it computed, and the
+    number of steps of its one period."""
 
     times: np.ndarray
     vectors: np.ndarray
@@ -167,20 +163,21 @@ def _check_stored(times: np.ndarray, vectors: np.ndarray) -> float:
     return float(np.min(lowest, initial=np.inf))
 
 
-def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
+def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | None = None,
            dt: float | None = None, max_store_per_period: int = 1000) -> Trajectory:
-    """Integrate the driven master equation over the full schedule.
+    """Integrate the driven master equation over one period.
 
     Parameters
     ----------
     model : LindbladModel
     schedule : DriveSchedule
-    rho0 : ndarray
-        Valid initial density matrix.
+    rho0 : ndarray, optional
+        Valid initial density matrix. Without it the run starts on the
+        periodic orbit, the state that one period maps to itself.
     dt : float, optional
         Target step; defaults to the stability heuristic. The actual step is
         shrunk so it divides the period exactly, which keeps stored samples
-        aligned with period boundaries. Must satisfy dt <= T/1000.
+        aligned with the period's end. Must satisfy dt <= T/1000.
     max_store_per_period : int
         Upper bound on stored samples per period (stride is chosen from it).
 
@@ -188,30 +185,35 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     -------
     Trajectory
         Its ``min_eigenvalue`` is the lowest eigenvalue over the states the
-        integrator stored; the states in between are never formed.
+        run computed: the stored states, and the orbit's start state; the
+        states in between are never formed.
 
     Raises
     ------
     StepTooLargeError
-        A stored state is not finite.
+        A stored state, or the one-period propagator, is not finite.
     IntegrationFailureError
         State eigenvalue below -1e-6.
+    DegenerateSteadyStateError, NoSteadyStateError
+        Without ``rho0``: the periodic orbit is not unique or not well
+        determined, as for a steady state (`steadystate`).
 
     Notes
     -----
-    Memory: a chunk of n = max(2 * CHUNK_POINTS, stride) steps holds about
-    7 n matrices of d^4 floats at once (its mid and end generators, the
-    start generators and RK4 stages, the fold's first round); at
-    n = 2 * CHUNK_POINTS and d = 2 its generators take 128 KiB. A stride
-    longer than 2 * CHUNK_POINTS steps, as with a small
-    ``max_store_per_period``, makes each chunk exactly one stride, so the
-    chunk grows with the stride. The stored propagators of one period take
-    n_per / stride matrices.
+    Memory: a chunk of n <= 2 * CHUNK_POINTS steps holds about 7 n matrices
+    of d^4 floats at once (its mid and end generators, the start generators
+    and RK4 stages, the fold's first round); at n = 2 * CHUNK_POINTS and
+    d = 2 its generators take 128 KiB. A stride longer than 2 * CHUNK_POINTS
+    steps, as with a small ``max_store_per_period``, runs in pieces of
+    2 * CHUNK_POINTS steps, each folded into the carried product, so the
+    chunk does not grow with the stride. The stored propagators of the
+    period take n_per / stride matrices.
     """
-    rho0 = validate_density_matrix(rho0)
     d = model.dim
-    if rho0.shape != (d, d):
-        raise ValueError(f"initial state shape {rho0.shape} does not match model dimension {d}")
+    if rho0 is not None:
+        rho0 = validate_density_matrix(rho0)
+        if rho0.shape != (d, d):
+            raise ValueError(f"initial state shape {rho0.shape} does not match model dimension {d}")
     period = schedule.period
     if dt is None:
         dt = _default_time_step(period, _step_scale(model, schedule.cycle))
@@ -222,24 +224,25 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
     stride = max(1, n_per // max_store_per_period)
     n_per = stride * int(np.ceil(n_per / stride))
     step = period / n_per
-    n_steps = n_per * schedule.repeats
 
     eye = np.eye(d * d)
     half = 0.5 * step
     sixth = step / 6.0
-    # steps per chunk: whole strides, about 2 * CHUNK_POINTS steps (a mid and
-    # an end generator each), or one stride when a stride is longer than that
+    # steps per chunk: whole strides, at most 2 * CHUNK_POINTS steps (a mid
+    # and an end generator each); a longer stride is one chunk, run in
+    # pieces of 2 * CHUNK_POINTS steps
     chunk = stride * max(1, 2 * CHUNK_POINTS // stride)
-    # Every repeat applies the same step matrices, so the products
-    # R_k ... R_0 from the period start are built once, at the stored steps
-    # of one period; phi carries that product from chunk to chunk.
+    # phi carries the product R_k ... R_0 from the period start from piece
+    # to piece; it is stored at the end of every stride
     phi = eye
     stored_props = []
     l_end = liouvillians(model, schedule.point_at(np.zeros(1)))
-    # a blown-up step overflows; _check_stored raises for it below
+    lo = 0
+    # a blown-up step overflows; it raises below, before any solve
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n_per, chunk):
-            t = np.arange(lo, min(lo + chunk, n_per)) * step
+        while lo < n_per:
+            hi = min(lo + 2 * CHUNK_POINTS, (lo // chunk + 1) * chunk, n_per)
+            t = np.arange(lo, hi) * step
             mid_and_end = np.concatenate([t + 0.5 * step, t + step])
             stack = liouvillians(model, schedule.point_at(mid_and_end))
             l_mids, l_ends = stack[:len(t)], stack[len(t):]
@@ -266,37 +269,32 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray,
             k2 += k4
             k2 *= sixth
             k2 += eye
-            # fold each stride into one matrix, then take the inclusive
-            # prefix product over the chunk's strides: its rows are the
-            # propagators to the stored steps, the last one carried on
-            prop = _fold_strides(k2.reshape(-1, stride, d * d, d * d))
+            # fold each stride (or the piece of a long one) into one matrix,
+            # then take the inclusive prefix product over them: its rows are
+            # the propagators to their last steps, the last one carried on
+            prop = _fold_strides(k2.reshape(-1, min(stride, hi - lo), d * d, d * d))
             prop[0] = prop[0] @ phi
             off = 1
             while off < len(prop):
                 prop[off:] = prop[off:] @ prop[:-off]
                 off *= 2
             phi = prop[-1]
-            stored_props.append(prop)
-    stored_props = np.concatenate(stored_props)
+            if hi % stride == 0:
+                stored_props.append(prop)
+            lo = hi
+
+    if rho0 is None:
+        if not np.isfinite(phi).all():
+            raise StepTooLargeError("non-finite one-period propagator; reduce the step")
+        v, first = _factor((phi - eye)[None])[0].at(0), 0
+    else:
+        v, first = coherence_vectors(rho0), 1  # rho0 is validated
+    with np.errstate(over="ignore", invalid="ignore"):
+        vectors = np.concatenate([v[None], np.concatenate(stored_props) @ v])
     # n_per is a multiple of the stride, so the period's last step is stored
-    # and its state starts the next repeat
-    k_stored = np.arange(stride, n_per + 1, stride)
-
-    v = coherence_vectors(rho0)
-    times = [np.zeros(1)]
-    vectors = [v[None]]
-    min_eigenvalue = np.inf
-    for r in range(schedule.repeats):
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = stored_props @ v
-        t_stored = (r * n_per + k_stored) * step
-        min_eigenvalue = min(min_eigenvalue, _check_stored(t_stored, out))
-        times.append(t_stored)
-        vectors.append(out)
-        v = out[-1]
-
-    return Trajectory(times=np.concatenate(times), vectors=np.concatenate(vectors),
-                      min_eigenvalue=min_eigenvalue, n_steps=n_steps)
+    times = np.arange(0, n_per + 1, stride) * step
+    return Trajectory(times=times, vectors=vectors, n_steps=n_per,
+                      min_eigenvalue=_check_stored(times[first:], vectors[first:]))
 
 
 def accumulated_work(model: LindbladModel, schedule: DriveSchedule,
@@ -308,24 +306,19 @@ def accumulated_work(model: LindbladModel, schedule: DriveSchedule,
 
 
 def dynamic_work(model: LindbladModel, trajectory: Trajectory, schedule: DriveSchedule) -> float:
-    """Work accumulated over the final period, from the trajectory's actual states."""
-    t_end = float(trajectory.times[-1])
-    period = schedule.period
-    if t_end + 1e-9 < period:
-        raise ValueError(f"trajectory spans {t_end}, shorter than one period {period}")
-    t0 = t_end - period
-    mask = trajectory.times >= t0 - 1e-9
-    ts = trajectory.times[mask]
-    if len(ts) < 8 or abs(ts[0] - t0) > 1e-6 * period:
-        raise ValueError("trajectory samples do not align with the schedule's final period")
-    vals = _work_integrands(model, schedule, ts, trajectory.vectors[mask])
-    return float(np.trapezoid(vals, ts))
+    """Work over the trajectory's one period, from its actual states."""
+    ts = trajectory.times
+    if abs(ts[-1] - schedule.period) > 1e-9 * schedule.period:
+        raise ValueError(f"trajectory spans {ts[-1]}, not one period {schedule.period}")
+    if len(ts) < 8:
+        raise ValueError(f"{len(ts)} stored samples are too few for the period's work")
+    return float(np.trapezoid(_work_integrands(model, schedule, ts, trajectory.vectors), ts))
 
 
 @dataclass(frozen=True)
 class ConvergencePoint:
-    """One period of a quasistatic sweep, with the trajectory of its run (two
-    periods from the start point's steady state) and so its diagnostics."""
+    """One period of a quasistatic sweep, with the trajectory of its run (one
+    period of the periodic orbit) and so its diagnostics."""
 
     period: float
     w_dyn: float
@@ -347,9 +340,8 @@ def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,
                             n_path: int = 1024, dt: float | None = None) -> list:
     """Tabulate |W_dyn(T) - W_geom| for increasing drive periods.
 
-    Each run starts from the steady state at the cycle's start point, evolves
-    two periods, and measures the second (the first is transient). Each
-    point keeps its run's trajectory. Without ``dt``, the step heuristic's
+    Each run is one period of the periodic orbit, so it has no transient.
+    Each point keeps its run's trajectory. Without ``dt``, the step heuristic's
     scale, which does not depend on the period, is computed once for the
     sweep, and each period gets the step `evolve` would choose for it.
     """
@@ -359,12 +351,11 @@ def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,
     if any(b <= a for a, b in zip(periods, periods[1:])):
         raise ValueError("periods must be strictly increasing")
     w_geom = line_integral_work(model, cycle, n_path)
-    rho0 = steady_state(model, cycle.position(0.0))
     scale = _step_scale(model, cycle) if dt is None else None
     points = []
     for T in periods:
-        schedule = DriveSchedule(cycle, T, repeats=2)
+        schedule = DriveSchedule(cycle, T)
         step = dt if dt is not None else _default_time_step(T, scale)
-        traj = evolve(model, schedule, rho0, dt=step)
+        traj = evolve(model, schedule, dt=step)
         points.append(ConvergencePoint(T, dynamic_work(model, traj, schedule), w_geom, traj))
     return points

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geomwork import (DriveSchedule, bloch_components, cli, cycle_from_json, dynamics,
-                      steady_state, tls_model)
+                      tls_model)
 from geomwork.cli import DEFAULT_LOOPS, main
 from geomwork.dynamics import POSITIVITY_FLOOR, evolve
 
@@ -355,20 +355,35 @@ def test_quasistatic_run_with_trajectory(tmp_path, capsys):
     t_header, t_rows = read_csv(out / "trajectory.csv")
     assert t_header == ["t", "x", "y", "z", "work_accumulated"]
     times = [float(r[0]) for r in t_rows]
-    assert times == sorted(times) and times[-1] == 320.0
+    assert times == sorted(times) and times[0] == 0.0 and times[-1] == 160.0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["monotone_error_decay"] is True
     assert "monotone = True" in capsys.readouterr().out
     integrator = meta["stats"]["integrator"]
     assert [entry["period"] for entry in integrator] == [40.0, 160.0]
     for entry in integrator:
-        assert set(entry) == {"period", "n_steps", "step", "min_eigenvalue"}
-        # two periods of at least 1000 steps each
+        assert set(entry) == {"period", "n_steps", "step", "min_eigenvalue", "orbit_residual"}
+        # one period of at least 2000 steps
         assert isinstance(entry["n_steps"], int) and entry["n_steps"] >= 2000
         # the step that divides the period, no longer than T/2000
         assert 0.0 < entry["step"] <= entry["period"] / 2000.0
-        assert entry["n_steps"] * entry["step"] == pytest.approx(2.0 * entry["period"], rel=1e-12)
+        assert entry["n_steps"] * entry["step"] == pytest.approx(entry["period"], rel=1e-12)
         assert POSITIVITY_FLOOR <= entry["min_eigenvalue"] <= 0.5
+        assert 0.0 <= entry["orbit_residual"] <= 1e-12
+
+
+def test_quasistatic_trajectory_is_one_period_of_the_orbit(tmp_path):
+    config = {"model": {"kind": "tls", "gamma": 1.0, "gamma_phi": 0.22},
+              "cycle": {"kind": "circle", "center": [-0.27, 0.40], "radii": [0.49, 0.23]},
+              "periods": [5.0, 10.0], "n_path": 128, "dump_trajectory": True}
+    code, out = run(tmp_path, "quasistatic", config)
+    assert code == 0
+    _, rows = read_csv(out / "trajectory.csv")
+    first, last = [float(x) for x in rows[0]], [float(x) for x in rows[-1]]
+    assert (first[0], last[0]) == (0.0, 10.0)
+    assert max(abs(a - b) for a, b in zip(first[1:4], last[1:4])) <= 1e-12
+    _, q_rows = read_csv(out / "quasistatic.csv")
+    assert abs(last[4] - float(q_rows[-1][1])) <= 1e-12
 
 
 def test_quasistatic_trajectory_reuses_the_longest_run(tmp_path, monkeypatch):
@@ -385,11 +400,10 @@ def test_quasistatic_trajectory_reuses_the_longest_run(tmp_path, monkeypatch):
     code, out = run(tmp_path, "quasistatic", config)
     assert code == 0
     assert calls == [40.0, 160.0]
-    # the dump is the longest period's run, from the start point's steady state
+    # the dump is the longest period's run, on its periodic orbit
     model = tls_model(1.0, 0.0)
     cycle = cycle_from_json({k: v for k, v in DEFAULT_LOOPS[1].items() if k != "id"})
-    traj = evolve(model, DriveSchedule(cycle, 160.0, repeats=2),
-                  steady_state(model, cycle.position(0.0)))
+    traj = evolve(model, DriveSchedule(cycle, 160.0))
     _, t_rows = read_csv(out / "trajectory.csv")
     assert [float(r[0]) for r in t_rows] == traj.times.tolist()
     assert [float(r[3]) for r in t_rows] == [bloch_components(rho).z for rho in traj.states]
@@ -398,11 +412,11 @@ def test_quasistatic_trajectory_reuses_the_longest_run(tmp_path, monkeypatch):
 @pytest.mark.parametrize("config, n_steps", [
     # the default run: 0.05 / scale with scale 1 (the decay rate) sets the
     # step from T = 10^3 on, and ties with T/2000 at T = 10^2
-    ({}, [4000, 40000, 400000]),
+    ({}, [2000, 20000, 200000]),
     # periods like the drive benchmark's: T/2000 sets every step
     ({"model": {"kind": "tls", "gamma": 1.0, "gamma_phi": 0.3},
       "cycle": {"kind": "circle", "center": [0.0, 0.45], "radii": [0.35, 0.25]},
-      "periods": [25.0, 50.0, 100.0]}, [4000, 4000, 4000]),
+      "periods": [25.0, 50.0, 100.0]}, [2000, 2000, 2000]),
 ])
 def test_quasistatic_steps_as_evolve_would_from_one_scale(monkeypatch, config, n_steps):
     resolved = cli._resolve_quasistatic(config)
@@ -421,9 +435,8 @@ def test_quasistatic_steps_as_evolve_would_from_one_scale(monkeypatch, config, n
     assert [p.trajectory.n_steps for p in points] == n_steps
     # evolve with its own default step stores the same samples
     monkeypatch.undo()
-    rho0 = steady_state(model, cycle.position(0.0))
     for p in points:
-        own = evolve(model, DriveSchedule(cycle, p.period, repeats=2), rho0)
+        own = evolve(model, DriveSchedule(cycle, p.period))
         assert own.n_steps == p.trajectory.n_steps
         assert own.times.tobytes() == p.trajectory.times.tobytes()
 

@@ -67,7 +67,7 @@ def test_array_positions_equal_scalar_calls():
             assert method(0.3).shape == (2,)
             for n, value in enumerate(s):
                 assert stacked[n].tobytes() == method(float(value)).tobytes()
-        schedule = DriveSchedule(cyc, 7.3, repeats=3)
+        schedule = DriveSchedule(cyc, 7.3)
         t = np.concatenate([7.3 * np.arange(4), 21.9 * rng.random(200)])
         for method in (schedule.point_at, schedule.velocity_at):
             stacked = method(t)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomwork import (Circle, DriveSchedule, GeomworkError,
-                      IntegrationFailureError, LindbladModel, ParamHamiltonian,
-                      Rectangle, StepTooLargeError,
+from geomwork import (Circle, DegenerateSteadyStateError, DriveSchedule, GeomworkError,
+                      IntegrationFailureError, LindbladModel, NoSteadyStateError,
+                      ParamHamiltonian, Rectangle, StepTooLargeError,
                       accumulated_work, bloch_components, dynamic_work,
                       errors_decreasing, evolve, quasistatic_convergence,
                       reverse, steady_state, tls_model)
@@ -16,8 +16,11 @@ from complex_oracle import complex_liouvillians
 from geomwork import dynamics
 from geomwork.dynamics import POSITIVITY_FLOOR
 from geomwork.operators import validate_density_matrix
+from geomwork.steadystate import CHUNK_POINTS
 
 LOOP_B = Circle((0.0, 0.6), (0.4, 0.3))
+# off the resonance ridge centre, where W_dyn - W_geom has a c/T term
+OFF_CENTRE = Circle((-0.27, 0.40), (0.49, 0.23))
 TRACE_DRIFT_LIMIT = 1e-6  # the reference's step-size tripwire
 
 
@@ -41,7 +44,7 @@ def reference_evolve(model, schedule, rho0, dt=None, max_store_per_period=1000):
     stride = max(1, n_per // max_store_per_period)
     n_per = stride * int(np.ceil(n_per / stride))
     step = period / n_per
-    n_steps = n_per * schedule.repeats
+    n_steps = n_per
     # step k starts at t = k * step, where step k - 1 ended
     t = np.arange(n_steps) * step
     superops = complex_liouvillians(
@@ -103,22 +106,21 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
-def frozen_schedule(point, period=20.0, repeats=1):
-    return DriveSchedule(Circle(point, (0.0, 0.0)), period, repeats)
+def frozen_schedule(point, period=20.0):
+    return DriveSchedule(Circle(point, (0.0, 0.0)), period)
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
         DriveSchedule(LOOP_B, 0.0)
     with pytest.raises(ValueError):
-        DriveSchedule(LOOP_B, 10.0, repeats=0)
+        DriveSchedule(LOOP_B, -1.0)
 
 
 def test_schedule_is_periodic():
-    sched = DriveSchedule(LOOP_B, 7.0, repeats=3)
+    sched = DriveSchedule(LOOP_B, 7.0)
     np.testing.assert_allclose(sched.point_at(0.0), sched.point_at(7.0), atol=1e-12)
     np.testing.assert_allclose(sched.point_at(2.5), sched.point_at(9.5), atol=1e-12)
-    assert sched.duration == 21.0
 
 
 def test_static_drive_keeps_steady_state():
@@ -127,6 +129,28 @@ def test_static_drive_keeps_steady_state():
     rho_ss = steady_state(model, (0.4, 0.9))
     traj = evolve(model, sched, rho_ss)
     assert np.max(np.abs(traj.states - rho_ss)) <= 1e-8
+
+
+def test_frozen_drive_orbit_is_the_steady_state():
+    model = tls_model(1.0, 0.1)
+    traj = evolve(model, frozen_schedule((0.4, 0.9)))
+    assert np.max(np.abs(traj.states - steady_state(model, (0.4, 0.9)))) <= 1e-12
+
+
+@pytest.mark.parametrize("period", [2.0, 5.0])
+def test_orbit_closes_on_itself(period):
+    # short periods: a run started anywhere else keeps a transient
+    traj = evolve(tls_model(1.0, 0.22), DriveSchedule(OFF_CENTRE, period))
+    assert traj.times[-1] == period
+    assert np.max(np.abs(traj.vectors[-1] - traj.vectors[0])) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_undamped_drive_has_no_periodic_orbit():
+    # without dissipation one period rotates the Bloch vector, so P - I is
+    # singular up to the RK4 error and no orbit is unique
+    with pytest.raises((NoSteadyStateError, DegenerateSteadyStateError)):
+        evolve(tls_model(0.0, 0.0), DriveSchedule(LOOP_B, 10.0))
 
 
 def test_static_drive_relaxes_to_steady_state():
@@ -158,12 +182,11 @@ def test_static_drive_accumulates_no_work():
 
 def test_trace_and_hermiticity_stay_controlled():
     model = tls_model(1.0, 0.2)
-    sched = DriveSchedule(LOOP_B, 50.0, repeats=2)
-    traj = evolve(model, sched, steady_state(model, LOOP_B.position(0.0)))
+    traj = evolve(model, DriveSchedule(LOOP_B, 50.0))
     states = traj.states
     assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-8
     assert np.max(np.abs(states - states.conj().swapaxes(1, 2))) <= 1e-10
-    lowest = np.linalg.eigvalsh(states[1:])[:, 0]
+    lowest = np.linalg.eigvalsh(states)[:, 0]
     assert traj.min_eigenvalue == pytest.approx(lowest.min(), abs=1e-15)
     assert traj.min_eigenvalue >= -1e-8
 
@@ -192,21 +215,21 @@ _rectangles = st.builds(
 @given(cycle=st.one_of(_circles, _rectangles), gamma=st.floats(0.1, 2.0),
        gamma_phi=st.one_of(st.just(0.0), st.floats(0.05, 1.5)), period=st.floats(1.0, 20.0),
        steps=st.one_of(st.none(), st.integers(1000, 1400)), store=st.integers(8, 1000),
-       repeats=st.integers(1, 3),
-       bloch=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+       bloch=st.one_of(st.none(), st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                                            st.floats(-0.5, 0.5))))
 def test_chunked_evolve_matches_per_step_reference(cycle, gamma, gamma_phi, period, steps,
-                                                   store, repeats, bloch):
+                                                   store, bloch):
     # At least 1000 steps per period span two or more chunks of whole
     # strides, the last one usually partial; strides from 1 to 250, odd and
-    # even, are folded before the prefix product. Later repeats reuse the
-    # first period's propagators.
+    # even, are folded before the prefix product. Without an initial state
+    # the run starts on the periodic orbit, and the reference starts there.
     model = tls_model(gamma, gamma_phi)
-    schedule = DriveSchedule(cycle, period, repeats)
-    rho0 = density_from_bloch(bloch)
+    schedule = DriveSchedule(cycle, period)
     dt = None if steps is None else period / steps
+    rho0 = None if bloch is None else density_from_bloch(bloch)
     traj = evolve(model, schedule, rho0, dt=dt, max_store_per_period=store)
     times, states, work, herm_residual, trace_drift, min_eigenvalue, n_steps = reference_evolve(
-        model, schedule, rho0, dt=dt, max_store_per_period=store)
+        model, schedule, traj.states[0], dt=dt, max_store_per_period=store)
     # The prefix product associates the same RK4 step matrices differently
     # from the loop, so states and work agree to roundoff, not bit for bit.
     assert _bits(traj.times) == _bits(times)
@@ -215,9 +238,8 @@ def test_chunked_evolve_matches_per_step_reference(cycle, gamma, gamma_phi, peri
     assert np.max(np.abs(accumulated_work(model, schedule, traj) - work)) <= 1e-12
     assert herm_residual <= 1e-12 and trace_drift <= 1e-12
     assert abs(traj.min_eigenvalue - min_eigenvalue) <= 1e-12
-    final = times >= times[-1] - period - 1e-9
-    values = [reference_integrand(model, schedule, t, rho) for t, rho in zip(times[final], states[final])]
-    assert abs(dynamic_work(model, traj, schedule) - float(np.trapezoid(values, times[final]))) <= 1e-12
+    values = [reference_integrand(model, schedule, t, rho) for t, rho in zip(times, states)]
+    assert abs(dynamic_work(model, traj, schedule) - float(np.trapezoid(values, times))) <= 1e-12
 
 
 def test_three_level_evolve_matches_per_step_reference():
@@ -228,7 +250,7 @@ def test_three_level_evolve_matches_per_step_reference():
     jumps = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
     model = LindbladModel(ParamHamiltonian(herm[0], herm[1:]),
                           ((0.4, jumps[0]), (0.2, jumps[1])))
-    schedule = DriveSchedule(Circle((0.2, -0.1), (0.5, 0.3)), 10.0, 2)
+    schedule = DriveSchedule(Circle((0.2, -0.1), (0.5, 0.3)), 10.0)
     rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
     traj = evolve(model, schedule, rho0, max_store_per_period=100)
     times, states, work, _, _, min_eigenvalue, n_steps = reference_evolve(
@@ -262,19 +284,19 @@ def test_frozen_drive_matches_matrix_power_oracle():
         assert np.max(np.abs(rho - expected)) <= 1e-13
 
 
-@pytest.mark.parametrize("steps, store, repeats, stride, chunks", [
+@pytest.mark.parametrize("steps, store, stride, chunks", [
     # odd strides: the fold carries a leftover step; the last chunk is partial
-    pytest.param(1500, 500, 1, 3, 3, id="stride-3-three-chunks"),
-    pytest.param(1000, 200, 2, 5, 2, id="stride-5"),
-    pytest.param(2100, 300, 1, 7, 5, id="stride-7-five-chunks"),
+    pytest.param(1500, 500, 3, 3, id="stride-3-three-chunks"),
+    pytest.param(1000, 200, 5, 2, id="stride-5"),
+    pytest.param(2100, 300, 7, 5, id="stride-7-five-chunks"),
     # nothing to fold: chunks of 512 steps, the last one of 276
-    pytest.param(1300, 1000, 1, 1, 3, id="stride-1-three-chunks"),
-    # strides longer than 512 steps: each chunk is exactly one stride
-    pytest.param(1200, 2, 2, 600, 2, id="stride-600"),
-    pytest.param(1000, 1, 3, 1000, 1, id="stride-1000"),
+    pytest.param(1300, 1000, 1, 3, id="stride-1-three-chunks"),
+    # strides longer than 512 steps run in pieces of 512 steps, each folded
+    # into the carried product: 512 + 88 per stride, and 512 + 488
+    pytest.param(1200, 2, 600, 4, id="stride-600"),
+    pytest.param(1000, 1, 1000, 2, id="stride-1000"),
 ])
-def test_chunk_and_fold_edges_match_per_step_reference(monkeypatch, steps, store, repeats,
-                                                       stride, chunks):
+def test_chunk_and_fold_edges_match_per_step_reference(monkeypatch, steps, store, stride, chunks):
     assembled = []
     assemble = dynamics.liouvillians
 
@@ -284,40 +306,39 @@ def test_chunk_and_fold_edges_match_per_step_reference(monkeypatch, steps, store
 
     monkeypatch.setattr(dynamics, "liouvillians", counting)
     model = tls_model(0.8, 0.3)
-    schedule = DriveSchedule(LOOP_B, 10.0, repeats)
+    schedule = DriveSchedule(LOOP_B, 10.0)
     rho0 = density_from_bloch((0.2, -0.3, 0.4))
     traj = evolve(model, schedule, rho0, dt=10.0 / steps, max_store_per_period=store)
-    # the start generator, then one call per chunk
+    # the start generator, then one call per chunk of at most 512 steps
     assert len(assembled) == 1 + chunks and sum(assembled) == 2 * steps + 1
-    assert len(traj.times) == 1 + repeats * steps // stride
+    assert max(assembled) <= 4 * CHUNK_POINTS
+    assert len(traj.times) == 1 + steps // stride
     times, states, work, _, _, min_eigenvalue, n_steps = reference_evolve(
         model, schedule, rho0, dt=10.0 / steps, max_store_per_period=store)
-    assert _bits(traj.times) == _bits(times) and traj.n_steps == n_steps == repeats * steps
+    assert _bits(traj.times) == _bits(times) and traj.n_steps == n_steps == steps
     assert np.max(np.abs(traj.states - states)) <= 1e-12
     assert np.max(np.abs(accumulated_work(model, schedule, traj) - work)) <= 1e-12
     assert abs(traj.min_eigenvalue - min_eigenvalue) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("gamma, store, period, repeats", [
+@pytest.mark.parametrize("gamma, store", [
     # negative eigenvalue at the second stored state
-    pytest.param(4000.0, 1000, 10.0, 1, id="4000.0-1000"),
+    pytest.param(4000.0, 1000, id="4000.0-1000"),
     # overflow between stored states: non-finite state
-    pytest.param(4000.0, 10, 10.0, 1, id="4000.0-10"),
+    pytest.param(4000.0, 10, id="4000.0-10"),
     # slow instability, first chunk
-    pytest.param(570.0, 1000, 10.0, 1, id="570.0-1000"),
+    pytest.param(570.0, 1000, id="570.0-1000"),
     # slow instability, second chunk (steps 512 to 1023), at t = 3.09
-    pytest.param(559.5, 1000, 10.0, 1, id="559.5-1000"),
+    pytest.param(559.5, 1000, id="559.5-1000"),
     # stride 6, second chunk (strides 85 to 169), at t = 4.13174
-    pytest.param(560.0, 300, 10.0, 1, id="560.0-300"),
+    pytest.param(560.0, 300, id="560.0-300"),
     # stride 6, third chunk (strides 170 to 254), at t = 6.73653
-    pytest.param(559.3, 300, 10.0, 1, id="559.3-300"),
-    # slow instability in the second repeat, at t = 8.065
-    pytest.param(558.0, 1000, 5.0, 2, id="558.0-1000-second-repeat"),
+    pytest.param(559.3, 300, id="559.3-300"),
 ])
-def test_failures_match_per_step_reference(gamma, store, period, repeats):
+def test_failures_match_per_step_reference(gamma, store):
     model = tls_model(gamma, 0.0)
-    sched = frozen_schedule((0.0, 1.0), period=period, repeats=repeats)
+    sched = frozen_schedule((0.0, 1.0), period=10.0)
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises((StepTooLargeError, IntegrationFailureError)) as chunked:
         evolve(model, sched, rho0, dt=0.005, max_store_per_period=store)
@@ -329,9 +350,16 @@ def test_failures_match_per_step_reference(gamma, store, period, repeats):
     assert str(chunked.value) == str(reference.value)
 
 
-@pytest.mark.parametrize("repeats", [1, 2, 3])
-def test_one_period_of_generators_serves_every_repeat(monkeypatch, repeats):
-    # the start generator, then a mid and an end generator per step of one period
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blown_up_period_fails_before_the_orbit_solve():
+    # the steps overflow, so the one-period propagator is not finite
+    sched = frozen_schedule((0.0, 1.0), period=10.0)
+    with pytest.raises(StepTooLargeError, match=r"^non-finite one-period propagator"):
+        evolve(tls_model(4000.0, 0.0), sched, dt=0.005)
+
+
+def test_one_period_assembles_a_mid_and_end_generator_per_step(monkeypatch):
+    # the start generator, then a mid and an end generator per step
     assembled = []
     assemble = dynamics.liouvillians
 
@@ -340,28 +368,10 @@ def test_one_period_of_generators_serves_every_repeat(monkeypatch, repeats):
         return assemble(model, points)
 
     monkeypatch.setattr(dynamics, "liouvillians", counting)
-    model = tls_model(1.0, 0.2)
-    sched = DriveSchedule(LOOP_B, 10.0, repeats)
-    traj = evolve(model, sched, steady_state(model, LOOP_B.position(0.0)), dt=0.01,
+    traj = evolve(tls_model(1.0, 0.2), DriveSchedule(LOOP_B, 10.0), dt=0.01,
                   max_store_per_period=300)
-    n_per = traj.n_steps // repeats
-    assert n_per == 1002
-    assert sum(assembled) == 2 * n_per + 1
-
-
-def test_each_repeat_restarts_from_its_first_state():
-    # repeat r is a one-period run started from the state that begins it
-    model = tls_model(0.8, 0.3)
-    sched = DriveSchedule(LOOP_B, 12.0, 3)
-    rho0 = density_from_bloch((0.2, -0.3, 0.4))
-    traj = evolve(model, sched, rho0, max_store_per_period=200)
-    per = (len(traj.times) - 1) // 3
-    for r in range(3):
-        start = r * per
-        assert traj.times[start] == r * 12.0
-        single = evolve(model, DriveSchedule(LOOP_B, 12.0), traj.states[start],
-                        max_store_per_period=200)
-        assert np.max(np.abs(traj.vectors[start:start + per + 1] - single.vectors)) <= 1e-14
+    assert traj.n_steps == 1002
+    assert sum(assembled) == 2 * traj.n_steps + 1
 
 
 def test_evolve_validates_inputs():
@@ -375,9 +385,9 @@ def test_evolve_validates_inputs():
 
 def test_dynamic_work_needs_a_full_period():
     model = tls_model(1.0, 0.0)
-    sched = DriveSchedule(LOOP_B, 50.0, repeats=1)
+    sched = DriveSchedule(LOOP_B, 50.0)
     traj = evolve(model, sched, steady_state(model, LOOP_B.position(0.0)))
-    longer = DriveSchedule(LOOP_B, 80.0, repeats=1)
+    longer = DriveSchedule(LOOP_B, 80.0)
     with pytest.raises(ValueError):
         dynamic_work(model, traj, longer)
 
@@ -397,6 +407,18 @@ def test_quasistatic_reversal_flips_dynamic_work():
     rev = quasistatic_convergence(model, reverse(LOOP_B), [200.0], n_path=256)[0]
     assert rev.w_geom == pytest.approx(-fwd.w_geom, abs=1e-10)
     assert abs(rev.w_dyn + fwd.w_dyn) <= 0.02 * abs(fwd.w_geom)
+
+
+def test_reversal_leaves_the_even_adiabatic_response():
+    # W_geom is odd under reversal and the 1/T response c is even, so
+    # T (W_+ + W_-) / 2 = c + O(1/T); c = -0.65155 on this loop
+    model = tls_model(1.0, 0.22)
+    periods = [1e2, 1e3]
+    fwd = quasistatic_convergence(model, OFF_CENTRE, periods, n_path=256)
+    rev = quasistatic_convergence(model, reverse(OFF_CENTRE), periods, n_path=256)
+    c = [p.period * (p.w_dyn + r.w_dyn) / 2.0 for p, r in zip(fwd, rev)]
+    assert c[0] == pytest.approx(-0.650534, abs=1e-4)
+    assert abs(c[1] - c[0]) <= 5e-3
 
 
 def test_quasistatic_validates_periods():
