@@ -358,8 +358,11 @@ def test_blown_up_period_fails_before_the_orbit_solve():
         evolve(tls_model(4000.0, 0.0), sched, dt=0.005)
 
 
-def test_one_period_assembles_a_mid_and_end_generator_per_step(monkeypatch):
-    # the start generator, then a mid and an end generator per step
+@pytest.mark.parametrize("repeats", [1, 2, 3])
+def test_one_period_of_generators_serves_every_repeat(monkeypatch, repeats):
+    # the start generator, then a mid and an end generator per step of one
+    # period; the orbit ends where it began, so a later period started from
+    # its last state repeats the same states
     assembled = []
     assemble = dynamics.liouvillians
 
@@ -368,10 +371,15 @@ def test_one_period_assembles_a_mid_and_end_generator_per_step(monkeypatch):
         return assemble(model, points)
 
     monkeypatch.setattr(dynamics, "liouvillians", counting)
-    traj = evolve(tls_model(1.0, 0.2), DriveSchedule(LOOP_B, 10.0), dt=0.01,
-                  max_store_per_period=300)
-    assert traj.n_steps == 1002
-    assert sum(assembled) == 2 * traj.n_steps + 1
+    model = tls_model(1.0, 0.2)
+    sched = DriveSchedule(LOOP_B, 10.0)
+    orbit = evolve(model, sched, dt=0.01, max_store_per_period=300)
+    assert orbit.n_steps == 1002
+    assert sum(assembled) == 2 * orbit.n_steps + 1
+    run = orbit
+    for _ in range(repeats - 1):
+        run = evolve(model, sched, run.states[-1], dt=0.01, max_store_per_period=300)
+        np.testing.assert_allclose(run.vectors, orbit.vectors, rtol=0.0, atol=1e-9)
 
 
 def test_evolve_validates_inputs():
