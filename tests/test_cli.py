@@ -474,7 +474,9 @@ def test_scaling_default_windows_pass(tmp_path, capsys):
     assert code == 1
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["within"] == {"F": False, "x": True, "y": True}
-    assert "OUTSIDE" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "OUTSIDE" in captured.out
+    assert captured.err == "numeric failure: slopes ['F'] outside their windows\n"
 
 
 def test_scaling_with_measured_windows_passes(tmp_path):
@@ -513,3 +515,104 @@ def test_ssh_scan(tmp_path):
 def test_ssh_requires_ssh_model(tmp_path):
     code, _ = run(tmp_path, "ssh", {"model": {"kind": "tls", "gamma": 1.0}})
     assert code == 2
+
+
+def test_orientation_gate_exits_1_after_writing(tmp_path, capsys, monkeypatch):
+    # with reverse as the identity each residual is 2|w|, far above the limit
+    monkeypatch.setattr(cli, "reverse", lambda cycle: cycle)
+    config = {"cycles": [DEFAULT_LOOPS[1]], "gamma_phi_sweep": [0.0], "n_path": 64}
+    code, out = run(tmp_path, "orientation", config)
+    assert code == 1
+    _, rows = read_csv(out / "orientation.csv")
+    (_, _, w_fwd, w_rev, residual), = rows
+    assert w_fwd == w_rev and float(residual) == 2.0 * abs(float(w_fwd))
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["max_antisymmetry_residual"] == float(residual)
+    assert capsys.readouterr().err == (f"numeric failure: antisymmetry residual "
+                                       f"{float(residual):.3e} exceeds 1e-10\n")
+
+
+def test_quasistatic_gate_exits_1_after_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "errors_decreasing", lambda points: False)
+    code, out = run(tmp_path, "quasistatic", {"periods": [40.0, 160.0], "n_path": 128})
+    assert code == 1
+    _, rows = read_csv(out / "quasistatic.csv")
+    assert len(rows) == 2
+    assert json.loads((out / "metadata.json").read_text())["monotone_error_decay"] is False
+    captured = capsys.readouterr()
+    assert "monotone = False" in captured.out
+    assert captured.err == "numeric failure: error column is not decreasing\n"
+
+
+def test_scaling_pipeline_failure_writes_only_the_config_echo(tmp_path, capsys):
+    # at Gamma_2 = 1e9 the generator block's condition number exceeds the limit
+    code, out = run(tmp_path, "scaling", {"gamma2_sweep": [1e2, 1e9]})
+    assert code == 1
+    assert capsys.readouterr().err == ("numeric failure: condition number 1.414e+09 of the "
+                                       "generator block below the trace row exceeds 1e+08\n")
+    assert sorted(p.name for p in out.iterdir()) == ["config_echo.json"]
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("scaling", '{"gamma2_sweep": [0.1, 100.0]}', "gamma2_sweep: values must be >= gamma/2 = 0.5"),
+    ("scaling", '{"windows": []}', "windows: expected an object"),
+    ("scaling", '{"windows": {"F": [-0.9, -1.1]}}', "windows.F: needs [lo, hi] with hi > lo"),
+    ("quasistatic", '{"dump_trajectory": 1}', "dump_trajectory: expected true or false"),
+    ("field", '{"grid": {"shape": [3]}}', "grid.shape: expected [n1, n2]"),
+    ("loops", '{"n_path": 12.5}', "n_path: expected an integer, got 12.5"),
+    ("loops", '{"model": {"gamma": Infinity}}', "model.gamma: must be finite"),
+    ("loops", '{"cycles": [3]}', "cycles[0]: expected an object"),
+    ("quasistatic", '{"cycle": []}', "cycle: expected an object"),
+    ("loops", None, "{cfg}: No such file or directory"),
+    ("loops", "[1, 2]", "{cfg}: top-level config must be a JSON object"),
+])
+def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
+SSH_LOOPS = {
+    "cycles": [{"id": "circle", "kind": "circle", "center": [1.0, 0.5], "radii": [0.3, 0.2]},
+               {"id": "rect", "kind": "rectangle", "lo": [0.6, 0.3], "hi": [1.2, 0.8],
+                "orientation": "negative"}],
+    "gamma_phi_sweep": [0.0, 0.5], "n_path": 256,
+}
+
+
+@pytest.mark.parametrize("k", [1.2, np.pi])
+def test_ssh_model_loops_and_orientation(tmp_path, k):
+    # the SSH curvature is sin k times a function of |h|, so every work
+    # vanishes at k = pi; at k = 1.2 the works are about 1e-2
+    model = {"kind": "ssh", "gamma": 1.0, "gamma_phi": 0.1, "k": k}
+    code, out = run(tmp_path, "loops", dict(SSH_LOOPS, model=model, m_quad=32))
+    assert code == 0
+    _, rows = read_csv(out / "loops.csv")
+    assert len(rows) == 4
+    for _, _, w_line, w_flux, residual in rows:
+        assert float(residual) <= 1e-12
+        works = abs(float(w_line)), abs(float(w_flux))
+        assert (min(works) >= 1e-3) if k == 1.2 else (max(works) <= 1e-12)
+    code, out = run(tmp_path, "orientation", dict(SSH_LOOPS, model=model))
+    assert code == 0
+    _, rows = read_csv(out / "orientation.csv")
+    assert len(rows) == 4 and max(float(r[4]) for r in rows) <= 1e-12
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_default_run_is_byte_identical_on_rerun(tmp_path, command):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    assert [main([command, "--out", str(out)]) for out in outs] == [0, 0]
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    for name in files:
+        if name != "metadata.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    meta = [json.loads((out / "metadata.json").read_text()) for out in outs]
+    for m in meta:
+        del m["created"]
+    assert meta[0] == meta[1]
