@@ -5,9 +5,10 @@
 
 Each command is declared once, in ``_COMMANDS``, as its help line, the
 resolver that validates its configuration and applies the defaults, and the
-runner that computes and writes its outputs. Every command takes the same
-three options, so the parser is one flat parser with the command as its
-positional argument.
+runner that computes and returns its outputs as a ``Result``: its CSV tables
+of raw values, its metadata fields, its stdout summary and any failed result
+gate. Every command takes the same three options, so the parser is one flat
+parser with the command as its positional argument.
 
 Evaluation is single-threaded and batched: each command makes one chunked
 steady-state call per quadrature kind. The line integrals of every
@@ -19,10 +20,11 @@ grid. Each cell keeps its own ``math.fsum``, quadrature order and error: a
 run reports the first failing cell in output order, as a cell-by-cell run
 would. ``--threads`` is accepted for compatibility and ignored.
 
-This module alone decides the output format and writes the files. Each run
-writes ``config_echo.json`` (the fully resolved configuration, defaults
-applied), ``metadata.json`` (run provenance; its ``created`` timestamp is the
-only non-deterministic field; ``field`` adds the grid, model parameters,
+Runners write nothing: ``main`` writes the config echo, and ``_run`` every
+other output, in order, and sets the exit code. A run writes
+``config_echo.json`` (the fully resolved configuration, defaults applied),
+``metadata.json`` (run provenance; its ``created`` timestamp is the only
+non-deterministic field; ``field`` adds the grid, model parameters,
 ``failed_nodes`` and ``max_abs_F``, ``loops`` ``max_stokes_residual``,
 ``quasistatic`` a ``stats.integrator`` list with each period's step count,
 its step h, the lowest eigenvalue over its states and its orbit residual
@@ -30,8 +32,8 @@ max |c(T) - c(0)|) and one CSV per data product; ``quasistatic``'s optional
 ``trajectory.csv`` is one period, t in [0, T], of the longest period's
 periodic orbit.
 CSVs use a header row, ``,`` delimiters, ``.`` decimals, LF endings, and
-floats with 17 significant digits; identical configurations produce
-byte-identical data files.
+floats with 17 significant digits (`_fmt`, the one cell format); identical
+configurations produce byte-identical data files.
 
 Exit codes: 0 success, 1 numeric failure (including failed result gates),
 2 invalid configuration.
@@ -45,6 +47,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,12 +78,11 @@ DEFAULT_SSH_POINT = [1.0, 0.5]
 
 
 def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header] + list(rows)) + "\n")
+    """A CSV cell, or a number in a summary: a str as it is, NaN as an empty
+    cell, any other value with 17 significant digits."""
+    if isinstance(x, str):
+        return x
+    return "" if math.isnan(x) else f"{float(x):.17g}"
 
 
 def _write_json(path, obj) -> None:
@@ -113,10 +115,10 @@ def _as_int(value, where: str, minimum: int) -> int:
     return value
 
 
-def _as_sweep(value, where: str, minimum=None) -> list:
+def _as_sweep(value, where: str, minimum=None, exclusive=False) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where}: expected a non-empty list")
-    out = [_as_float(v, f"{where}[{i}]", minimum=minimum) for i, v in enumerate(value)]
+    out = [_as_float(v, f"{where}[{i}]", minimum, exclusive) for i, v in enumerate(value)]
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError(f"{where}: must be sorted strictly ascending")
     return out
@@ -162,35 +164,29 @@ def _build_stack(mspec: dict, gamma_phi):
     return ssh_stack(mspec["gamma"], gamma_phi, mspec["k"])
 
 
+def _resolve_cycle(raw, where: str) -> dict:
+    """A cycle's wire format, with its defaults applied and any ``id`` dropped."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object")
+    try:
+        return cycle_to_json(cycle_from_json({k: v for k, v in raw.items() if k != "id"}))
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _resolve_cycles(cfg: dict) -> list:
     raw = cfg.get("cycles", DEFAULT_LOOPS)
     if not isinstance(raw, list) or not raw:
         raise ConfigError("cycles: expected a non-empty list")
     out = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"cycles[{i}]: expected an object")
-        entry = dict(entry)
-        loop_id = str(entry.pop("id", f"loop{i}"))
+        # the id is checked first; `_resolve_cycle` rejects an entry that is no object
+        loop_id = str(entry.get("id", f"loop{i}")) if isinstance(entry, dict) else ""
         if any(c in loop_id for c in ',"\r\n'):
             raise ConfigError(f"cycles[{i}].id: must not contain ',', '\"', CR or LF, "
                               f"got {loop_id!r}")
-        try:
-            cycle = cycle_from_json(entry)
-        except ConfigError as exc:
-            raise ConfigError(f"cycles[{i}]: {exc}") from exc
-        out.append({"id": loop_id, **cycle_to_json(cycle)})
+        out.append({"id": loop_id, **_resolve_cycle(entry, f"cycles[{i}]")})
     return out
-
-
-def _resolve_cycle(cfg: dict) -> dict:
-    raw = cfg.get("cycle", DEFAULT_LOOPS[1])
-    if not isinstance(raw, dict):
-        raise ConfigError("cycle: expected an object")
-    try:
-        return cycle_to_json(cycle_from_json({k: v for k, v in raw.items() if k != "id"}))
-    except ConfigError as exc:
-        raise ConfigError(f"cycle: {exc}") from exc
 
 
 # ----------------------------------------------------------------- resolvers
@@ -251,10 +247,9 @@ def _resolve_quasistatic(cfg: dict) -> dict:
     if not isinstance(dump, bool):
         raise ConfigError("dump_trajectory: expected true or false")
     model = _resolve_model(cfg)
-    cycle = _resolve_cycle(cfg)
-    periods = _as_sweep(cfg.get("periods", DEFAULT_PERIODS), "periods", minimum=0.0)
-    if periods[0] == 0.0:
-        raise ConfigError("periods[0]: must be > 0.0, got 0.0")
+    cycle = _resolve_cycle(cfg.get("cycle", DEFAULT_LOOPS[1]), "cycle")
+    periods = _as_sweep(cfg.get("periods", DEFAULT_PERIODS), "periods", minimum=0.0,
+                        exclusive=True)
     n_path = _as_int(cfg.get("n_path", 1024), "n_path", 8)
     dt = None if cfg.get("dt") is None else _as_float(cfg["dt"], "dt", minimum=0.0, exclusive=True)
     # evolve needs dt <= period/1000 for every period
@@ -300,39 +295,34 @@ def _resolve_ssh(cfg: dict) -> dict:
 
 # ------------------------------------------------------------------ commands
 
-def _metadata(resolved: dict, extra: dict) -> dict:
-    return {
-        "command": resolved["command"],
-        "model": resolved["model"],
-        "version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
-        **extra,
-    }
+class Result(NamedTuple):
+    """What a runner returns for `_run` to write."""
+
+    tables: dict  # CSV file name -> (header, rows of raw values), in write order
+    metadata: dict | None  # the command's metadata fields; None writes no metadata.json
+    summary: str  # stdout text, printed when not empty
+    failure: str | None = None  # the text of a failed result gate
 
 
-def _cmd_field(resolved: dict, outdir: str) -> int:
+def _cmd_field(resolved: dict) -> Result:
     model = _build_model(resolved["model"])
     grid = GridSpec(**resolved["grid"])
     values = curvature_field(model, grid, method=resolved["method"])
     ax1, ax2 = grid.axes()
     # row-major over the grid; a failed node (NaN) is an empty cell
-    _write_csv(os.path.join(outdir, "field.csv"), "lambda1,lambda2,F",
-               (f"{_fmt(l1)},{_fmt(l2)},{'' if np.isnan(f) else _fmt(f)}"
-                for l1, row in zip(ax1, values) for l2, f in zip(ax2, row)))
+    tables = {"field.csv": ("lambda1,lambda2,F",
+                            [(l1, l2, f) for l1, row in zip(ax1.tolist(), values.tolist())
+                             for l2, f in zip(ax2.tolist(), row)])}
     failed = int(np.isnan(values).sum())
     if failed == values.size:
-        print("numeric failure: every grid node failed", file=sys.stderr)
-        return 1
+        return Result(tables, None, "", "every grid node failed")
     i, j = np.unravel_index(np.nanargmax(np.abs(values)), values.shape)
     peak, l1, l2 = float(abs(values[i, j])), float(ax1[i]), float(ax2[j])
     # the field's metadata names its model by label, with the built model's params
-    _write_json(os.path.join(outdir, "metadata.json"),
-                _metadata(resolved, {"grid": resolved["grid"], "method": resolved["method"],
-                                     "model": model.label, "params": model.params,
-                                     "failed_nodes": failed,
-                                     "max_abs_F": {"value": peak, "lambda1": l1, "lambda2": l2}}))
-    print(f"max |F| = {_fmt(peak)} at lambda1={_fmt(l1)}, lambda2={_fmt(l2)}")
-    return 0
+    return Result(tables, {"grid": resolved["grid"], "method": resolved["method"],
+                           "model": model.label, "params": model.params, "failed_nodes": failed,
+                           "max_abs_F": {"value": peak, "lambda1": l1, "lambda2": l2}},
+                  f"max |F| = {_fmt(peak)} at lambda1={_fmt(l1)}, lambda2={_fmt(l2)}")
 
 
 def _cells(resolved: dict):
@@ -346,92 +336,69 @@ def _cells(resolved: dict):
     return cells, stack._replace(index=np.repeat(stack.index, len(cycles)))
 
 
-def _cmd_loops(resolved: dict, outdir: str) -> int:
+def _cmd_loops(resolved: dict) -> Result:
     cells, stack = _cells(resolved)
     cycles = [cycle for *_, cycle in cells]
     lines = line_integral_works(stack, cycles, resolved["n_path"])
     fluxes = flux_works(stack, cycles, resolved["m_quad"])
     rows = []
-    worst = 0.0
     for c, (gp, loop_id, _) in enumerate(cells):
         w_line, w_flux = float(lines.at(c)), float(fluxes.at(c))
-        residual = abs(w_line - w_flux)
-        worst = max(worst, residual)
-        rows.append(f"{_fmt(gp)},{loop_id},{_fmt(w_line)},{_fmt(w_flux)},{_fmt(residual)}")
-    _write_csv(os.path.join(outdir, "loops.csv"),
-               "gamma_phi,loop_id,w_line,w_flux,stokes_residual", rows)
-    _write_json(os.path.join(outdir, "metadata.json"),
-                _metadata(resolved, {"n_path": resolved["n_path"], "m_quad": resolved["m_quad"],
-                                     "max_stokes_residual": worst,
-                                     "loops": [spec["id"] for spec in resolved["cycles"]]}))
-    print(f"loops: wrote {len(rows)} rows")
-    return 0
+        rows.append((gp, loop_id, w_line, w_flux, abs(w_line - w_flux)))
+    return Result({"loops.csv": ("gamma_phi,loop_id,w_line,w_flux,stokes_residual", rows)},
+                  {"n_path": resolved["n_path"], "m_quad": resolved["m_quad"],
+                   "max_stokes_residual": max(row[-1] for row in rows),
+                   "loops": [spec["id"] for spec in resolved["cycles"]]},
+                  f"loops: wrote {len(rows)} rows")
 
 
-def _cmd_orientation(resolved: dict, outdir: str) -> int:
+def _cmd_orientation(resolved: dict) -> Result:
     cells, stack = _cells(resolved)
     # each cycle followed by its reverse, so cell c's pair is entries 2c, 2c + 1
     paths = [path for *_, cycle in cells for path in (cycle, reverse(cycle))]
     works = line_integral_works(stack._replace(index=np.repeat(stack.index, 2)), paths,
                                 resolved["n_path"])
-    results = []
+    rows = []
     for c, (gp, loop_id, _) in enumerate(cells):
         w_fwd, w_rev = float(works.at(2 * c)), float(works.at(2 * c + 1))
-        results.append((gp, loop_id, w_fwd, w_rev, abs(w_fwd + w_rev)))
-    rows = [f"{_fmt(gp)},{loop_id},{_fmt(wf)},{_fmt(wr)},{_fmt(res)}"
-            for gp, loop_id, wf, wr, res in results]
-    _write_csv(os.path.join(outdir, "orientation.csv"),
-               "gamma_phi,loop_id,w_forward,w_reversed,antisymmetry_residual", rows)
-    worst = max(res for *_rest, res in results)
-    _write_json(os.path.join(outdir, "metadata.json"),
-                _metadata(resolved, {"n_path": resolved["n_path"],
-                                     "max_antisymmetry_residual": worst}))
-    print(f"orientation: max antisymmetry residual = {_fmt(worst)}")
-    if worst > ANTISYMMETRY_LIMIT:
-        print(f"numeric failure: antisymmetry residual {worst:.3e} exceeds "
-              f"{ANTISYMMETRY_LIMIT:.0e}", file=sys.stderr)
-        return 1
-    return 0
+        rows.append((gp, loop_id, w_fwd, w_rev, abs(w_fwd + w_rev)))
+    worst = max(row[-1] for row in rows)
+    return Result(
+        {"orientation.csv": ("gamma_phi,loop_id,w_forward,w_reversed,antisymmetry_residual", rows)},
+        {"n_path": resolved["n_path"], "max_antisymmetry_residual": worst},
+        f"orientation: max antisymmetry residual = {_fmt(worst)}",
+        f"antisymmetry residual {worst:.3e} exceeds {ANTISYMMETRY_LIMIT:.0e}"
+        if worst > ANTISYMMETRY_LIMIT else None)
 
 
-def _cmd_quasistatic(resolved: dict, outdir: str) -> int:
+def _cmd_quasistatic(resolved: dict) -> Result:
     model = _build_model(resolved["model"])
     cycle = cycle_from_json(resolved["cycle"])
     points = quasistatic_convergence(model, cycle, resolved["periods"],
                                      n_path=resolved["n_path"], dt=resolved["dt"])
-    rows = [f"{_fmt(p.period)},{_fmt(p.w_dyn)},{_fmt(p.w_geom)},{_fmt(p.abs_error)}"
-            for p in points]
-    _write_csv(os.path.join(outdir, "quasistatic.csv"),
-               "period,w_dyn,w_geom,abs_error", rows)
+    tables = {"quasistatic.csv": ("period,w_dyn,w_geom,abs_error",
+                                  [(p.period, p.w_dyn, p.w_geom, p.abs_error) for p in points])}
     if resolved["dump_trajectory"]:
         # the longest period's run, as quasistatic_convergence drove it
         traj = points[-1].trajectory
-        schedule = DriveSchedule(cycle, points[-1].period)
-        dump = []
-        for t, rho, w in zip(traj.times, traj.states, accumulated_work(model, schedule, traj)):
-            b = bloch_components(rho)
-            dump.append(f"{_fmt(t)},{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.z)},{_fmt(w)}")
-        _write_csv(os.path.join(outdir, "trajectory.csv"), "t,x,y,z,work_accumulated", dump)
+        works = accumulated_work(model, DriveSchedule(cycle, points[-1].period), traj)
+        tables["trajectory.csv"] = ("t,x,y,z,work_accumulated",
+                                    [(t, *bloch_components(rho), w)
+                                     for t, rho, w in zip(traj.times, traj.states, works)])
     monotone = errors_decreasing(points)
-    _write_json(os.path.join(outdir, "metadata.json"),
-                _metadata(resolved, {"n_path": resolved["n_path"],
-                                     "monotone_error_decay": monotone,
-                                     "stats": {"integrator": [
-                                         {"period": p.period, "n_steps": p.trajectory.n_steps,
-                                          "step": p.period / p.trajectory.n_steps,
-                                          "min_eigenvalue": p.trajectory.min_eigenvalue,
-                                          "orbit_residual": float(np.max(np.abs(
-                                              p.trajectory.vectors[-1] - p.trajectory.vectors[0])))}
-                                         for p in points]}}))
-    print(f"quasistatic: w_geom = {_fmt(points[0].w_geom)}, final abs_error = "
-          f"{_fmt(points[-1].abs_error)}, monotone = {monotone}")
-    if not monotone:
-        print("numeric failure: error column is not decreasing", file=sys.stderr)
-        return 1
-    return 0
+    integrator = [{"period": p.period, "n_steps": p.trajectory.n_steps,
+                   "step": p.period / p.trajectory.n_steps,
+                   "min_eigenvalue": p.trajectory.min_eigenvalue,
+                   "orbit_residual": float(np.max(np.abs(
+                       p.trajectory.vectors[-1] - p.trajectory.vectors[0])))} for p in points]
+    return Result(tables, {"n_path": resolved["n_path"], "monotone_error_decay": monotone,
+                           "stats": {"integrator": integrator}},
+                  f"quasistatic: w_geom = {_fmt(points[0].w_geom)}, final abs_error = "
+                  f"{_fmt(points[-1].abs_error)}, monotone = {monotone}",
+                  None if monotone else "error column is not decreasing")
 
 
-def _cmd_scaling(resolved: dict, outdir: str) -> int:
+def _cmd_scaling(resolved: dict) -> Result:
     gamma = resolved["model"]["gamma"]
     delta, omega = resolved["point"]
     sweep = resolved["gamma2_sweep"]
@@ -442,46 +409,28 @@ def _cmd_scaling(resolved: dict, outdir: str) -> int:
     b = tls_steady_closed_form(delta, omega, gamma, gamma_phi)
     results = np.abs([sweep, curvature_closed_form_tls(delta, omega, gamma, gamma_phi),
                       pipeline.values, b.x, b.y]).T
-    rows = [f"{_fmt(g2)},{_fmt(af)},{_fmt(ax)},{_fmt(ay)}"
-            for g2, af, _afp, ax, ay in results.tolist()]
-    _write_csv(os.path.join(outdir, "scaling.csv"), "gamma2,abs_F,abs_x,abs_y", rows)
-
     logs = np.log10(results)
-    slopes = {
-        "F": float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0]),
-        "F_pipeline": float(np.polyfit(logs[:, 0], logs[:, 2], 1)[0]),
-        "x": float(np.polyfit(logs[:, 0], logs[:, 3], 1)[0]),
-        "y": float(np.polyfit(logs[:, 0], logs[:, 4], 1)[0]),
-    }
+    # each column's own least-squares slope, all columns in one fit
+    slopes = dict(zip(("F", "F_pipeline", "x", "y"),
+                      np.polyfit(logs[:, 0], logs[:, 1:], 1)[0].tolist()))
     windows = resolved["windows"]
     within = {key: bool(windows[key][0] <= slopes[key] <= windows[key][1])
               for key in ("F", "x", "y")}
-    _write_json(os.path.join(outdir, "metadata.json"),
-                _metadata(resolved, {"slopes": slopes, "windows": windows, "within": within}))
-    for key in ("F", "x", "y"):
-        status = "ok" if within[key] else "OUTSIDE"
-        print(f"slope({key}) = {slopes[key]:+.4f}  window [{windows[key][0]}, "
-              f"{windows[key][1]}]  {status}")
-    print(f"slope(F, generic pipeline) = {slopes['F_pipeline']:+.4f}")
-    if not all(within.values()):
-        bad = sorted(key for key, ok in within.items() if not ok)
-        print(f"numeric failure: slopes {bad} outside their windows", file=sys.stderr)
-        return 1
-    return 0
+    summary = [f"slope({key}) = {slopes[key]:+.4f}  window [{windows[key][0]}, "
+               f"{windows[key][1]}]  {'ok' if within[key] else 'OUTSIDE'}" for key in within]
+    summary.append(f"slope(F, generic pipeline) = {slopes['F_pipeline']:+.4f}")
+    bad = sorted(key for key, ok in within.items() if not ok)
+    return Result({"scaling.csv": ("gamma2,abs_F,abs_x,abs_y", results[:, [0, 1, 3, 4]].tolist())},
+                  {"slopes": slopes, "windows": windows, "within": within}, "\n".join(summary),
+                  f"slopes {bad} outside their windows" if bad else None)
 
 
-def _cmd_ssh(resolved: dict, outdir: str) -> int:
-    t1, t2 = resolved["point"]
-    mspec = resolved["model"]
-    ks = resolved["k_values"]
-    curv = curvatures(ssh_stack(mspec["gamma"], mspec["gamma_phi"], ks),
-                      [resolved["point"]] * len(ks))
-    rows = [f"{_fmt(k)},{_fmt(t1)},{_fmt(t2)},{_fmt(curv.at(n))}" for n, k in enumerate(ks)]
-    _write_csv(os.path.join(outdir, "ssh.csv"), "k,t1,t2,F", rows)
-    _write_json(os.path.join(outdir, "metadata.json"),
-                _metadata(resolved, {"point": resolved["point"]}))
-    print(f"ssh: wrote {len(rows)} rows")
-    return 0
+def _cmd_ssh(resolved: dict) -> Result:
+    mspec, point, ks = resolved["model"], resolved["point"], resolved["k_values"]
+    curv = curvatures(ssh_stack(mspec["gamma"], mspec["gamma_phi"], ks), [point] * len(ks))
+    rows = [(k, *point, curv.at(n)) for n, k in enumerate(ks)]
+    return Result({"ssh.csv": ("k,t1,t2,F", rows)}, {"point": point},
+                  f"ssh: wrote {len(rows)} rows")
 
 
 def _load_config(path: str) -> dict:
@@ -499,7 +448,7 @@ def _load_config(path: str) -> dict:
     return obj
 
 
-# name -> (help line, config resolver, runner); a runner writes every output file
+# name -> (help line, config resolver, runner); a runner returns a Result
 _COMMANDS = {
     "field": ("curvature field on a control-space grid", _resolve_field, _cmd_field),
     "loops": ("cycle work vs dephasing for a set of loops", _resolve_loops, _cmd_loops),
@@ -532,6 +481,28 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()  # built once per process; parsing does not change it
 
 
+def _run(run, resolved: dict, outdir: str) -> int:
+    """Run a command and write its Result: every CSV, then metadata.json (the
+    common envelope merged with the runner's fields), then the summary on
+    stdout, then a failed gate on stderr. Returns the exit code."""
+    result = run(resolved)
+    for name, (header, rows) in result.tables.items():
+        with open(os.path.join(outdir, name), "w", newline="") as fh:
+            fh.writelines(f"{line}\n" for line in
+                          [header, *(",".join(map(_fmt, row)) for row in rows)])
+    if result.metadata is not None:
+        _write_json(os.path.join(outdir, "metadata.json"),
+                    {"command": resolved["command"], "model": resolved["model"],
+                     "version": __version__, "created": datetime.now(timezone.utc).isoformat(),
+                     **result.metadata})
+    if result.summary:
+        print(result.summary)
+    if result.failure is None:
+        return 0
+    print(f"numeric failure: {result.failure}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     _, resolve, run = _COMMANDS[args.command]
@@ -540,7 +511,7 @@ def main(argv=None) -> int:
         resolved = {"command": args.command, **resolve(raw)}
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "config_echo.json"), resolved)
-        return run(resolved, args.out)
+        return _run(run, resolved, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

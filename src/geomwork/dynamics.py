@@ -196,7 +196,8 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
         State eigenvalue below -1e-6.
     DegenerateSteadyStateError, NoSteadyStateError
         Without ``rho0``: the periodic orbit is not unique or not well
-        determined, as for a steady state (`steadystate`).
+        determined, as for a steady state (`steadystate`) of the generator
+        P - I; the message names the orbit.
 
     Notes
     -----
@@ -286,7 +287,12 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
     if rho0 is None:
         if not np.isfinite(phi).all():
             raise StepTooLargeError("non-finite one-period propagator; reduce the step")
-        v, first = _factor((phi - eye)[None])[0].at(0), 0
+        orbit = _factor((phi - eye)[None])[0]
+        if orbit.first_error() is not None:
+            err = orbit.first_error()[1]
+            raise type(err)(f"no periodic orbit: {err}, where the generator is P - I "
+                            "for the one-period propagator P") from err
+        v, first = orbit.values[0], 0
     else:
         v, first = coherence_vectors(rho0), 1  # rho0 is validated
     with np.errstate(over="ignore", invalid="ignore"):

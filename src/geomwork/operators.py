@@ -297,14 +297,25 @@ class LindbladModel:
         return self.hamiltonian.dim
 
 
-def _tls_channels(gamma: float, gamma_phi: float) -> tuple:
-    """Relaxation on sigma_minus at rate ``gamma`` and pure dephasing on
+_TLS_OPS = (SIGMA_MINUS, SIGMA_Z)  # the TLS channels' collapse operators, in order
+
+
+def _tls_rates(gamma, gamma_phi) -> np.ndarray:
+    """Rates (M, 2) of the `_TLS_OPS` channels for M pairs (gamma, gamma_phi):
+    relaxation on sigma_minus at rate ``gamma`` and pure dephasing on
     sigma_z at rate gamma_phi / 2, so the total coherence decay rate is
     Gamma_2 = gamma/2 + gamma_phi; raises InvalidParametersError for a
     negative rate."""
-    if gamma < 0 or gamma_phi < 0:
+    gamma, gamma_phi = np.broadcast_arrays(np.asarray(gamma, dtype=float),
+                                           np.asarray(gamma_phi, dtype=float))
+    if (gamma < 0).any() or (gamma_phi < 0).any():
         raise InvalidParametersError("rates must be nonnegative")
-    return (gamma, SIGMA_MINUS), (0.5 * gamma_phi, SIGMA_Z)
+    return np.stack([gamma.ravel(), 0.5 * gamma_phi.ravel()], axis=-1)
+
+
+def _tls_channels(gamma: float, gamma_phi: float) -> tuple:
+    """The (rate, collapse operator) channels of one pair of TLS rates."""
+    return tuple(zip(_tls_rates(gamma, gamma_phi)[0].tolist(), _TLS_OPS))
 
 
 def tls_model(gamma: float, gamma_phi: float = 0.0) -> LindbladModel:
@@ -329,22 +340,13 @@ def point_stack(model, n: int) -> GeneratorStack:
     return GeneratorStack(model.generator[None], model.h[None], np.zeros(n, dtype=np.intp))
 
 
-def _tls_rates(gamma, gamma_phi) -> np.ndarray:
-    """Channel rates (M, 2) of `_tls_channels` for M pairs (gamma, gamma_phi)."""
-    gamma, gamma_phi = np.broadcast_arrays(np.asarray(gamma, dtype=float),
-                                           np.asarray(gamma_phi, dtype=float))
-    if (gamma < 0).any() or (gamma_phi < 0).any():
-        raise InvalidParametersError("rates must be nonnegative")
-    return np.stack([gamma.ravel(), 0.5 * gamma_phi.ravel()], axis=-1)
-
-
 def _tls_stack(h: np.ndarray, gamma, gamma_phi) -> GeneratorStack:
     """One table entry per rate pair under the TLS channels, indexed in
     order, for the coherence coefficients ``h`` (1 + n_params, d^2) of a
     family, or (M, 1 + n_params, d^2) for one family per entry."""
     rates = _tls_rates(gamma, gamma_phi)
     h = np.broadcast_to(h, (len(rates),) + h.shape[-2:])
-    return GeneratorStack(_generators(h, rates, (SIGMA_MINUS, SIGMA_Z)), h[:, 1:],
+    return GeneratorStack(_generators(h, rates, _TLS_OPS), h[:, 1:],
                           np.arange(len(rates)))
 
 

@@ -444,6 +444,7 @@ def test_quasistatic_steps_as_evolve_would_from_one_scale(monkeypatch, config, n
 @pytest.mark.parametrize("config, message", [
     ({"periods": [0.0, 25.0]}, "periods[0]: must be > 0.0"),
     ({"periods": [25.0], "dt": 1.0}, "dt: must be <= min(periods)/1000 = 0.025"),
+    ({"periods": [-1.0, 2.0]}, "periods[0]: must be > 0.0, got -1.0"),
 ])
 def test_quasistatic_rejects_unusable_periods_and_dt(tmp_path, capsys, config, message):
     code, _ = run(tmp_path, "quasistatic", config)
