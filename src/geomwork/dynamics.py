@@ -288,8 +288,8 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
         if not np.isfinite(phi).all():
             raise StepTooLargeError("non-finite one-period propagator; reduce the step")
         orbit = _factor((phi - eye)[None])[0]
-        if orbit.first_error() is not None:
-            err = orbit.first_error()[1]
+        err = orbit.error(0)
+        if err is not None:
             raise type(err)(f"no periodic orbit: {err}, where the generator is P - I "
                             "for the one-period propagator P") from err
         v, first = orbit.values[0], 0
