@@ -21,8 +21,8 @@ from .errors import (ConfigError, DegenerateSteadyStateError, GeomworkError,
 from .operators import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorStack, LindbladModel,
                         ParamHamiltonian, tls_family, tls_model, tls_stack,
                         validate_density_matrix)
-from .steadystate import (Batch, BlochVector, bloch_components, liouvillians,
-                          steady_state, steady_states, tls_steady_closed_form)
+from .steadystate import (Batch, BlochVector, bloch_components, liouvillians, steady_state,
+                          tls_steady_closed_form)
 from .geometry import (GridSpec, curvature, curvature_closed_form_tls,
                        curvature_field, curvatures, work_one_forms)
 from .cycles import (Circle, Cycle, Rectangle, cycle_from_json, cycle_to_json, flux_works,
@@ -40,7 +40,7 @@ __all__ = [
     "ParamHamiltonian", "LindbladModel", "tls_model", "validate_density_matrix",
     "GeneratorStack", "tls_stack",
     "BlochVector", "liouvillians", "Batch",
-    "steady_state", "steady_states", "bloch_components", "tls_steady_closed_form",
+    "steady_state", "bloch_components", "tls_steady_closed_form",
     "work_one_forms", "curvature_closed_form_tls",
     "curvature", "curvatures", "GridSpec", "curvature_field",
     "Circle", "Rectangle", "Cycle", "reverse", "cycle_to_json",

@@ -305,10 +305,15 @@ class Result(NamedTuple):
 
 
 def _cmd_field(resolved: dict) -> Result:
-    model = _build_model(resolved["model"])
+    mspec = resolved["model"]
     grid = GridSpec(**resolved["grid"])
-    values = curvature_field(model, grid, method=resolved["method"])
     ax1, ax2 = grid.axes()
+    if resolved["method"] == "closed_form":
+        # the resolver allows it for the tls model only, and requires gamma > 0, so D > 0
+        values = curvature_closed_form_tls(*np.meshgrid(ax1, ax2, indexing="ij"),
+                                           mspec["gamma"], mspec["gamma_phi"])
+    else:
+        values = curvature_field(_build_model(mspec), grid)
     # row-major over the grid; a failed node (NaN) is an empty cell
     tables = {"field.csv": ("lambda1,lambda2,F",
                             [(l1, l2, f) for l1, row in zip(ax1.tolist(), values.tolist())
@@ -318,9 +323,11 @@ def _cmd_field(resolved: dict) -> Result:
         return Result(tables, None, "", "every grid node failed")
     i, j = np.unravel_index(np.nanargmax(np.abs(values)), values.shape)
     peak, l1, l2 = float(abs(values[i, j])), float(ax1[i]), float(ax2[j])
-    # the field's metadata names its model by label, with the built model's params
+    # the field's metadata names its model by kind, with the rest of its spec as params
     return Result(tables, {"grid": resolved["grid"], "method": resolved["method"],
-                           "model": model.label, "params": model.params, "failed_nodes": failed,
+                           "model": mspec["kind"],
+                           "params": {k: v for k, v in mspec.items() if k != "kind"},
+                           "failed_nodes": failed,
                            "max_abs_F": {"value": peak, "lambda1": l1, "lambda2": l2}},
                   f"max |F| = {_fmt(peak)} at lambda1={_fmt(l1)}, lambda2={_fmt(l2)}")
 
@@ -383,8 +390,7 @@ def _cmd_quasistatic(resolved: dict) -> Result:
         traj = points[-1].trajectory
         works = accumulated_work(model, DriveSchedule(cycle, points[-1].period), traj)
         tables["trajectory.csv"] = ("t,x,y,z,work_accumulated",
-                                    [(t, *bloch_components(rho), w)
-                                     for t, rho, w in zip(traj.times, traj.states, works)])
+                                    list(zip(traj.times, *bloch_components(traj.states), works)))
     monotone = errors_decreasing(points)
     integrator = [{"period": p.period, "n_steps": p.trajectory.n_steps,
                    "step": p.period / p.trajectory.n_steps,
@@ -404,8 +410,10 @@ def _cmd_scaling(resolved: dict) -> Result:
     sweep = resolved["gamma2_sweep"]
     gamma_phi = np.array(sweep) - 0.5 * gamma
     pipeline = curvatures(tls_stack(gamma, gamma_phi), [resolved["point"]] * len(sweep))
-    if pipeline.first_error() is not None:
-        raise pipeline.first_error()[1]
+    err = pipeline.first_failure(lambda n: f"gamma2={_fmt(sweep[n])}, "
+                                           f"point=[{_fmt(delta)}, {_fmt(omega)}]")
+    if err is not None:
+        raise err
     b = tls_steady_closed_form(delta, omega, gamma, gamma_phi)
     results = np.abs([sweep, curvature_closed_form_tls(delta, omega, gamma, gamma_phi),
                       pipeline.values, b.x, b.y]).T
@@ -428,7 +436,11 @@ def _cmd_scaling(resolved: dict) -> Result:
 def _cmd_ssh(resolved: dict) -> Result:
     mspec, point, ks = resolved["model"], resolved["point"], resolved["k_values"]
     curv = curvatures(ssh_stack(mspec["gamma"], mspec["gamma_phi"], ks), [point] * len(ks))
-    rows = [(k, *point, curv.at(n)) for n, k in enumerate(ks)]
+    err = curv.first_failure(lambda n: f"k={_fmt(ks[n])}, "
+                                       f"point=[{_fmt(point[0])}, {_fmt(point[1])}]")
+    if err is not None:
+        raise err
+    rows = [(k, *point, f) for k, f in zip(ks, curv.values)]
     return Result({"ssh.csv": ("k,t1,t2,F", rows)}, {"point": point},
                   f"ssh: wrote {len(rows)} rows")
 

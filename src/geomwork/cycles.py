@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, check_keys
 from .geometry import curvatures, work_one_forms
 from .operators import LindbladModel, point_stack
-from .steadystate import Batch, _not_finite
+from .steadystate import Batch
 
 _TWO_PI = 2.0 * np.pi
 
@@ -55,8 +55,11 @@ def _legendre(m: int):
 
 
 def _gauss(m: int, a: float, b: float):
+    """The m-point Gauss-Legendre rule on [a, b]. The midpoint is the sum of
+    the halves, finite wherever a and b are; where a + b does not overflow
+    (and no half is subnormal) it is 0.5 (a + b) bit for bit."""
     nodes, weights = _legendre(m)
-    return 0.5 * (b - a) * nodes + 0.5 * (b + a), 0.5 * (b - a) * weights
+    return 0.5 * (b - a) * nodes + (0.5 * b + 0.5 * a), 0.5 * (b - a) * weights
 
 
 @dataclass(frozen=True)
@@ -222,13 +225,10 @@ def cycle_from_json(obj: dict) -> Cycle:
 
 def _weighted_sum(batch: Batch, points: np.ndarray, weights: np.ndarray, where):
     """(correctly rounded sum of ``batch.values * weights``, None), or
-    (NaN, error) where a point failed: the first failed point's error again,
-    with ``where(n)`` and the point appended."""
-    first = batch.first_error()
-    if first is not None:
-        n, exc = first
-        err = type(exc)(f"{exc} [{where(n)}, point={np.asarray(points[n]).tolist()}]")
-        err.__cause__ = exc
+    (NaN, error) where a point failed: the first failed point's error, with
+    ``where(n)`` and the point appended."""
+    err = batch.first_failure(lambda n: f"{where(n)}, point={np.asarray(points[n]).tolist()}")
+    if err is not None:
         return np.nan, err
     return math.fsum((batch.values * weights).ravel()), None
 
@@ -240,20 +240,17 @@ def _integrals(model, cycles, rule, evaluate) -> Batch:
     ``rule(cycle)`` gives a cycle's nodes, weights and ``where`` (its node
     names for errors); ``model`` is a LindbladModel or a GeneratorStack with
     one index entry per cycle. Each cycle's sum, or its error, is the one it
-    gets when evaluated alone: the first failed node in its own node order,
-    or, for a cycle with a node that is not finite, the
-    InvalidParametersError of that cycle's own stack (its other nodes are not
-    evaluated).
+    gets when evaluated alone: the first failed node in its own node order.
+    Every node is finite: `Circle` and `Rectangle` reject, when built, a
+    cycle whose nodes, speeds or weights would overflow.
     """
     stack = point_stack(model, len(cycles))
     rules = [rule(cycle) for cycle in cycles]
-    errors = [_not_finite(nodes) for nodes, _, _ in rules]
-    keep = [c for c, err in enumerate(errors) if err is None]
-    sizes = [len(rules[c][0]) for c in keep]
-    nodes = np.concatenate([rules[c][0] for c in keep] or [np.empty((0, 2))])
-    batch = evaluate(stack._replace(index=np.repeat(stack.index[keep], sizes)), nodes)
-    values = np.full(len(cycles), np.nan)
-    for c, lo, size in zip(keep, np.cumsum([0] + sizes), sizes):
+    sizes = [len(nodes) for nodes, _, _ in rules]
+    nodes = np.concatenate([nodes for nodes, _, _ in rules] or [np.empty((0, 2))])
+    batch = evaluate(stack._replace(index=np.repeat(stack.index, sizes)), nodes)
+    values, errors = np.full(len(cycles), np.nan), [None] * len(cycles)
+    for c, (lo, size) in enumerate(zip(np.cumsum([0] + sizes), sizes)):
         a, b = np.searchsorted(batch.failed, (lo, lo + size))
         part = Batch(batch.values[lo:lo + size], batch.failed[a:b] - lo, batch.errors[a:b])
         values[c], errors[c] = _weighted_sum(part, *rules[c])

@@ -7,10 +7,11 @@ model's coefficients h_i[a] = Tr(B_a H_i). The curvature
 F_ij = d_i A_j - d_j A_i measures how much work fails to commute under the
 order of parameter variations. With constant generators
 d_i A_j = h_j . d_i c, exact by linear response; for the TLS family F is
-also available in closed form. A field samples F_12 on a rectangular grid
-as a plain array, recording nodes where the steady state does not exist as
-NaN (never zeros, which would corrupt flux integrals downstream); writing it
-out is the CLI's job.
+also available in closed form, a second route that the caller chooses. A
+field samples the linear-response F_12 on a rectangular grid as a plain
+array, recording nodes where the steady state does not exist as NaN (never
+zeros, which would corrupt flux integrals downstream); writing it out is
+the CLI's job.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParametersError
 from .operators import LindbladModel, _ordered_sum
-from .steadystate import (Batch, _derivatives, _factor, _positive_denominator, _solve_chunks,
-                          _tls_denominator)
+from .steadystate import Batch, _derivatives, _factor, _positive_denominator, _solve_chunks
 
 
 def gradient_traces(h: np.ndarray, vectors) -> np.ndarray:
@@ -130,36 +129,12 @@ class GridSpec:
                 np.linspace(self.lo[1], self.hi[1], self.shape[1]))
 
 
-def curvature_field(model: LindbladModel, grid: GridSpec,
-                    method: str = "linear_response") -> np.ndarray:
-    """Sample F_12 on a grid via the closed form or the generic pipeline.
-
-    Parameters
-    ----------
-    model : LindbladModel
-    grid : GridSpec
-    method : {"linear_response", "closed_form"}
-        The closed form applies to the TLS family only. Linear response
-        evaluates the whole grid in one `curvatures` call.
-
-    Returns
-    -------
-    ndarray
-        Shape ``grid.shape``, indexed like ``grid.axes()``, with NaN at every
-        node whose steady state fails; the sweep never aborts on individual
-        nodes.
+def curvature_field(model: LindbladModel, grid: GridSpec) -> np.ndarray:
+    """F_12 of the generic pipeline on a grid: one `curvatures` call over
+    every node, shape ``grid.shape``, indexed like ``grid.axes()``, with NaN
+    at every node whose steady state fails; the sweep never aborts on
+    individual nodes. The TLS closed form on a grid is
+    `curvature_closed_form_tls` on ``np.meshgrid(*grid.axes(), indexing="ij")``.
     """
-    if method not in ("linear_response", "closed_form"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed_form" and model.label != "tls":
-        raise InvalidParametersError("closed_form curvature is only defined for the TLS family")
-    l1, l2 = np.meshgrid(*grid.axes(), indexing="ij")
-    if method == "linear_response":
-        nodes = np.stack([l1, l2], axis=-1).reshape(-1, 2)
-        return curvatures(model, nodes).values.reshape(grid.shape)
-    g, gp = model.params.get("gamma"), model.params.get("gamma_phi", 0.0)
-    # the closed form exists only where its denominator D is positive
-    ok = _tls_denominator(l1, l2, g, gp)[1] > 0.0
-    field = np.full(grid.shape, np.nan)
-    field[ok] = curvature_closed_form_tls(l1[ok], l2[ok], g, gp)
-    return field
+    nodes = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 2)
+    return curvatures(model, nodes).values.reshape(grid.shape)

@@ -250,8 +250,9 @@ class LindbladModel:
     """A Hamiltonian family plus rate-weighted collapse channels.
 
     ``channels`` holds (rate, collapse operator) pairs entering the master
-    equation as rate * D[L](rho). ``label`` and ``params`` carry the model
-    identity into output metadata; they do not affect the dynamics.
+    equation as rate * D[L](rho). A model carries no name or parameters: a
+    caller that wants a route specific to its family, such as the TLS closed
+    forms, takes it from the rates it built the model with.
 
     In coherence coordinates, rho = sum_a c_a B_a over the orthonormal
     Hermitian basis of `hermitian_basis`, the master equation is the real
@@ -267,8 +268,6 @@ class LindbladModel:
 
     hamiltonian: ParamHamiltonian
     channels: tuple
-    label: str = "custom"
-    params: dict = field(default_factory=dict)
     generator: np.ndarray = field(init=False, repr=False, compare=False)
     h: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -321,12 +320,7 @@ def _tls_channels(gamma: float, gamma_phi: float) -> tuple:
 def tls_model(gamma: float, gamma_phi: float = 0.0) -> LindbladModel:
     """Driven TLS with relaxation ``gamma`` and pure dephasing ``gamma_phi``,
     so that Gamma_2 = gamma/2 + gamma_phi."""
-    return LindbladModel(
-        hamiltonian=tls_family(),
-        channels=_tls_channels(gamma, gamma_phi),
-        label="tls",
-        params={"gamma": float(gamma), "gamma_phi": float(gamma_phi)},
-    )
+    return LindbladModel(tls_family(), _tls_channels(gamma, gamma_phi))
 
 
 def point_stack(model, n: int) -> GeneratorStack:

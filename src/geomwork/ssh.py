@@ -33,12 +33,7 @@ def ssh_family(k: float) -> ParamHamiltonian:
 
 def ssh_model(gamma: float, gamma_phi: float, k: float) -> LindbladModel:
     """Hopping-plane model with the TLS dissipation channels in the pseudospin basis."""
-    return LindbladModel(
-        hamiltonian=ssh_family(k),
-        channels=_tls_channels(gamma, gamma_phi),
-        label="ssh",
-        params={"gamma": float(gamma), "gamma_phi": float(gamma_phi), "k": float(k)},
-    )
+    return LindbladModel(ssh_family(k), _tls_channels(gamma, gamma_phi))
 
 
 def ssh_stack(gamma, gamma_phi, k) -> GeneratorStack:

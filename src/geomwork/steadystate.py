@@ -37,10 +37,10 @@ entries.
 
 `steady_vectors` solves a stack of control points with one stacked `inv` of
 M per chunk of CHUNK_POINTS, gathering the chunk's per-point generators
-from the tables, so the generator temporaries stay at chunk size; `steady_states`
-returns the same states as density matrices. Each point's arithmetic does
-not depend on the stack it is in or on the models of the other points, so
-`steady_state`, the one-point call of one model, gives bit-identical states.
+from the tables, so the generator temporaries stay at chunk size. Each
+point's arithmetic does not depend on the stack it is in or on the models of
+the other points, so `steady_state`, the density matrix of a one-point call,
+is bit-identical to the state of its point in any stack.
 
 `steady_vector_derivatives` reuses each chunk's M^-1 for the exact linear
 response: d_i c solves G d_i c = -G_i c (Avron, Fraas, Graf & Grech, Commun.
@@ -98,6 +98,18 @@ class Batch(NamedTuple):
         if err is not None:
             raise err
         return self.values[n]
+
+    def first_failure(self, where):
+        """The first failed point's error, re-typed with `` [where(n)]``
+        appended to its message and the original as its ``__cause__``, so
+        that it names its point in the sweep; None if no point failed."""
+        first = self.first_error()
+        if first is None:
+            return None
+        n, exc = first
+        err = type(exc)(f"{exc} [{where(n)}]")
+        err.__cause__ = exc
+        return err
 
 
 def _assemble(generator: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -181,16 +193,6 @@ def _derivatives(G: np.ndarray, generator: np.ndarray) -> Batch:
     return states._replace(values=x)
 
 
-def _not_finite(points: np.ndarray):
-    """InvalidParametersError naming the first non-finite point of a stack
-    (N, n_params), or None if every point is finite."""
-    finite = np.isfinite(points).all(axis=1)
-    if finite.all():
-        return None
-    n = int(np.argmin(finite))
-    return InvalidParametersError(f"control point {n} is not finite: {points[n].tolist()}")
-
-
 def _solve_chunks(model, points, solve) -> Batch:
     """``solve(G, generator, h)`` on each chunk of CHUNK_POINTS points, joined
     into one Batch over the stack: G are the chunk's assembled generators,
@@ -204,9 +206,10 @@ def _solve_chunks(model, points, solve) -> Batch:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be a (N, n_params) stack, got shape {points.shape}")
-    bad = _not_finite(points)
-    if bad is not None:
-        raise bad
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise InvalidParametersError(f"control point {n} is not finite: {points[n].tolist()}")
     stack = point_stack(model, len(points))
     n_params = stack.generator.shape[1] - 1
     if points.shape[1] != n_params:
@@ -225,8 +228,9 @@ def _solve_chunks(model, points, solve) -> Batch:
 
 def steady_vectors(model, points) -> Batch:
     """Steady coherence vectors c, with rho = sum_a c_a B_a, at a stack of
-    points: shape (N, d^2), NaN and the error of `steady_states` where a
-    point fails."""
+    points: shape (N, d^2), with NaN where a point fails and ``error(n)``
+    the DegenerateSteadyStateError (null space not one-dimensional) or
+    NoSteadyStateError (ill-conditioned block M) of a failed point n."""
     return _solve_chunks(model, points, lambda G, generator, h: _factor(G)[0])
 
 
@@ -236,61 +240,30 @@ def steady_vector_derivatives(model, points) -> Batch:
     return _solve_chunks(model, points, lambda G, generator, h: _derivatives(G, generator))
 
 
-def steady_states(model, points) -> Batch:
-    """Unique steady states of the model at a stack of control points.
-
-    Parameters
-    ----------
-    model : LindbladModel or GeneratorStack
-    points : array-like, shape (N, n_params)
-
-    Returns
-    -------
-    Batch
-        ``values`` has shape (N, d, d): Hermitian, unit-trace states with
-        G c = 0, NaN where the point failed. ``error(n)`` is the
-        DegenerateSteadyStateError (null space not one-dimensional) or
-        NoSteadyStateError (ill-conditioned block M) of a failed point n.
-
-    The generators are assembled and factorized CHUNK_POINTS at a time,
-    which bounds the size of the temporary stacks.
-    """
-    vectors = steady_vectors(model, points)
-    return vectors._replace(values=density_matrices(vectors.values))
-
-
 def steady_state(model: LindbladModel, point) -> np.ndarray:
-    """Unique steady state of the model at one control point.
-
-    The one-point call of `steady_states`; returns the d x d density matrix
-    and raises that point's DegenerateSteadyStateError or NoSteadyStateError.
-    """
-    return steady_states(model, [point]).at(0)
+    """Unique steady state of the model at one control point: the d x d
+    density matrix of the one-point `steady_vectors` call, which raises that
+    point's DegenerateSteadyStateError or NoSteadyStateError."""
+    return density_matrices(steady_vectors(model, [point]).at(0))
 
 
-def bloch_components(rho: np.ndarray) -> BlochVector:
-    """(x, y, z) = (Tr rho sigma_x, Tr rho sigma_y, Tr rho sigma_z) for a qubit state."""
+def bloch_components(rho) -> BlochVector:
+    """(x, y, z) = (Tr rho sigma_x, Tr rho sigma_y, Tr rho sigma_z): floats
+    for a qubit state (2, 2), arrays (...) for a stack (..., 2, 2), each entry
+    bit-identical to its one-state call."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"Bloch components need a 2x2 state, got shape {rho.shape}")
-    return BlochVector(
-        float(np.einsum("ij,ji->", rho, SIGMA_X).real),
-        float(np.einsum("ij,ji->", rho, SIGMA_Y).real),
-        float(np.einsum("ij,ji->", rho, SIGMA_Z).real),
-    )
-
-
-def _tls_denominator(delta, omega, gamma, gamma_phi):
-    """Gamma_2 = gamma/2 + gamma_phi and D = 4 omega^2 Gamma_2 + gamma (delta^2
-    + Gamma_2^2) of the two-level closed forms, for scalars or arrays that
-    broadcast together; D is not checked."""
-    g2 = 0.5 * gamma + gamma_phi
-    return g2, 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"Bloch components need 2x2 states, got shape {rho.shape}")
+    x, y, z = (np.einsum("...ij,ji->...", rho, s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    return BlochVector(float(x), float(y), float(z)) if rho.ndim == 2 else BlochVector(x, y, z)
 
 
 def _positive_denominator(delta, omega, gamma, gamma_phi):
-    """`_tls_denominator`; raises InvalidParametersError unless D > 0 everywhere."""
-    g2, denom = _tls_denominator(delta, omega, gamma, gamma_phi)
+    """Gamma_2 = gamma/2 + gamma_phi and D = 4 omega^2 Gamma_2 + gamma (delta^2
+    + Gamma_2^2) of the two-level closed forms, for scalars or arrays that
+    broadcast together; raises InvalidParametersError unless D > 0 everywhere."""
+    g2 = 0.5 * gamma + gamma_phi
+    denom = 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
     if np.any(denom <= 0.0):
         raise InvalidParametersError(
             f"steady-state denominator D = {np.min(denom)} must be positive")

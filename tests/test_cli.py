@@ -40,6 +40,9 @@ def test_field_run_writes_bundle(tmp_path, capsys):
     assert len(rows) == 20
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["command"] == "field"
+    assert meta["method"] == "closed_form"
+    assert meta["model"] == "tls"
+    assert meta["params"] == {"gamma": 1.0, "gamma_phi": 0.2}
     assert meta["failed_nodes"] == 0
     assert "created" in meta
     assert "max |F| =" in capsys.readouterr().out
@@ -123,6 +126,10 @@ def test_field_ssh_model(tmp_path):
     assert "h" not in echo
     _, rows = read_csv(out / "field.csv")
     assert all(np.isfinite(float(r[2])) for r in rows)
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["method"] == "linear_response"
+    assert meta["model"] == "ssh"
+    assert meta["params"] == {"gamma": 1.0, "gamma_phi": 0.1, "k": 1.2}
 
 
 # at gamma = 1 the linear-response steady state is degenerate for delta >= 1e9
@@ -546,11 +553,23 @@ def test_quasistatic_gate_exits_1_after_writing(tmp_path, capsys, monkeypatch):
 
 
 def test_scaling_pipeline_failure_writes_only_the_config_echo(tmp_path, capsys):
-    # at Gamma_2 = 1e9 the generator block's condition number exceeds the limit
+    # at Gamma_2 = 1e9 the generator block's condition number exceeds the
+    # limit; the error names the Gamma_2 and the point in the CSV cell format
     code, out = run(tmp_path, "scaling", {"gamma2_sweep": [1e2, 1e9]})
     assert code == 1
     assert capsys.readouterr().err == ("numeric failure: condition number 1.414e+09 of the "
-                                       "generator block below the trace row exceeds 1e+08\n")
+                                       "generator block below the trace row exceeds 1e+08 "
+                                       "[gamma2=1000000000, point=[0.5, 0.80000000000000004]]\n")
+    assert sorted(p.name for p in out.iterdir()) == ["config_echo.json"]
+
+
+def test_ssh_pipeline_failure_names_the_first_failing_momentum(tmp_path, capsys):
+    # at t1 = 1e9 the condition number exceeds the limit for every k
+    code, out = run(tmp_path, "ssh", {"point": [1e9, 0.5]})
+    assert code == 1
+    assert capsys.readouterr().err == ("numeric failure: condition number 4.714e+09 of the "
+                                       "generator block below the trace row exceeds 1e+08 "
+                                       "[k=0, point=[1000000000, 0.5]]\n")
     assert sorted(p.name for p in out.iterdir()) == ["config_echo.json"]
 
 
@@ -604,11 +623,19 @@ def test_ssh_model_loops_and_orientation(tmp_path, k):
     assert len(rows) == 4 and max(float(r[4]) for r in rows) <= 1e-12
 
 
-@pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_default_run_is_byte_identical_on_rerun(tmp_path, command):
+@pytest.mark.parametrize("command, config", [
+    *(pytest.param(command, None, id=command) for command in cli._COMMANDS),
+    pytest.param("quasistatic", {"dump_trajectory": True}, id="quasistatic-dump_trajectory"),
+])
+def test_default_run_is_byte_identical_on_rerun(tmp_path, command, config):
+    options = []
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        options = ["--config", str(tmp_path / "config.json")]
     outs = [tmp_path / "a", tmp_path / "b"]
-    assert [main([command, "--out", str(out)]) for out in outs] == [0, 0]
+    assert [main([command, *options, "--out", str(out)]) for out in outs] == [0, 0]
     files = sorted(p.name for p in outs[0].iterdir())
+    assert ("trajectory.csv" in files) == (config is not None)
     assert files == sorted(p.name for p in outs[1].iterdir())
     for name in files:
         if name != "metadata.json":

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import geomwork.cycles as cycles
@@ -273,6 +273,37 @@ def test_cycle_json_rejects_boolean_coordinates(key):
 def test_cycle_whose_extent_overflows_is_rejected(obj):
     with pytest.raises(ConfigError, match=f"invalid {obj['kind']} cycle: .* must be finite"):
         cycle_from_json(obj)
+
+
+# magnitudes up to the largest float, half of them in its top ten binades,
+# where a position, speed or area weight would start to overflow
+_extent = st.one_of(st.floats(0.0, 1.7976931348623157e308),
+                    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                              st.integers(1015, 1024)))
+_coordinate = st.tuples(_extent, st.booleans()).map(lambda x: -x[0] if x[1] else x[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["circle", "rectangle"]),
+       a=st.tuples(_coordinate, _coordinate), b=st.tuples(_extent, _extent),
+       orientation=st.sampled_from([1, -1]), n=st.integers(8, 64), m=st.integers(4, 12))
+def test_accepted_cycles_have_finite_rules_at_extreme_extents(kind, a, b, orientation, n, m):
+    # the constructors reject every cycle whose positions, speeds or area
+    # weights would overflow, so the integrals need no check of their own:
+    # every node, velocity and weight of an accepted cycle is finite
+    try:
+        if kind == "circle":
+            cycle = Circle(a, b, orientation)
+        else:
+            cycle = Rectangle(a, (a[0] + b[0], a[1] + b[1]), orientation)
+    except ValueError:
+        assume(False)
+    with np.errstate(over="raise", invalid="raise"):
+        s, w = cycle.path_rule(n)
+        nodes, weights = cycle.area_rule(m)
+        arrays = (s, w, cycle.position(s), cycle.velocity(s), cycle.velocity(s) * w[:, None],
+                  nodes, weights)
+    assert all(np.isfinite(x).all() for x in arrays)
 
 
 def test_gauss_legendre_rules_are_cached_read_only():

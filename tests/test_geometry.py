@@ -15,14 +15,20 @@ from fd_oracle import curvature_fd
 from geomwork import (SIGMA_MINUS, SIGMA_X, SIGMA_Z, DegenerateSteadyStateError,
                       GeomworkError, GridSpec, InvalidParametersError, ParamHamiltonian,
                       curvature, curvature_closed_form_tls, curvature_field, curvatures,
-                      ssh_model, ssh_stack, steady_state, steady_states, tls_model, tls_stack,
-                      tls_steady_closed_form, validate_density_matrix, work_one_forms)
-from geomwork.steadystate import CHUNK_POINTS
+                      ssh_model, ssh_stack, tls_model, tls_stack, tls_steady_closed_form,
+                      validate_density_matrix, work_one_forms)
+from geomwork.operators import density_matrices
+from geomwork.steadystate import CHUNK_POINTS, steady_vectors
 
 
 def work_one_form(model, point):
     """The one-form at one point: the one-point call of `work_one_forms`."""
     return work_one_forms(model, [point]).at(0)
+
+
+def steady_vector(model, point):
+    """The steady coherence vector at one point: the one-point call of `steady_vectors`."""
+    return steady_vectors(model, [point]).at(0)
 
 
 def test_one_form_matches_closed_form_components():
@@ -195,23 +201,22 @@ def test_grid_spec_validation():
 
 def test_field_peaks_on_resonance_column():
     grid = GridSpec((-3.0, 0.05), (3.0, 3.0), (21, 20))
-    field = curvature_field(tls_model(1.0, 0.2), grid, method="closed_form")
+    field = curvature_field(tls_model(1.0, 0.2), grid)
     i, _ = np.unravel_index(np.argmax(np.abs(field)), field.shape)
     assert grid.axes()[0][i] == 0.0
 
 
 def test_field_zero_row_without_drive():
-    field = curvature_field(tls_model(1.0, 0.2),
-                            GridSpec((-1.0, 0.0), (1.0, 1.0), (3, 3)),
-                            method="closed_form")
+    field = curvature_field(tls_model(1.0, 0.2), GridSpec((-1.0, 0.0), (1.0, 1.0), (3, 3)))
     np.testing.assert_array_equal(field[:, 0], np.zeros(3))
 
 
 def test_field_methods_agree():
+    # the pipeline's field against the closed form on the same nodes
     grid = GridSpec((-1.5, 0.2), (1.5, 1.8), (6, 6))
-    model = tls_model(1.0, 0.2)
-    closed = curvature_field(model, grid, method="closed_form")
-    lr = curvature_field(model, grid, method="linear_response")
+    closed = curvature_closed_form_tls(*np.meshgrid(*grid.axes(), indexing="ij"), 1.0, 0.2)
+    lr = curvature_field(tls_model(1.0, 0.2), grid)
+    assert lr.shape == closed.shape == grid.shape
     assert np.max(np.abs(closed - lr)) <= 1e-12
 
 
@@ -243,12 +248,12 @@ def test_batched_matches_per_point(gamma, gamma_phi, points, degenerate_delta, d
     nodes.insert(at, (degenerate_delta, 0.0))
     filler = CHUNK_POINTS - len(nodes) // 2
     stack = np.array([(0.3, 0.7)] * filler + nodes)
-    states = steady_states(model, stack)
+    states = steady_vectors(model, stack)
     forms = work_one_forms(model, stack)
     curvs = curvatures(model, stack)
     for n, node in enumerate(nodes, start=filler):
         failed = gamma == 0.0 and n == filler + at
-        for batch, single in ((states, steady_state), (forms, work_one_form),
+        for batch, single in ((states, steady_vector), (forms, work_one_form),
                               (curvs, curvature)):
             one = _error_or_value(single, model, node)
             if failed:
@@ -291,7 +296,7 @@ def test_sweep_stack_matches_one_model_per_point(family, entries, failing_at):
     stack = stack._replace(index=np.concatenate([np.full(filler, (at + 1) % len(entries)),
                                                  np.arange(len(entries))]))
     nodes = np.array([points[(at + 1) % len(entries)]] * filler + points)
-    for batched, single in ((steady_states, steady_state), (work_one_forms, work_one_form),
+    for batched, single in ((steady_vectors, steady_vector), (work_one_forms, work_one_form),
                             (curvatures, curvature)):
         batch = batched(stack, nodes)
         assert np.all(batch.failed >= filler)
@@ -322,10 +327,10 @@ def test_random_rates_give_positive_states_and_agreeing_curvature(entries):
         gamma_phi.append(gp)
         points.append((delta, -omega if negative else omega))
     stack = tls_stack(gamma, gamma_phi)
-    states = steady_states(stack, points)
+    states = steady_vectors(stack, points)
     curv = curvatures(stack, points)
     for m, (g, gp, point) in enumerate(zip(gamma, gamma_phi, points)):
-        validate_density_matrix(states.at(m))
+        validate_density_matrix(density_matrices(states.at(m)))
         f = curv.at(m)
         ref = curvature_closed_form_tls(*point, g, gp)
         assert abs(f - ref) <= 1e-10 * abs(ref) + 1e-13
@@ -374,26 +379,11 @@ def test_non_hermitian_gradient_raises_typed_error():
 
 def test_field_records_failed_nodes_as_missing():
     # gamma = 0 with pure dephasing: degenerate exactly on the zero-drive row
-    field = curvature_field(tls_model(0.0, 1.0),
-                            GridSpec((-1.0, 0.0), (1.0, 1.0), (3, 3)),
-                            method="linear_response")
+    field = curvature_field(tls_model(0.0, 1.0), GridSpec((-1.0, 0.0), (1.0, 1.0), (3, 3)))
     assert field.shape == (3, 3)
     assert np.isnan(field).sum() == 3
     assert np.all(np.isnan(field[:, 0]))
     assert np.all(np.isfinite(field[:, 1:]))
-
-
-def test_closed_form_field_is_nan_exactly_where_d_vanishes():
-    # without decay D = 4 omega^2 gamma_phi vanishes on the omega = 0 row;
-    # every other node is the scalar closed form bit for bit, -0.0 at gamma = 0
-    grid = GridSpec((-1.0, 0.0), (1.0, 1.0), (3, 3))
-    field = curvature_field(tls_model(0.0, 0.5), grid, "closed_form")
-    ax1, ax2 = grid.axes()
-    assert np.array_equal(np.isnan(field), np.broadcast_to(ax2 == 0.0, (3, 3)))
-    for i, j in np.ndindex(3, 3):
-        if ax2[j] != 0.0:
-            assert _bits(field[i, j]) == _bits(curvature_closed_form_tls(ax1[i], ax2[j], 0.0, 0.5))
-            assert field[i, j] == 0.0 and np.signbit(field[i, j])
 
 
 def test_failures_in_several_chunks_keep_their_indices():
@@ -409,7 +399,7 @@ def test_failures_in_several_chunks_keep_their_indices():
     points = np.column_stack([rng.uniform(-3.0, 3.0, n), rng.uniform(0.1, 3.0, n)])
     models = [tls_model(g, gp) for g, gp in zip(gamma, gamma_phi)]
     stack = tls_stack(gamma, gamma_phi)
-    for batched, single in ((steady_states, steady_state), (work_one_forms, work_one_form),
+    for batched, single in ((steady_vectors, steady_vector), (work_one_forms, work_one_form),
                             (curvatures, curvature)):
         batch = batched(stack, points)
         assert batch.failed.tolist() == failing and batch.first_error()[0] == failing[0]
@@ -425,9 +415,3 @@ def test_failures_in_several_chunks_keep_their_indices():
             else:
                 assert batch.error(m) is None
                 assert _bits(batch.values[m]) == _bits(one)
-
-
-def test_closed_form_method_requires_tls():
-    with pytest.raises(InvalidParametersError):
-        curvature_field(ssh_model(1.0, 0.1, 0.5),
-                        GridSpec((0.2, 0.2), (1.0, 1.0), (3, 3)), method="closed_form")

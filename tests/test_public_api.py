@@ -10,7 +10,8 @@ REMOVED = ("tls_hamiltonian_grad", "ssh_hamiltonian_grad", "dissipator_superop",
            "WORK_RESULT_CSV_HEADER", "CurvatureField",
            "hamiltonian_superop", "lindblad_rhs", "dissipator", "TRACE_DRIFT_LIMIT",
            "pauli", "IDENTITY_2", "coherence", "steady_state_derivatives",
-           "default_time_step", "cycle_work", "WorkResult", "ssh_curvature")
+           "default_time_step", "cycle_work", "WorkResult", "ssh_curvature",
+           "steady_states")
 # names that moved to the tests: the oracles in tests/closed_forms.py, and the
 # one-point calls `flux_work` (tests/test_cycles.py) and `work_one_form`
 # (tests/test_geometry.py) of the batched `flux_works` and `work_one_forms`

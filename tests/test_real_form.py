@@ -13,10 +13,10 @@ from complex_oracle import steady_state as oracle_steady_state
 from complex_oracle import steady_state_derivatives as oracle_derivatives
 from geomwork import (DegenerateSteadyStateError, LindbladModel, ParamHamiltonian,
                       bloch_components, curvature_closed_form_tls, curvatures,
-                      liouvillians, ssh_model, steady_states,
+                      liouvillians, ssh_model,
                       tls_model, tls_steady_closed_form, work_one_forms)
 from geomwork.operators import coherence_vectors, density_matrices, hermitian_basis
-from geomwork.steadystate import steady_vector_derivatives
+from geomwork.steadystate import steady_vector_derivatives, steady_vectors
 
 
 def steady_state_derivatives(model, points):
@@ -43,10 +43,14 @@ def diagonal_model(seed):
 
 
 _rate = st.floats(0.1, 2.0)
-_models = st.one_of(
-    st.builds(tls_model, _rate, st.floats(0.0, 3.0)),
-    st.builds(ssh_model, _rate, st.floats(0.0, 3.0), st.floats(-np.pi, np.pi)),
-    st.builds(random_model, st.integers(0, 2**32 - 1)))
+# (model, the (gamma, gamma_phi) of a TLS or None): a TLS case carries the
+# rates it was built from, for the closed-form check
+_cases = st.one_of(
+    st.tuples(_rate, st.floats(0.0, 3.0)).map(lambda rates: (tls_model(*rates), rates)),
+    st.builds(ssh_model, _rate, st.floats(0.0, 3.0), st.floats(-np.pi, np.pi)).map(
+        lambda model: (model, None)),
+    st.builds(random_model, st.integers(0, 2**32 - 1)).map(lambda model: (model, None)))
+_models = _cases.map(lambda case: case[0])
 _points = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=4)
 
 
@@ -92,9 +96,11 @@ def test_real_generator_is_the_rotated_liouvillian(model, points):
 
 
 @settings(max_examples=40, deadline=None)
-@given(model=_models, points=_points)
-def test_real_steady_states_match_the_oracle(model, points):
-    states = steady_states(model, points)
+@given(case=_cases, points=_points)
+def test_real_steady_states_match_the_oracle(case, points):
+    model, tls_rates = case
+    states = steady_vectors(model, points)
+    states = states._replace(values=density_matrices(states.values))
     derivs = steady_state_derivatives(model, points)
     assert states.failed.size == derivs.failed.size == 0 and states.errors == derivs.errors == ()
     for n, point in enumerate(points):
@@ -104,9 +110,9 @@ def test_real_steady_states_match_the_oracle(model, points):
         d_rho = oracle_derivatives(model, point)
         scale = max(1.0, np.max(np.abs(d_rho)))
         assert np.max(np.abs(derivs.values[n] - d_rho)) <= 1e-10 * scale
-        if model.label == "tls":
+        if tls_rates is not None:
             b = bloch_components(states.values[n])
-            ref = tls_steady_closed_form(*point, model.params["gamma"], model.params["gamma_phi"])
+            ref = tls_steady_closed_form(*point, *tls_rates)
             assert np.max(np.abs(np.array(b) - np.array(ref))) <= 1e-12
 
 
@@ -128,7 +134,7 @@ _degenerate_cases = st.one_of(
 def test_degenerate_points_fail_where_the_oracle_says(case):
     model, point = case
     assert is_degenerate(model, point)
-    states = steady_states(model, [point])
+    states = steady_vectors(model, [point])
     derivs = steady_state_derivatives(model, [point])
     for batch in (states, derivs):
         assert isinstance(batch.error(0), DegenerateSteadyStateError)

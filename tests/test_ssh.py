@@ -32,12 +32,6 @@ def test_gradients_match_central_differences():
     assert ssh_family(0.7).n_params == 2
 
 
-def test_model_metadata():
-    model = ssh_model(1.0, 0.1, np.pi / 2)
-    assert model.label == "ssh"
-    assert model.params == {"gamma": 1.0, "gamma_phi": 0.1, "k": np.pi / 2}
-
-
 def test_curvature_vanishes_at_band_edge():
     for t1 in np.linspace(0.2, 2.0, 4):
         for t2 in np.linspace(0.2, 2.0, 4):

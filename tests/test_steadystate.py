@@ -2,15 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closed_forms import density_from_bloch
 from complex_oracle import complex_liouvillians, hamiltonian_superop, lindblad_rhs, vec
 from geomwork import (DegenerateSteadyStateError, InvalidParametersError, LindbladModel,
                       NoSteadyStateError, ParamHamiltonian, bloch_components, curvature,
-                      liouvillians, ssh_model, steady_state, steady_states, tls_model,
-                      tls_steady_closed_form)
+                      liouvillians, ssh_model, steady_state, tls_model, tls_steady_closed_form)
 from geomwork.operators import coherence_vectors, density_matrices
-from geomwork.steadystate import steady_vector_derivatives
+from geomwork.steadystate import steady_vector_derivatives, steady_vectors
 
 
 def random_matrix(rng, d):
@@ -117,7 +118,7 @@ def test_state_derivatives_solve_the_linear_response_equation():
     points = rng.uniform(-1, 1, size=(5, 2))
     derivs = steady_vector_derivatives(model, points)
     derivs = derivs._replace(values=density_matrices(derivs.values))
-    states = steady_states(model, points).values
+    states = density_matrices(steady_vectors(model, points).values)
     h = 1e-4
     for n, point in enumerate(points):
         for i, gen in enumerate(model.hamiltonian.generators):
@@ -171,7 +172,7 @@ def test_non_finite_points_are_rejected_before_assembly(bad):
     stack[299, 0] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (steady_states, steady_vector_derivatives):
+        for call in (steady_vectors, steady_vector_derivatives):
             with pytest.raises(InvalidParametersError, match=r"control point 0 is not finite"):
                 call(model, [(bad, 0.5)])
             with pytest.raises(InvalidParametersError,
@@ -183,9 +184,10 @@ def test_non_finite_points_are_rejected_before_assembly(bad):
 
 def test_empty_stack_keeps_its_shape():
     model = tls_model(1.0, 0.2)
-    states = steady_states(model, np.zeros((0, 2)))
+    states = steady_vectors(model, np.zeros((0, 2)))
     derivs = steady_vector_derivatives(model, np.zeros((0, 2)))
-    assert states.values.shape == (0, 2, 2) and states.failed.size == 0 and states.errors == ()
+    assert states.values.shape == (0, 4) and states.failed.size == 0 and states.errors == ()
+    assert density_matrices(states.values).shape == (0, 2, 2)
     assert derivs.values.shape == (0, 2, 4) and derivs.failed.size == 0 and derivs.errors == ()
     assert density_matrices(derivs.values).shape == (0, 2, 2, 2)
 
@@ -198,6 +200,28 @@ def test_bloch_round_trip():
         rho /= np.trace(rho)
         back = density_from_bloch(bloch_components(rho))
         assert np.max(np.abs(back - rho)) <= 1e-12
+
+
+_entry = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(parts=st.lists(st.lists(_entry, min_size=8, max_size=8), min_size=1, max_size=6),
+       normalize=st.booleans())
+def test_stacked_bloch_components_match_one_state_calls(parts, normalize):
+    # real and imaginary parts of each 2 x 2 entry, signed zeros included;
+    # normalized, the matrices are states rho = g g^dag / Tr(g g^dag)
+    stack = np.array(parts).view(complex).reshape(-1, 2, 2)
+    if normalize:
+        stack = stack @ stack.conj().swapaxes(1, 2)
+        trace = np.trace(stack, axis1=1, axis2=2).real
+        stack = stack / np.where(trace > 0.0, trace, 1.0)[:, None, None]
+    stacked = bloch_components(stack)
+    assert all(part.shape == (len(stack),) for part in stacked)
+    for n, rho in enumerate(stack):
+        one = bloch_components(rho)
+        assert all(type(part) is float for part in one)
+        assert np.array([part[n] for part in stacked]).tobytes() == np.array(one).tobytes()
 
 
 def test_bloch_components_wrong_dimension():
