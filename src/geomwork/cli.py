@@ -53,7 +53,7 @@ import numpy as np
 
 from . import __version__
 from .cycles import cycle_from_json, cycle_to_json, flux_works, line_integral_works, reverse
-from .dynamics import DriveSchedule, accumulated_work, errors_decreasing, quasistatic_convergence
+from .dynamics import accumulated_work, errors_decreasing, quasistatic_convergence
 from .errors import ConfigError, GeomworkError, check_keys
 from .geometry import GridSpec, curvature_closed_form_tls, curvature_field, curvatures
 from .operators import tls_model, tls_stack
@@ -388,7 +388,7 @@ def _cmd_quasistatic(resolved: dict) -> Result:
     if resolved["dump_trajectory"]:
         # the longest period's run, as quasistatic_convergence drove it
         traj = points[-1].trajectory
-        works = accumulated_work(model, DriveSchedule(cycle, points[-1].period), traj)
+        works = accumulated_work(traj)
         tables["trajectory.csv"] = ("t,x,y,z,work_accumulated",
                                     list(zip(traj.times, *bloch_components(traj.states), works)))
     monotone = errors_decreasing(points)

@@ -33,16 +33,17 @@ message, as a step-by-step check would. The lowest eigenvalue over the
 states the run computed is its diagnostic.
 
 Dynamic work integrates Tr(rho(t) H_i) lambda_dot_i along the actual (not
-steady) state, evaluated over many samples at once: `dynamic_work` over the
-period, `accumulated_work` from t = 0 at every stored sample. Driving a
-cycle ever slower, the work on the periodic orbit converges to the geometric
-line integral of the work one-form; `quasistatic_convergence` tabulates that
-approach for increasing periods.
+steady) states of a trajectory, all samples at once, under the model and
+schedule it keeps: `dynamic_work` over the period, `accumulated_work` from
+t = 0 at every stored sample. Driving a cycle ever slower, the work on the
+periodic orbit converges to the geometric line integral of the work one-form;
+`quasistatic_convergence` tabulates that approach for increasing periods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -65,8 +66,8 @@ class DriveSchedule:
     period: float
 
     def __post_init__(self):
-        if not (self.period > 0):
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be finite and positive, got {self.period}")
 
     def _phase(self, t):
         return (np.asarray(t, dtype=float) % self.period) / self.period
@@ -80,13 +81,15 @@ class DriveSchedule:
         return self.cycle.velocity(self._phase(t)) / self.period
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Stored integration output at a uniform stride: the sample times, the
-    coherence vectors of the states (rho = sum_a c_a B_a), the integrator's
-    diagnostic, the lowest eigenvalue over the states it computed, and the
-    number of steps of its one period."""
+    """One period of an `evolve` run, with the model and schedule it ran: the
+    sample times at a uniform stride, the states' coherence vectors
+    (rho = sum_a c_a B_a), the lowest eigenvalue over the states it computed,
+    and the number of steps. Equality is identity."""
 
+    model: LindbladModel
+    schedule: DriveSchedule
     times: np.ndarray
     vectors: np.ndarray
     min_eigenvalue: float
@@ -124,12 +127,12 @@ def _fold_strides(steps: np.ndarray) -> np.ndarray:
     return steps[:, 0]
 
 
-def _work_integrands(model: LindbladModel, schedule: DriveSchedule,
-                     times: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Tr(rho H_i) lambda_dot_i at a stack of (time, coherence vector) samples;
-    the zero base makes a sample whose every term is -0.0 read +0.0."""
-    return _ordered_sum(gradient_traces(model.h, vectors), schedule.velocity_at(times), 0,
-                        np.zeros(len(times)))
+def _work_integrands(trajectory: Trajectory) -> np.ndarray:
+    """Tr(rho H_i) lambda_dot_i at each stored sample of a trajectory; the
+    zero base makes a sample whose every term is -0.0 read +0.0."""
+    ts = trajectory.times
+    return _ordered_sum(gradient_traces(trajectory.model.h, trajectory.vectors),
+                        trajectory.schedule.velocity_at(ts), 0, np.zeros(len(ts)))
 
 
 def _lowest_eigenvalues(vectors: np.ndarray) -> np.ndarray:
@@ -177,19 +180,25 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
     dt : float, optional
         Target step; defaults to the stability heuristic. The actual step is
         shrunk so it divides the period exactly, which keeps stored samples
-        aligned with the period's end. Must satisfy dt <= T/1000.
+        aligned with the period's end. Must be finite, positive and
+        <= T/1000.
     max_store_per_period : int
-        Upper bound on stored samples per period (stride is chosen from it).
+        Upper bound (>= 1) on stored samples per period (stride is chosen
+        from it).
 
     Returns
     -------
     Trajectory
-        Its ``min_eigenvalue`` is the lowest eigenvalue over the states the
-        run computed: the stored states, and the orbit's start state; the
-        states in between are never formed.
+        It keeps ``model`` and ``schedule``. Its ``min_eigenvalue`` is the lowest
+        eigenvalue over the states the run computed: the stored states, and the
+        orbit's start state; the states in between are never formed.
 
     Raises
     ------
+    ValueError
+        ``dt`` is not finite and positive, or above T/1000;
+        ``max_store_per_period`` is not an integer >= 1; ``rho0`` does not
+        match the model's dimension.
     StepTooLargeError
         A stored state, or the one-period propagator, is not finite.
     IntegrationFailureError
@@ -210,6 +219,10 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
     chunk does not grow with the stride. The stored propagators of the
     period take n_per / stride matrices.
     """
+    if dt is not None and not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not isinstance(max_store_per_period, Integral) or max_store_per_period < 1:
+        raise ValueError(f"max_store_per_period must be an integer >= 1, got {max_store_per_period!r}")
     d = model.dim
     if rho0 is not None:
         rho0 = validate_density_matrix(rho0)
@@ -299,26 +312,23 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
         vectors = np.concatenate([v[None], np.concatenate(stored_props) @ v])
     # n_per is a multiple of the stride, so the period's last step is stored
     times = np.arange(0, n_per + 1, stride) * step
-    return Trajectory(times=times, vectors=vectors, n_steps=n_per,
+    return Trajectory(model, schedule, times=times, vectors=vectors, n_steps=n_per,
                       min_eigenvalue=_check_stored(times[first:], vectors[first:]))
 
 
-def accumulated_work(model: LindbladModel, schedule: DriveSchedule,
-                     trajectory: Trajectory) -> np.ndarray:
+def accumulated_work(trajectory: Trajectory) -> np.ndarray:
     """Work done up to each stored sample of a trajectory (trapezoid rule), 0 at t = 0."""
-    integrand = _work_integrands(model, schedule, trajectory.times, trajectory.vectors)
+    integrand = _work_integrands(trajectory)
     segments = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(trajectory.times)
     return np.concatenate(([0.0], np.cumsum(segments)))
 
 
-def dynamic_work(model: LindbladModel, trajectory: Trajectory, schedule: DriveSchedule) -> float:
+def dynamic_work(trajectory: Trajectory) -> float:
     """Work over the trajectory's one period, from its actual states."""
     ts = trajectory.times
-    if abs(ts[-1] - schedule.period) > 1e-9 * schedule.period:
-        raise ValueError(f"trajectory spans {ts[-1]}, not one period {schedule.period}")
     if len(ts) < 8:
         raise ValueError(f"{len(ts)} stored samples are too few for the period's work")
-    return float(np.trapezoid(_work_integrands(model, schedule, ts, trajectory.vectors), ts))
+    return float(np.trapezoid(_work_integrands(trajectory), ts))
 
 
 @dataclass(frozen=True)
@@ -360,8 +370,7 @@ def quasistatic_convergence(model: LindbladModel, cycle: Cycle, periods,
     scale = _step_scale(model, cycle) if dt is None else None
     points = []
     for T in periods:
-        schedule = DriveSchedule(cycle, T)
         step = dt if dt is not None else _default_time_step(T, scale)
-        traj = evolve(model, schedule, dt=step)
-        points.append(ConvergencePoint(T, dynamic_work(model, traj, schedule), w_geom, traj))
+        traj = evolve(model, DriveSchedule(cycle, T), dt=step)
+        points.append(ConvergencePoint(T, dynamic_work(traj), w_geom, traj))
     return points

@@ -68,7 +68,7 @@ def _ordered_sum(coeffs: np.ndarray, terms: np.ndarray, item_ndim: int, base=Non
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamHamiltonian:
     """An affine Hamiltonian family H(lambda) = H_0 + sum_i lambda_i H_i.
 
@@ -77,7 +77,7 @@ class ParamHamiltonian:
     read-only complex arrays. The constructor raises InvalidParametersError
     unless every matrix is square with the base's dimension, finite, and
     Hermitian to HERMITICITY_TOL relative to its largest entry (at least 1),
-    so every H(lambda) is Hermitian.
+    so every H(lambda) is Hermitian. Equality and hashing are by identity.
     """
 
     base: np.ndarray
@@ -245,7 +245,7 @@ class GeneratorStack(NamedTuple):
     index: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
     """A Hamiltonian family plus rate-weighted collapse channels.
 
@@ -263,13 +263,13 @@ class LindbladModel:
     because it does not depend on the control point. Its first row is exactly
     zero, so the trace c_0 sqrt(d) is conserved exactly. ``h`` is the
     read-only (n_params, d^2) stack of h_i[a] = Tr(B_a H_i), so that
-    Tr(rho H_i) = h_i . c.
+    Tr(rho H_i) = h_i . c. Equality and hashing are by identity.
     """
 
     hamiltonian: ParamHamiltonian
     channels: tuple
-    generator: np.ndarray = field(init=False, repr=False, compare=False)
-    h: np.ndarray = field(init=False, repr=False, compare=False)
+    generator: np.ndarray = field(init=False, repr=False)
+    h: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.hamiltonian.dim

@@ -111,10 +111,10 @@ def frozen_schedule(point, period=20.0):
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        DriveSchedule(LOOP_B, 0.0)
-    with pytest.raises(ValueError):
-        DriveSchedule(LOOP_B, -1.0)
+    # unchecked, an infinite period overflows in evolve
+    for period in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^period must be finite and positive"):
+            DriveSchedule(LOOP_B, period)
 
 
 def test_schedule_is_periodic():
@@ -178,8 +178,8 @@ def test_static_drive_accumulates_no_work():
     model = tls_model(1.0, 0.0)
     sched = frozen_schedule((0.5, 0.7))
     traj = evolve(model, sched, steady_state(model, (0.5, 0.7)))
-    assert np.all(accumulated_work(model, sched, traj) == 0.0)
-    assert dynamic_work(model, traj, sched) == 0.0
+    assert np.all(accumulated_work(traj) == 0.0)
+    assert dynamic_work(traj) == 0.0
 
 
 def test_trace_and_hermiticity_stay_controlled():
@@ -237,11 +237,11 @@ def test_chunked_evolve_matches_per_step_reference(cycle, gamma, gamma_phi, peri
     assert _bits(traj.times) == _bits(times)
     assert traj.n_steps == n_steps
     assert np.max(np.abs(traj.states - states)) <= 1e-12
-    assert np.max(np.abs(accumulated_work(model, schedule, traj) - work)) <= 1e-12
+    assert np.max(np.abs(accumulated_work(traj) - work)) <= 1e-12
     assert herm_residual <= 1e-12 and trace_drift <= 1e-12
     assert abs(traj.min_eigenvalue - min_eigenvalue) <= 1e-12
     values = [reference_integrand(model, schedule, t, rho) for t, rho in zip(times, states)]
-    assert abs(dynamic_work(model, traj, schedule) - float(np.trapezoid(values, times))) <= 1e-12
+    assert abs(dynamic_work(traj) - float(np.trapezoid(values, times))) <= 1e-12
 
 
 def test_three_level_evolve_matches_per_step_reference():
@@ -259,7 +259,7 @@ def test_three_level_evolve_matches_per_step_reference():
         model, schedule, rho0, max_store_per_period=100)
     assert _bits(traj.times) == _bits(times) and traj.n_steps == n_steps
     assert np.max(np.abs(traj.states - states)) <= 1e-12
-    assert np.max(np.abs(accumulated_work(model, schedule, traj) - work)) <= 1e-12
+    assert np.max(np.abs(accumulated_work(traj) - work)) <= 1e-12
     assert abs(traj.min_eigenvalue - min_eigenvalue) <= 1e-12
 
 
@@ -319,7 +319,7 @@ def test_chunk_and_fold_edges_match_per_step_reference(monkeypatch, steps, store
         model, schedule, rho0, dt=10.0 / steps, max_store_per_period=store)
     assert _bits(traj.times) == _bits(times) and traj.n_steps == n_steps == steps
     assert np.max(np.abs(traj.states - states)) <= 1e-12
-    assert np.max(np.abs(accumulated_work(model, schedule, traj) - work)) <= 1e-12
+    assert np.max(np.abs(accumulated_work(traj) - work)) <= 1e-12
     assert abs(traj.min_eigenvalue - min_eigenvalue) <= 1e-12
 
 
@@ -393,13 +393,43 @@ def test_evolve_validates_inputs():
         evolve(model, sched, np.diag([0.0, 1.0]).astype(complex), dt=0.5)
 
 
-def test_dynamic_work_needs_a_full_period():
-    model = tls_model(1.0, 0.0)
-    sched = DriveSchedule(LOOP_B, 50.0)
-    traj = evolve(model, sched, steady_state(model, LOOP_B.position(0.0)))
-    longer = DriveSchedule(LOOP_B, 80.0)
-    with pytest.raises(ValueError):
-        dynamic_work(model, traj, longer)
+@pytest.mark.parametrize("kwargs, match", [
+    # unchecked, a zero step divides by zero, a negative one runs no steps
+    # and blames the orbit, NaN fails converting the step count to an integer
+    pytest.param({"dt": 0.0}, r"^dt must be finite and positive", id="dt-zero"),
+    pytest.param({"dt": -0.01}, r"^dt must be finite and positive", id="dt-negative"),
+    pytest.param({"dt": np.nan}, r"^dt must be finite and positive", id="dt-nan"),
+    pytest.param({"dt": np.inf}, r"^dt must be finite and positive", id="dt-inf"),
+    # unchecked, zero divides by zero and a negative bound stores every state
+    pytest.param({"max_store_per_period": 0}, r"^max_store_per_period must be an integer >= 1",
+                 id="store-zero"),
+    pytest.param({"max_store_per_period": -5}, r"^max_store_per_period must be an integer >= 1",
+                 id="store-negative"),
+    pytest.param({"max_store_per_period": 2.5}, r"^max_store_per_period must be an integer >= 1",
+                 id="store-fraction"),
+])
+def test_evolve_rejects_unusable_arguments(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        evolve(tls_model(1.0, 0.0), DriveSchedule(LOOP_B, 10.0), **kwargs)
+
+
+def test_trajectory_keeps_its_model_and_schedule():
+    # two identical runs: equal arrays, distinct trajectories
+    model = tls_model(1.0, 0.2)
+    schedule = DriveSchedule(LOOP_B, 10.0)
+    a, b = (evolve(model, schedule, max_store_per_period=8) for _ in range(2))
+    assert a.model is model and a.schedule is schedule
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_dynamic_work_needs_eight_samples():
+    # a bound of 4 stores the start and 4 more states
+    traj = evolve(tls_model(1.0, 0.0), DriveSchedule(LOOP_B, 10.0), max_store_per_period=4)
+    assert len(traj.times) == 5
+    with pytest.raises(ValueError, match=r"^5 stored samples are too few"):
+        dynamic_work(traj)
 
 
 def test_quasistatic_convergence_toward_geometric_work():

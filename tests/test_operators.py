@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 from closed_forms import ssh_hamiltonian, tls_hamiltonian
 from complex_oracle import dissipator, lindblad_rhs
 from geomwork import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, InvalidParametersError,
-                      ssh_family, tls_family, tls_model, validate_density_matrix)
+                      LindbladModel, ParamHamiltonian, ssh_family, tls_family, tls_model,
+                      validate_density_matrix)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 
@@ -79,6 +80,16 @@ def test_family_and_dissipator_are_read_only():
             array[0, 0] = 1.0
     with pytest.raises(ValueError, match="2 coordinates"):
         model.hamiltonian.matrices(np.zeros((4, 3)))
+
+
+def test_models_compare_by_identity():
+    # generated == over equal but distinct arrays would raise, and hash() a
+    # TypeError
+    fams = [ParamHamiltonian(np.zeros((2, 2)), [0.5 * SIGMA_Z, SIGMA_X]) for _ in range(2)]
+    models = [LindbladModel(fam, ((1.0, SIGMA_MINUS),)) for fam in fams]
+    for a, b in (fams, models, (tls_model(1.0, 0.2), tls_model(1.0, 0.2))):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 def test_dissipator_dephasing_fixes_maximally_mixed():

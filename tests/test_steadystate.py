@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_forms import density_from_bloch
@@ -208,14 +208,17 @@ _entry = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))
 @settings(max_examples=50, deadline=None)
 @given(parts=st.lists(st.lists(_entry, min_size=8, max_size=8), min_size=1, max_size=6),
        normalize=st.booleans())
+@example(parts=[[0.0] * 7 + [1.841347894295363e-161]], normalize=True)
 def test_stacked_bloch_components_match_one_state_calls(parts, normalize):
     # real and imaginary parts of each 2 x 2 entry, signed zeros included;
-    # normalized, the matrices are states rho = g g^dag / Tr(g g^dag)
+    # normalized, the matrices are states rho = g g^dag / Tr(g g^dag); a
+    # subnormal trace (the pinned example's is 3.4e-322) would overflow the
+    # division, so such a matrix stays as it is
     stack = np.array(parts).view(complex).reshape(-1, 2, 2)
     if normalize:
         stack = stack @ stack.conj().swapaxes(1, 2)
         trace = np.trace(stack, axis1=1, axis2=2).real
-        stack = stack / np.where(trace > 0.0, trace, 1.0)[:, None, None]
+        stack = stack / np.where(trace >= np.finfo(float).tiny, trace, 1.0)[:, None, None]
     stacked = bloch_components(stack)
     assert all(part.shape == (len(stack),) for part in stacked)
     for n, rho in enumerate(stack):
