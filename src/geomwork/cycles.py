@@ -238,14 +238,18 @@ def _integrals(model, cycles, rule, evaluate) -> Batch:
     nodes of every cycle.
 
     ``rule(cycle)`` gives a cycle's nodes, weights and ``where`` (its node
-    names for errors); ``model`` is a LindbladModel or a GeneratorStack with
-    one index entry per cycle. Each cycle's sum, or its error, is the one it
-    gets when evaluated alone: the first failed node in its own node order.
-    Every node is finite: `Circle` and `Rectangle` reject, when built, a
-    cycle whose nodes, speeds or weights would overflow.
+    names for errors), built once per distinct cycle; ``model`` is a
+    LindbladModel or a GeneratorStack with one index entry per cycle. Each
+    cycle's sum, or its error, is the one it gets when evaluated alone: the
+    first failed node in its own node order. Every node is finite: `Circle`
+    and `Rectangle` reject, when built, a cycle whose nodes, speeds or
+    weights would overflow.
     """
     stack = point_stack(model, len(cycles))
-    rules = [rule(cycle) for cycle in cycles]
+    # cycles are frozen dataclasses, equal and hashed by value; the first of
+    # equal cycles builds their rule
+    distinct = {cycle: rule(cycle) for cycle in dict.fromkeys(cycles)}
+    rules = [distinct[cycle] for cycle in cycles]
     sizes = [len(nodes) for nodes, _, _ in rules]
     nodes = np.concatenate([nodes for nodes, _, _ in rules] or [np.empty((0, 2))])
     batch = evaluate(stack._replace(index=np.repeat(stack.index, sizes)), nodes)

@@ -6,8 +6,8 @@ generator G(lambda) evaluated as the drive moves the control point. For the
 linear master equation each RK4 step is a fixed real matrix R_k applied to
 c, built from the step's start, mid and end generators. A run integrates
 one drive period. Only every stride-th state is stored, and the period's
-steps run in chunks of whole strides, at most 2 * CHUNK_POINTS steps each,
-or in pieces of 2 * CHUNK_POINTS steps of a longer stride: the chunk's
+steps run in chunks of whole strides, at most CHUNK_STEPS steps each,
+or in pieces of CHUNK_STEPS steps of a longer stride: the chunk's
 mid-step and end-of-step generators are formed in one broadcast call, and
 every R_k of the chunk as one stack. Each stride's steps (or the piece's)
 are folded into one matrix T_j = R_{(j+1)s-1} ... R_{js} by pairwise
@@ -52,10 +52,11 @@ from .errors import IntegrationFailureError, StepTooLargeError
 from .geometry import gradient_traces
 from .operators import (LindbladModel, _ordered_sum, coherence_vectors, density_matrices,
                         validate_density_matrix)
-from .steadystate import CHUNK_POINTS, _factor, liouvillians
+from .steadystate import _factor, liouvillians
 
 POSITIVITY_FLOOR = -1e-6
 ERROR_JITTER = 0.10  # fractional rise allowed per step by `errors_decreasing`
+CHUNK_STEPS = 512  # RK4 steps per chunk of `evolve`
 
 
 @dataclass(frozen=True)
@@ -210,12 +211,12 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
 
     Notes
     -----
-    Memory: a chunk of n <= 2 * CHUNK_POINTS steps holds about 7 n matrices
+    Memory: a chunk of n <= CHUNK_STEPS steps holds about 7 n matrices
     of d^4 floats at once (its mid and end generators, the start generators
-    and RK4 stages, the fold's first round); at n = 2 * CHUNK_POINTS and
-    d = 2 its generators take 128 KiB. A stride longer than 2 * CHUNK_POINTS
+    and RK4 stages, the fold's first round); at n = CHUNK_STEPS and
+    d = 2 its generators take 128 KiB. A stride longer than CHUNK_STEPS
     steps, as with a small ``max_store_per_period``, runs in pieces of
-    2 * CHUNK_POINTS steps, each folded into the carried product, so the
+    CHUNK_STEPS steps, each folded into the carried product, so the
     chunk does not grow with the stride. The stored propagators of the
     period take n_per / stride matrices.
     """
@@ -242,10 +243,10 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
     eye = np.eye(d * d)
     half = 0.5 * step
     sixth = step / 6.0
-    # steps per chunk: whole strides, at most 2 * CHUNK_POINTS steps (a mid
+    # steps per chunk: whole strides, at most CHUNK_STEPS steps (a mid
     # and an end generator each); a longer stride is one chunk, run in
-    # pieces of 2 * CHUNK_POINTS steps
-    chunk = stride * max(1, 2 * CHUNK_POINTS // stride)
+    # pieces of CHUNK_STEPS steps
+    chunk = stride * max(1, CHUNK_STEPS // stride)
     # phi carries the product R_k ... R_0 from the period start from piece
     # to piece; it is stored at the end of every stride
     phi = eye
@@ -255,7 +256,7 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
     # a blown-up step overflows; it raises below, before any solve
     with np.errstate(over="ignore", invalid="ignore"):
         while lo < n_per:
-            hi = min(lo + 2 * CHUNK_POINTS, (lo // chunk + 1) * chunk, n_per)
+            hi = min(lo + CHUNK_STEPS, (lo // chunk + 1) * chunk, n_per)
             t = np.arange(lo, hi) * step
             mid_and_end = np.concatenate([t + 0.5 * step, t + step])
             stack = liouvillians(model, schedule.point_at(mid_and_end))

@@ -17,35 +17,56 @@ The trace row of every generator is exactly zero, so G = [[0, 0], [g, M]]
 with M the (d^2 - 1) x (d^2 - 1) block below it, and a unit-trace state has
 the fixed first coordinate c_0 = 1 / Tr B_0 = 1 / sqrt(d), taken from the
 stored B_0 = b I so that the state has unit trace in the basis as stored. The
-steady state is therefore c = (c_0, -M^-1 g c_0), one solve with M. A
-steady state is only returned when it is unique and well determined:
+steady state is therefore c = (c_0, -c_0 M^-1 g), one solve with M.
+
+Each point's rows [g, M] are first scaled by a power of two, which is exact,
+so that their largest entry lies in [1/2, 1). A qubit block (d = 2, M is
+3 x 3) is inverted in closed form, by its adjugate over its determinant,
+elementwise over the stack. The closed form is used only where it is
+certified: det != 0, every entry finite, and a bound on the condition number
+of at most CLOSED_FORM_LIMIT, a fixed fraction of CONDITION_LIMIT. Every
+other block, and every block of a larger system, goes to a stacked LAPACK
+`inv`, which alone decides whether a point fails. So a steady state is only
+returned when it is unique and well determined:
 
 - G identically zero: DegenerateSteadyStateError, every state is stationary.
-- M exactly singular (a zero pivot: the stacked `np.linalg.inv` raises, and
-  the sign from `np.linalg.slogdet` is 0): DegenerateSteadyStateError. A
-  Lindblad generator always has a steady state c, so M r = 0 makes (0, r) a
-  second null direction beside it.
-- Frobenius condition number ||M||_F ||M^-1||_F above CONDITION_LIMIT, or
-  not finite because a nearly singular M overflowed its inverse:
-  NoSteadyStateError. It bounds the 2-norm condition number from above,
-  within a factor d^2 - 1.
+- M exactly singular (a zero pivot: `inv` raises, and the sign from
+  `np.linalg.slogdet` is 0): DegenerateSteadyStateError. A Lindblad
+  generator always has a steady state c, so M r = 0 makes (0, r) a second
+  null direction beside it.
+- Frobenius condition number ||M||_F ||M^-1||_F of the scaled block above
+  CONDITION_LIMIT, or not finite because a nearly singular M overflowed its
+  inverse: NoSteadyStateError. It bounds the 2-norm condition number from
+  above, within a factor d^2 - 1. Both norms are taken of power-of-two
+  scaled matrices, so neither squared norm overflows, and the value equals
+  the unscaled product wherever that does not overflow.
+
+Every solve, on either path, applies the inverse and then takes one step of
+residual correction, x + M^-1 (b - M x) (iterative refinement; Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12). The
+steady state's residual is formed in np.longdouble, which on x86-64 Linux
+carries 11 more bits than a double: with it, the one-form and the curvature
+come out more accurate than from the inverse alone at every dephasing rate
+tested, which a residual in doubles misses at strong dephasing.
 
 The tests run as array comparisons over the stack, and error objects are
 built for the failed points only: a `Batch` holds them beside the ascending
 indices of those points, so a stack with no failure carries no per-point
 entries.
 
-`steady_vectors` solves a stack of control points with one stacked `inv` of
-M per chunk of CHUNK_POINTS, gathering the chunk's per-point generators
-from the tables, so the generator temporaries stay at chunk size. Each
-point's arithmetic does not depend on the stack it is in or on the models of
-the other points, so `steady_state`, the density matrix of a one-point call,
-is bit-identical to the state of its point in any stack.
+`steady_vectors` solves a stack of control points in chunks of
+CHUNK_POINTS, gathering the chunk's per-point generators from the tables, so
+the generator temporaries stay at chunk size. The closed form, the
+correction and the matrix-vector products are elementwise, with the points
+on the last axis; LAPACK inverts each block on its own. So each point's
+arithmetic does not depend on the stack it is in or on the models of the
+other points, and `steady_state`, the density matrix of a one-point call, is
+bit-identical to the state of its point in any stack.
 
-`steady_vector_derivatives` reuses each chunk's M^-1 for the exact linear
-response: d_i c solves G d_i c = -G_i c (Avron, Fraas, Graf & Grech, Commun.
-Math. Phys. 314, 163 (2012)). The trace stays fixed, d_i c_0 = 0, and the
-first row of G_i is zero too, so the other coordinates are
+`steady_vector_derivatives` reuses each chunk's inverses for the exact
+linear response: d_i c solves G d_i c = -G_i c (Avron, Fraas, Graf & Grech,
+Commun. Math. Phys. 314, 163 (2012)). The trace stays fixed, d_i c_0 = 0,
+and the first row of G_i is zero too, so the other coordinates are
 -M^-1 (G_i c)_{1:}, an ordinary solve with the same M.
 """
 
@@ -61,7 +82,17 @@ from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, _ordered_sum,
                         density_matrices, hermitian_basis, point_stack)
 
 CONDITION_LIMIT = 1e8
-CHUNK_POINTS = 256
+# a qubit block is inverted in closed form only where a bound on its
+# condition number is below this, so that LAPACK alone decides near the limit
+CLOSED_FORM_LIMIT = CONDITION_LIMIT / 16
+CHUNK_POINTS = 1024
+
+# the four factors of each adjugate entry of a qubit block M, in row-major
+# order: adj[i, j] = M[j1, i1] M[j2, i2] - M[j1, i2] M[j2, i1], with
+# j1, j2 = j + 1, j + 2 and i1, i2 = i + 1, i + 2 modulo 3, as flat indices
+# into the rows [g, M] (3 x 4) of a generator below its trace row
+_ADJUGATE = np.array([[4 * ((j + a) % 3) + 1 + (i + b) % 3 for i in range(3) for j in range(3)]
+                      for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]).ravel()
 
 
 class BlochVector(NamedTuple):
@@ -146,50 +177,127 @@ def _solve_error(generator: np.ndarray, singular: bool, cond: float):
         f"exceeds {CONDITION_LIMIT:.0e}")
 
 
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for blocks a (..., k, K, N) and vectors v (..., K, N), with the
+    points on the last axis: elementwise, summed in column order, so that
+    each product does not depend on the stack it is in."""
+    terms = a * v[..., None, :, :]
+    if not terms.shape[-2]:  # the empty blocks of a one-level system
+        return terms.sum(axis=-2)
+    out = terms[..., 0, :]
+    for j in range(1, terms.shape[-2]):
+        out = out + terms[..., j, :]
+    return out
+
+
+def _qubit_inverses(f: np.ndarray):
+    """Closed-form inverses (9, N), row-major, of the scaled qubit blocks M,
+    from the rows [g, M] (3 x 4) of the scaled generators below their trace
+    row, given flat as ``f`` (12, N); and where they are certified. Every
+    entry of a scaled block is at most 1 in magnitude, so
+    ||M||_F ||M^-1||_F <= 9 max|M^-1|, and a block is certified where that
+    bound is below CLOSED_FORM_LIMIT, which also requires det != 0 and every
+    entry finite. Elementwise over the stack."""
+    g = f[_ADJUGATE]
+    adj = g[:9] * g[9:18] - g[18:27] * g[27:]
+    terms = f[1:4] * adj[::3]  # the first row of M times the first column of adj
+    det = terms[0] + terms[1] + terms[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = adj / det
+        # false where det = 0 or an entry is not finite: inv holds an inf or a nan
+        ok = np.abs(inv).max(axis=0) < CLOSED_FORM_LIMIT / 9.0
+    return inv, ok
+
+
+def _lapack_inverses(ms: np.ndarray):
+    """Inverses of a stack (n, k, k) of scaled blocks by LAPACK, whether each
+    is exactly singular, and their Frobenius condition numbers.
+
+    `inv` raises for the whole stack if one block is singular. Only then are
+    the exactly singular blocks found by `slogdet` and replaced by the
+    identity, and the stack inverted again. Each inverse is scaled by a power
+    of two before its norm is taken, so that no squared norm overflows.
+    """
+    try:
+        inv = np.linalg.inv(ms)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(ms)[0] == 0.0
+        inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(ms.shape[-1]), ms))
+    else:
+        singular = np.zeros(len(ms), dtype=bool)
+    t = np.frexp(np.abs(inv).max(axis=(1, 2), initial=0.0))[1]
+    u = np.ldexp(inv, -t[:, None, None])
+    cond = np.ldexp(np.sqrt(np.einsum("nij,nij->n", ms, ms) * np.einsum("nij,nij->n", u, u)), t)
+    return inv, singular, cond
+
+
 def _factor(G: np.ndarray):
     """Steady coherence vectors of a stack (N, d^2, d^2) of generators, as a
-    Batch, and the inverses of their blocks M, for the derivatives.
+    Batch, and ``solve(b, residual=float)``, the x with M x = b at every
+    point for right-hand sides b (..., d^2 - 1, N) with the points on the
+    last axis, for the derivatives.
 
-    `inv` raises for the whole stack if one M is singular. Only then are the
-    exactly singular blocks found by `slogdet` and replaced by the identity,
-    and the stack inverted again; their points have failed.
+    Each point's rows [g, M] are scaled by 2^shift, with the largest entry
+    in [1/2, 1). Qubit blocks are inverted by `_qubit_inverses` where it
+    certifies them, and every other block by `_lapack_inverses`, which finds
+    the failed points. A solve applies the inverse of the scaled block to
+    the scaled right-hand side and takes one step of residual correction,
+    x + M^-1 (b - M x), with the residual b - M x formed in the dtype
+    ``residual``: np.longdouble for the steady states.
     """
-    m = G[:, 1:, 1:]
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        singular = np.linalg.slogdet(m)[0] == 0.0
-        inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(m.shape[-1]), m))
+    n, k = len(G), G.shape[-1] - 1
+    shift = -np.frexp(np.abs(G).max(axis=(1, 2), initial=0.0))[1]
+    gs = np.empty((k, k + 1, n))  # the scaled rows [g, M], with the points on the last axis
+    np.ldexp(G[:, 1:].transpose(1, 2, 0), shift, out=gs)
+    ms = gs[:, 1:]
+    if k == 3:
+        inv, ok = _qubit_inverses(gs.reshape(12, n))
+        inv = inv.reshape(3, 3, n)
     else:
-        singular = np.zeros(len(G), dtype=bool)
-    cond = np.sqrt(np.einsum("nij,nij->n", m, m) * np.einsum("nij,nij->n", inv, inv))
-    failed = singular | ~(cond <= CONDITION_LIMIT)
-    inv[failed] = 0.0  # a failed point's inverse may have overflowed; keep it out of the states
-    failed = np.flatnonzero(failed)
+        inv, ok = np.empty((k, k, n)), np.zeros(n, dtype=bool)
+    rest = np.flatnonzero(~ok)
+    failed, errors = rest, ()
+    if rest.size:
+        inv_rest, singular, cond = _lapack_inverses(
+            np.ascontiguousarray(ms[..., rest].transpose(2, 0, 1)))
+        inv[..., rest] = inv_rest.transpose(1, 2, 0)
+        bad = singular | ~(cond <= CONDITION_LIMIT)
+        failed = rest[bad]
+        errors = tuple(_solve_error(G[i], s, c)
+                       for i, s, c in zip(failed, singular[bad], cond[bad]))
+        # a failed point's inverse may have overflowed; keep it out of the solves
+        inv[..., failed] = gs[..., failed] = 0.0
+
+    def solve(b, residual=float):
+        b = np.ldexp(b, shift)
+        x = _matvec(inv, b)
+        r = b - _matvec(ms.astype(residual, copy=False), x.astype(residual, copy=False))
+        return x + _matvec(inv, r.astype(float, copy=False))
+
     dim = math.isqrt(G.shape[-1])
     c0 = 1.0 / (dim * hermitian_basis(dim)[0, 0, 0].real)  # unit trace in the stored basis
     vectors = np.empty(G.shape[:2])
     vectors[:, 0] = c0
-    vectors[:, 1:] = (inv @ G[:, 1:, :1])[..., 0] * -c0
+    np.multiply(solve(G[:, 1:, 0].T, np.longdouble).T, -c0, out=vectors[:, 1:])
     vectors[failed] = np.nan
-    errors = tuple(_solve_error(G[n], singular[n], cond[n]) for n in failed)
-    return Batch(vectors, failed, errors), inv
+    return Batch(vectors, failed, errors), solve
 
 
 def _derivatives(G: np.ndarray, generator: np.ndarray) -> Batch:
     """d_i c for each family generator at a stack of generators G, with the
-    per-point generator stacks they were assembled from, from the inverses
-    that also give the steady coherence vectors.
+    per-point generator stacks they were assembled from, by the solves that
+    also give the steady coherence vectors.
 
     A failed point's state is NaN, so its right-hand side and solution are
     NaN too.
     """
-    states, inv = _factor(G)
+    states, solve = _factor(G)
     c = states.values
-    rhs = (generator[:, 1:, 1:] @ c[:, None, :, None])[..., 0]  # (G_i c) below the trace row
-    x = np.empty(rhs.shape[:2] + c.shape[1:])
+    # (G_i c) below the trace row, with the points on the last axis
+    rhs = _matvec(generator[:, 1:, 1:].transpose(1, 2, 3, 0), c.T)
+    x = np.empty((len(c), len(rhs), c.shape[1]))
     x[..., 0] = c[:, None, 0] * 0.0  # d_i c_0 = 0, NaN where the point failed
-    x[..., 1:] = -(inv @ rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
+    np.negative(solve(rhs).transpose(2, 0, 1), out=x[..., 1:])
     return states._replace(values=x)
 
 
@@ -258,16 +366,29 @@ def bloch_components(rho) -> BlochVector:
     return BlochVector(float(x), float(y), float(z)) if rho.ndim == 2 else BlochVector(x, y, z)
 
 
-def _positive_denominator(delta, omega, gamma, gamma_phi):
-    """Gamma_2 = gamma/2 + gamma_phi and D = 4 omega^2 Gamma_2 + gamma (delta^2
-    + Gamma_2^2) of the two-level closed forms, for scalars or arrays that
-    broadcast together; raises InvalidParametersError unless D > 0 everywhere."""
+def _tls_terms(delta, omega, gamma, gamma_phi):
+    """The arguments of the two-level closed forms, broadcast together and
+    divided by 2^e, one power of two per element that brings the largest of
+    their magnitudes into [1/2, 1); Gamma_2 = gamma/2 + gamma_phi and
+    D = 4 omega^2 Gamma_2 + gamma (delta^2 + Gamma_2^2) of the divided
+    arguments; and e. The division is exact, and no intermediate of the
+    divided arguments overflows. Raises InvalidParametersError unless D > 0
+    everywhere."""
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                 for a in (delta, omega, gamma, gamma_phi)))
+    e = np.frexp(np.max(np.abs(args), axis=0))[1]
+    delta, omega, gamma, gamma_phi = np.ldexp(args, -e)
     g2 = 0.5 * gamma + gamma_phi
     denom = 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
     if np.any(denom <= 0.0):
-        raise InvalidParametersError(
-            f"steady-state denominator D = {np.min(denom)} must be positive")
-    return g2, denom
+        raise InvalidParametersError(  # D is homogeneous of degree 3
+            f"steady-state denominator D = {np.min(np.ldexp(denom, 3 * e))} must be positive")
+    return delta, omega, gamma, gamma_phi, g2, denom, e
+
+
+def _scalar_or_array(value):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def tls_steady_closed_form(delta, omega, gamma, gamma_phi=0.0) -> BlochVector:
@@ -287,10 +408,15 @@ def tls_steady_closed_form(delta, omega, gamma, gamma_phi=0.0) -> BlochVector:
     As Gamma_2 -> infinity, x -> -2 omega delta / Gamma_2^2 and
     y -> 2 omega / Gamma_2, both with relative correction
     -4 omega^2 / (gamma Gamma_2).
+
+    x, y and z are homogeneous of degree 0 in the arguments, so they are
+    evaluated on the arguments divided by a power of two (`_tls_terms`): no
+    intermediate overflows, and the values are the same bit for bit
+    wherever the intermediates stay normal numbers either way.
     """
-    g2, denom = _positive_denominator(delta, omega, gamma, gamma_phi)
+    delta, omega, gamma, gamma_phi, g2, denom, _ = _tls_terms(delta, omega, gamma, gamma_phi)
     return BlochVector(
-        -2.0 * gamma * omega * delta / denom,
-        2.0 * gamma * omega * g2 / denom,
-        -gamma * (delta * delta + g2 * g2) / denom,
+        _scalar_or_array(-2.0 * gamma * omega * delta / denom),
+        _scalar_or_array(2.0 * gamma * omega * g2 / denom),
+        _scalar_or_array(-gamma * (delta * delta + g2 * g2) / denom),
     )

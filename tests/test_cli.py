@@ -31,6 +31,18 @@ TINY_FIELD = {
 }
 
 
+def test_csv_rows_are_formatted_like_each_cell():
+    # one %-format per row gives the cells of _fmt: 17 significant digits, a
+    # str as it is, NaN as an empty cell; a row that does not fit the first
+    # row's column kinds is formatted cell by cell
+    rows = [(0.1, "A", 1e-300, -0.0, 5),
+            (np.float64(2.5), "banana", float("nan"), float("inf"), True),
+            (np.int64(3), "nan", 1e155, 1 / 3, -7),
+            ("x", "B", 0.5, 2, 1e22)]
+    assert cli._csv_lines("h", rows) == ["h", *(",".join(map(cli._fmt, row)) for row in rows)]
+    assert cli._csv_lines("h", []) == ["h"]
+
+
 def test_field_run_writes_bundle(tmp_path, capsys):
     code, out = run(tmp_path, "field", TINY_FIELD)
     assert code == 0
@@ -561,6 +573,30 @@ def test_scaling_pipeline_failure_writes_only_the_config_echo(tmp_path, capsys):
                                        "generator block below the trace row exceeds 1e+08 "
                                        "[gamma2=1000000000, point=[0.5, 0.80000000000000004]]\n")
     assert sorted(p.name for p in out.iterdir()) == ["config_echo.json"]
+
+
+def test_scaling_condition_number_does_not_overflow(tmp_path, capsys):
+    # ||M||_F ||M^-1||_F is about 1.4e155 at Gamma_2 = 1e155; its squared
+    # norms would overflow, but they are taken of power-of-two scaled matrices
+    code, out = run(tmp_path, "scaling", {"gamma2_sweep": [1e2, 1e155]})
+    assert code == 1
+    assert capsys.readouterr().err == ("numeric failure: condition number 1.414e+155 of the "
+                                       "generator block below the trace row exceeds 1e+08 "
+                                       "[gamma2=1e+155, "
+                                       "point=[0.5, 0.80000000000000004]]\n")
+
+
+@pytest.mark.parametrize("method", ["linear_response", "closed_form"])
+def test_field_at_a_huge_decay_rate(tmp_path, capsys, method):
+    # every block is well conditioned (about 2), and F is about 1e-600, which
+    # rounds to zero; neither route overflows or warns (tier-1 turns a
+    # RuntimeWarning into an error)
+    config = {"model": {"gamma": 1e300}, "grid": {"lo": [-1, -1], "hi": [1, 1], "shape": [3, 3]},
+              "method": method}
+    code, out = run(tmp_path, "field", config)
+    assert code == 0 and capsys.readouterr().err == ""
+    _, rows = read_csv(out / "field.csv")
+    assert [abs(float(r[2])) for r in rows] == [0.0] * 9
 
 
 def test_ssh_pipeline_failure_names_the_first_failing_momentum(tmp_path, capsys):

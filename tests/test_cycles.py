@@ -320,6 +320,26 @@ def test_gauss_legendre_rules_are_cached_read_only():
     assert cycles._legendre(8)[0].tobytes() == x.tobytes()
 
 
+def test_rules_are_built_once_per_distinct_cycle(monkeypatch):
+    # cycles equal by value share one rule; each cycle's work is still its
+    # one-cycle call's, bit for bit
+    built = []
+    for kind in (Circle, Rectangle):
+        for name in ("path_rule", "area_rule"):
+            rule = getattr(kind, name)
+            monkeypatch.setattr(kind, name, lambda self, n, rule=rule, name=name:
+                                built.append((name, self)) or rule(self, n))
+    model = tls_model(1.0, 0.2)
+    box = Rectangle((-0.2, 0.5), (0.2, 0.9))
+    cells = [LOOP_B, reverse(LOOP_B), box, Circle((0.0, 0.6), (0.4, 0.3)), reverse(LOOP_B), box]
+    lines, fluxes = line_integral_works(model, cells, 64), flux_works(model, cells, 8)
+    distinct = [LOOP_B, reverse(LOOP_B), box]
+    assert built == [("path_rule", c) for c in distinct] + [("area_rule", c) for c in distinct]
+    for c, cycle in enumerate(cells):
+        assert lines.values[c] == line_integral_work(model, cycle, 64)
+        assert fluxes.values[c] == flux_work(model, cycle, 8)
+
+
 def test_work_values_are_python_floats():
     model = tls_model(1.0, 0.1)
     for cyc in (Circle((0.2, 0.7), (0.2, 0.2)), Rectangle((-0.2, 0.5), (0.2, 0.9))):

@@ -16,7 +16,6 @@ from complex_oracle import complex_liouvillians
 from geomwork import dynamics
 from geomwork.dynamics import POSITIVITY_FLOOR
 from geomwork.operators import validate_density_matrix
-from geomwork.steadystate import CHUNK_POINTS
 
 LOOP_B = Circle((0.0, 0.6), (0.4, 0.3))
 # off the resonance ridge centre, where W_dyn - W_geom has a c/T term
@@ -313,7 +312,7 @@ def test_chunk_and_fold_edges_match_per_step_reference(monkeypatch, steps, store
     traj = evolve(model, schedule, rho0, dt=10.0 / steps, max_store_per_period=store)
     # the start generator, then one call per chunk of at most 512 steps
     assert len(assembled) == 1 + chunks and sum(assembled) == 2 * steps + 1
-    assert max(assembled) <= 4 * CHUNK_POINTS
+    assert max(assembled) <= 2 * dynamics.CHUNK_STEPS
     assert len(traj.times) == 1 + steps // stride
     times, states, work, _, _, min_eigenvalue, n_steps = reference_evolve(
         model, schedule, rho0, dt=10.0 / steps, max_store_per_period=store)

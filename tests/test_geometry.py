@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geomwork
@@ -90,6 +90,30 @@ def test_closed_forms_broadcast_like_scalar_calls():
     for closed_form in (curvature_closed_form_tls, tls_steady_closed_form):
         with pytest.raises(InvalidParametersError, match="D = 0.0 must be positive"):
             closed_form(np.array([0.3, 0.3]), np.array([0.5, 0.0]), 0.0, 1.0)
+
+
+_moderate = st.floats(-3.0, 3.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=_moderate, omega=st.floats(0.05, 3.0), gamma=st.floats(0.1, 2.0),
+       gamma_phi=st.floats(0.0, 5.0).filter(lambda x: x == 0.0 or x >= 1e-6),
+       exponent=st.integers(-900, 900))
+@example(delta=0.5, omega=0.8, gamma=1.0, gamma_phi=0.0, exponent=600)
+@example(delta=0.5, omega=0.8, gamma=1.0, gamma_phi=0.3, exponent=-600)
+def test_closed_forms_scale_bit_for_bit(delta, omega, gamma, gamma_phi, exponent):
+    # the Bloch vector is homogeneous of degree 0 in (delta, omega, gamma,
+    # gamma_phi) and F of degree -1, so every argument times 2^exponent
+    # gives the same Bloch vector and F times 2^-exponent, bit for bit and
+    # without a warning, even where the squares of the arguments overflow
+    scaled = [v * 2.0 ** exponent for v in (delta, omega, gamma, gamma_phi)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, b = curvature_closed_form_tls(*scaled), tls_steady_closed_form(*scaled)
+    f_one, b_one = (curvature_closed_form_tls(delta, omega, gamma, gamma_phi),
+                    tls_steady_closed_form(delta, omega, gamma, gamma_phi))
+    assert type(f) is float and _bits(f) == _bits(np.ldexp(f_one, -exponent))
+    assert _bits(list(b)) == _bits(list(b_one))
 
 
 def test_curvature_antisymmetry_is_structural():

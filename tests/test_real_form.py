@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from complex_oracle import basis_unitary, complex_liouvillians, is_degenerate
 from complex_oracle import steady_state as oracle_steady_state
 from complex_oracle import steady_state_derivatives as oracle_derivatives
-from geomwork import (DegenerateSteadyStateError, LindbladModel, ParamHamiltonian,
-                      bloch_components, curvature_closed_form_tls, curvatures,
-                      liouvillians, ssh_model,
-                      tls_model, tls_steady_closed_form, work_one_forms)
-from geomwork.operators import coherence_vectors, density_matrices, hermitian_basis
+from geomwork import (DegenerateSteadyStateError, GeomworkError, LindbladModel,
+                      ParamHamiltonian, bloch_components, curvature_closed_form_tls, curvatures,
+                      liouvillians, ssh_model, steady_state, tls_model, tls_steady_closed_form,
+                      work_one_forms)
+from geomwork.geometry import gradient_traces
+from geomwork.operators import (GeneratorStack, coherence_vectors, density_matrices,
+                                hermitian_basis)
 from geomwork.steadystate import steady_vector_derivatives, steady_vectors
 
 
@@ -160,7 +162,7 @@ def _rms_relative(values, exact):
                                   for v, e in zip(values, exact)])))
 
 
-@pytest.mark.parametrize("gamma_phi", [0.0, 50.0])
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.7, 5.0, 50.0])
 def test_tls_one_form_and_curvature_are_accurate_to_roundoff(gamma_phi):
     # Componentwise relative error: under strong dephasing A_omega = x is
     # about 1e-3 of A_delta, so it is resolved only by a solve that is
@@ -175,3 +177,86 @@ def test_tls_one_form_and_curvature_are_accurate_to_roundoff(gamma_phi):
         curvature_closed_form_tls(*points[0], 1.0, gamma_phi), rel=1e-12)
     assert _rms_relative(one_forms.ravel(), [e for ref in exact for e in ref[:2]]) <= 1e-14
     assert _rms_relative(curv, [ref[2] for ref in exact]) <= 1e-14
+
+
+def inverse_solves(model, points):
+    """Steady coherence vectors and their derivatives from one LAPACK inverse
+    of each block M below the trace row, with no residual correction:
+    c = (c_0, -c_0 M^-1 g) and d_i c = (0, -M^-1 (G_i c)_{1:}), with
+    c_0 = 1 / Tr B_0 for a qubit; and the Frobenius condition number of M."""
+    G = liouvillians(model, points)
+    inv = np.linalg.inv(G[:, 1:, 1:])
+    c0 = 1.0 / (2.0 * hermitian_basis(2)[0, 0, 0].real)
+    c = np.concatenate([np.full((len(G), 1), c0), (inv @ G[:, 1:, :1])[..., 0] * -c0], axis=1)
+    generator = np.repeat(model.generator[None], len(G), axis=0)
+    rhs = (generator[:, 1:, 1:] @ c[:, None, :, None])[..., 0]
+    derivs = np.zeros((len(G), len(model.generator) - 1, 4))
+    derivs[..., 1:] = -(inv @ rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return c, derivs, np.linalg.cond(G[:, 1:, 1:], "fro")
+
+
+_qubit_models = st.one_of(
+    st.builds(lambda g, gp: (tls_model, (g, gp)), st.floats(0.1, 2.0), st.floats(0.0, 5.0)),
+    st.builds(lambda g, gp, k: (ssh_model, (g, gp, k)), st.floats(0.1, 2.0), st.floats(0.0, 5.0),
+              st.floats(-np.pi, np.pi)))
+# (model, point, message) of points that fail: pure dephasing without drive
+# has two conserved populations, and a subnormal momentum without dissipation
+# leaves a subnormal pivot, whose inverse overflows
+_DEGENERATE = [(tls_model(0.0, 1.3), (0.7, 0.0), "null space not one-dimensional"),
+               (ssh_model(0.0, 0.0, 2.2250738585e-313), (0.0, 1.0), r"condition number (inf|nan) ")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=_qubit_models, exponent=st.sampled_from([-500, 0, 500]),
+       points=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 3.0), st.booleans()),
+                       min_size=1, max_size=6),
+       degenerate=st.sampled_from(_DEGENERATE), at=st.integers(0, 6))
+def test_qubit_solves_match_inverse_and_keep_their_failures(family, exponent, points, degenerate, at):
+    # The closed-form inverses with their residual correction against a
+    # plain LAPACK inverse of the same blocks, for rates and points scaled by
+    # 2^exponent: both are within a few ulp of the exact solution, times the
+    # condition number of M. A failing point in the same stack fails alone,
+    # with the error of its one-point call.
+    build, rates = family
+    scale = 2.0 ** exponent
+    model = build(*(r * scale for r in rates[:2]), *rates[2:])
+    nodes = np.array([(d * scale, (o if up else -o) * scale) for d, o, up in points])
+    c, derivs, cond = inverse_solves(model, nodes)
+    states = steady_vectors(model, nodes)
+    forms = steady_vector_derivatives(model, nodes)
+    assert states.failed.size == forms.failed.size == 0
+    bound = 16 * np.finfo(float).eps * cond
+    assert np.all(np.abs(states.values - c).max(axis=1) <= bound * np.abs(c).max(axis=1))
+    assert np.all(np.abs(forms.values - derivs).max(axis=(1, 2))
+                  <= bound * np.abs(derivs).max(axis=(1, 2)))
+    # the failing point inserted into the stack, with its own model
+    bad_model, bad_point, message = degenerate
+    n = at % (len(nodes) + 1)
+    mixed = GeneratorStack(np.stack([model.generator, bad_model.generator]),
+                           np.stack([model.h, bad_model.h]),
+                           np.insert(np.zeros(len(nodes), dtype=np.intp), n, 1))
+    with pytest.raises(GeomworkError, match=message) as one:
+        steady_state(bad_model, bad_point)
+    for batched, alone in ((steady_vectors, states), (steady_vector_derivatives, forms)):
+        batch = batched(mixed, np.insert(nodes, n, bad_point, axis=0))
+        assert batch.failed.tolist() == [n]
+        assert type(batch.error(n)) is type(one.value) and str(batch.error(n)) == str(one.value)
+        assert np.isnan(batch.values[n]).all()
+        assert np.delete(batch.values, n, axis=0).tobytes() == alone.values.tobytes()
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.7, 5.0, 50.0])
+def test_tls_solves_are_more_accurate_than_a_plain_inverse(gamma_phi):
+    # the one-form and the curvature, against the exact rational closed
+    # forms, are no less accurate than from one LAPACK inverse of each block
+    rng = np.random.default_rng(2012)
+    points = np.column_stack([rng.uniform(-3.0, 3.0, 300), rng.uniform(0.05, 3.0, 300)])
+    model = tls_model(1.0, gamma_phi)
+    c, derivs, _ = inverse_solves(model, points)
+    traces = gradient_traces(model.h, derivs)  # [n, k, l] = h_l . d_k c
+    exact = [tls_exact(delta, omega, 1.0, gamma_phi) for delta, omega in points]
+    one_form_exact, curvature_exact = [e for ref in exact for e in ref[:2]], [ref[2] for ref in exact]
+    assert (_rms_relative(work_one_forms(model, points).values.ravel(), one_form_exact)
+            <= _rms_relative(gradient_traces(model.h, c).ravel(), one_form_exact))
+    assert (_rms_relative(curvatures(model, points).values, curvature_exact)
+            <= _rms_relative(traces[:, 0, 1] - traces[:, 1, 0], curvature_exact))
