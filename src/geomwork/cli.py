@@ -32,9 +32,8 @@ max |c(T) - c(0)|) and one CSV per data product; ``quasistatic``'s optional
 ``trajectory.csv`` is one period, t in [0, T], of the longest period's
 periodic orbit.
 CSVs use a header row, ``,`` delimiters, ``.`` decimals, LF endings, and
-floats with 17 significant digits (`_fmt`, the one cell format, applied a
-row at a time by `_csv_lines`); identical configurations produce
-byte-identical data files.
+floats with 17 significant digits (`_fmt`, the one cell format); identical
+configurations produce byte-identical data files.
 
 Exit codes: 0 success, 1 numeric failure (including failed result gates),
 2 invalid configuration.
@@ -84,27 +83,6 @@ def _fmt(x) -> str:
     if isinstance(x, str):
         return x
     return "" if math.isnan(x) else f"{float(x):.17g}"
-
-
-def _csv_lines(header: str, rows) -> list:
-    """The lines of a CSV table, each cell formatted as `_fmt` formats it:
-    one %-format per row, whose column kinds (str or number) are those of
-    the first row, as every table keeps the kind of each column. A row with
-    a str where the first row has a number, or with a NaN, is formatted cell
-    by cell."""
-    lines = [header]
-    if rows:
-        row_format = ",".join("%s" if isinstance(x, str) else "%.17g" for x in rows[0])
-    for row in rows:
-        try:
-            line = row_format % tuple(row)
-        except TypeError:
-            line = ",".join(map(_fmt, row))
-        else:
-            if "nan" in line:  # a NaN cell is empty
-                line = ",".join(map(_fmt, row))
-        lines.append(line)
-    return lines
 
 
 def _write_json(path, obj) -> None:
@@ -521,7 +499,8 @@ def _run(run, resolved: dict, outdir: str) -> int:
     result = run(resolved)
     for name, (header, rows) in result.tables.items():
         with open(os.path.join(outdir, name), "w", newline="") as fh:
-            fh.write("\n".join(_csv_lines(header, rows)) + "\n")
+            fh.writelines(f"{line}\n" for line in
+                          [header, *(",".join(map(_fmt, row)) for row in rows)])
     if result.metadata is not None:
         _write_json(os.path.join(outdir, "metadata.json"),
                     {"command": resolved["command"], "model": resolved["model"],

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import LindbladModel, _ordered_sum
-from .steadystate import Batch, _derivatives, _factor, _scalar_or_array, _solve_chunks, _tls_terms
+from .steadystate import Batch, _derivatives, _factor, _quotient, _solve_chunks, _tls_terms
 
 
 def gradient_traces(h: np.ndarray, vectors) -> np.ndarray:
@@ -69,14 +69,17 @@ def curvature_closed_form_tls(delta, omega, gamma, gamma_phi=0.0):
     dominates and F -> -4 omega / (gamma Gamma_2) as Gamma_2 -> infinity, with
     relative correction (gamma^2 - 16 omega^2) / (2 gamma Gamma_2).
 
-    F is homogeneous of degree -1 in the arguments, so it is evaluated on
-    the arguments divided by 2^e (`_tls_terms`) and multiplied by 2^-e: no
-    intermediate overflows, and the value is the same bit for bit wherever
-    the intermediates stay normal numbers either way.
+    F is homogeneous of degree -1 in the arguments, so its numerator sum
+    and D are formed of the arguments divided by 2^e (`_tls_terms`), and
+    the products and the quotient on mantissas (`_quotient`), times 2^-e:
+    no intermediate overflows, and no product underflows where F does not.
+    The value is that of the formula as written, bit for bit, wherever its
+    intermediates stay normal numbers.
     """
     delta, omega, gamma, gamma_phi, g2, denom, e = _tls_terms(delta, omega, gamma, gamma_phi)
     num = 2.0 * gamma_phi * delta * delta + g2 * (2.0 * g2 * g2 + g2 * gamma + 4.0 * omega * omega)
-    return _scalar_or_array(np.ldexp(-2.0 * omega * gamma * num / (denom * denom), -e))
+    (mw, ew), (mg, eg), (mn, en), (mD, eD) = (np.frexp(v) for v in (omega, gamma, num, denom))
+    return _quotient(-((mw * mg) * mn), mD * mD, ew + eg + en + 1 - 2 * eD - e)
 
 
 def curvatures(model, points, i: int = 0, j: int = 1) -> Batch:

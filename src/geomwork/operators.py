@@ -221,10 +221,17 @@ def _generators(h: np.ndarray, rates: np.ndarray, ops) -> np.ndarray:
     dim = h.shape[-1]
     d = math.isqrt(dim)
     gen = (h @ _basis_tensors(d)[2]).reshape(h.shape[:-1] + (dim, dim))
-    channels = np.array([_channel_generator(d, L.tobytes()) for L in ops])
+    channels = _channel_generators(d, tuple(L.tobytes() for L in ops))
     gen[:, 0] = _ordered_sum(rates, channels, 2, gen[:, 0])
     gen[:, :, 0] = 0.0
     return gen
+
+
+@functools.lru_cache(maxsize=64)
+def _channel_generators(d: int, ops: tuple) -> np.ndarray:
+    """The read-only stack (n_channels, d^2, d^2) of `_channel_generator`
+    for the collapse operators whose bytes are ``ops``, in order."""
+    return _read_only(np.array([_channel_generator(d, op) for op in ops]))
 
 
 class GeneratorStack(NamedTuple):
@@ -299,17 +306,20 @@ class LindbladModel:
 _TLS_OPS = (SIGMA_MINUS, SIGMA_Z)  # the TLS channels' collapse operators, in order
 
 
-def _tls_rates(gamma, gamma_phi) -> np.ndarray:
-    """Rates (M, 2) of the `_TLS_OPS` channels for M pairs (gamma, gamma_phi):
-    relaxation on sigma_minus at rate ``gamma`` and pure dephasing on
-    sigma_z at rate gamma_phi / 2, so the total coherence decay rate is
+def _tls_rates(gamma, gamma_phi, shape=()) -> np.ndarray:
+    """Rates (M, 2) of the `_TLS_OPS` channels for the M pairs (gamma,
+    gamma_phi) broadcast together and to ``shape``: relaxation on
+    sigma_minus at rate ``gamma`` and pure dephasing on sigma_z at rate
+    gamma_phi / 2, so the total coherence decay rate is
     Gamma_2 = gamma/2 + gamma_phi; raises InvalidParametersError for a
     negative rate."""
-    gamma, gamma_phi = np.broadcast_arrays(np.asarray(gamma, dtype=float),
-                                           np.asarray(gamma_phi, dtype=float))
+    gamma, gamma_phi = np.asarray(gamma, dtype=float), np.asarray(gamma_phi, dtype=float)
+    rates = np.empty(np.broadcast(gamma, gamma_phi, np.empty(shape)).shape + (2,))
     if (gamma < 0).any() or (gamma_phi < 0).any():
         raise InvalidParametersError("rates must be nonnegative")
-    return np.stack([gamma.ravel(), 0.5 * gamma_phi.ravel()], axis=-1)
+    rates[..., 0] = gamma
+    rates[..., 1] = 0.5 * gamma_phi
+    return rates.reshape(-1, 2)
 
 
 def _tls_channels(gamma: float, gamma_phi: float) -> tuple:
@@ -337,8 +347,9 @@ def point_stack(model, n: int) -> GeneratorStack:
 def _tls_stack(h: np.ndarray, gamma, gamma_phi) -> GeneratorStack:
     """One table entry per rate pair under the TLS channels, indexed in
     order, for the coherence coefficients ``h`` (1 + n_params, d^2) of a
-    family, or (M, 1 + n_params, d^2) for one family per entry."""
-    rates = _tls_rates(gamma, gamma_phi)
+    family, or (M, 1 + n_params, d^2) for one family per entry, which the
+    rates broadcast to."""
+    rates = _tls_rates(gamma, gamma_phi, h.shape[:-2])
     h = np.broadcast_to(h, (len(rates),) + h.shape[-2:])
     return GeneratorStack(_generators(h, rates, _TLS_OPS), h[:, 1:],
                           np.arange(len(rates)))
@@ -348,9 +359,15 @@ def tls_stack(gamma, gamma_phi) -> GeneratorStack:
     """The `tls_model` of every pair of rates (arrays broadcast to M entries)
     as one GeneratorStack, indexed in order; each entry is bit-identical to
     ``tls_model(gamma[m], gamma_phi[m])``."""
+    return _tls_stack(_tls_coefficients(), gamma, gamma_phi)
+
+
+@functools.lru_cache(maxsize=1)
+def _tls_coefficients() -> np.ndarray:
+    """The read-only coherence coefficients (3, 4) of the TLS family's H_0
+    and generators, computed once."""
     family = tls_family()
-    return _tls_stack(coherence_vectors(np.concatenate([family.base[None], family.generators])),
-                      gamma, gamma_phi)
+    return _read_only(coherence_vectors(np.concatenate([family.base[None], family.generators])))
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:

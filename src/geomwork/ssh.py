@@ -47,6 +47,7 @@ def ssh_stack(gamma, gamma_phi, k) -> GeneratorStack:
     ``ssh_model(gamma, gamma_phi, k)``.
     """
     k = np.asarray(k, dtype=float).ravel()
-    hamiltonians = np.stack(np.broadcast_arrays(np.zeros((2, 2)), SIGMA_X, _hopping_t2(k)), axis=1)
-    gamma, gamma_phi, _ = np.broadcast_arrays(gamma, gamma_phi, k)
+    hamiltonians = np.zeros((len(k), 3, 2, 2), dtype=complex)
+    hamiltonians[:, 1] = SIGMA_X
+    hamiltonians[:, 2] = _hopping_t2(k)
     return _tls_stack(coherence_vectors(hamiltonians), gamma, gamma_phi)

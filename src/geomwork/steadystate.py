@@ -72,6 +72,7 @@ and the first row of G_i is zero too, so the other coordinates are
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -86,14 +87,16 @@ CONDITION_LIMIT = 1e8
 # condition number is below this, so that LAPACK alone decides near the limit
 CLOSED_FORM_LIMIT = CONDITION_LIMIT / 16
 CHUNK_POINTS = 1024
+_NONE_FAILED = np.empty(0, dtype=np.intp)
+_NONE_FAILED.flags.writeable = False
 
-# the four factors of each adjugate entry of a qubit block M, in row-major
-# order: adj[i, j] = M[j1, i1] M[j2, i2] - M[j1, i2] M[j2, i1], with
-# j1, j2 = j + 1, j + 2 and i1, i2 = i + 1, i + 2 modulo 3, as flat indices
-# into the rows [g, M] (3 x 4) of a generator below its trace row
-_ADJUGATE = np.array([[4 * ((j + a) % 3) + 1 + (i + b) % 3 for i in range(3) for j in range(3)]
+# the four factors of each adjugate entry of a qubit block M, with the
+# adjugate in column layout (entry [j, i] is adj[i, j]): adj[i, j] =
+# M[j1, i1] M[j2, i2] - M[j1, i2] M[j2, i1], with j1, j2 = j + 1, j + 2 and
+# i1, i2 = i + 1, i + 2 modulo 3, as flat indices into the columns [g, M]
+# (4 x 3) of a generator below its trace row
+_ADJUGATE = np.array([[3 * (1 + (i + b) % 3) + (j + a) % 3 for j in range(3) for i in range(3)]
                       for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]).ravel()
-
 
 class BlochVector(NamedTuple):
     x: float
@@ -177,30 +180,31 @@ def _solve_error(generator: np.ndarray, singular: bool, cond: float):
         f"exceeds {CONDITION_LIMIT:.0e}")
 
 
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for blocks a (..., k, K, N) and vectors v (..., K, N), with the
-    points on the last axis: elementwise, summed in column order, so that
-    each product does not depend on the stack it is in."""
-    terms = a * v[..., None, :, :]
-    if not terms.shape[-2]:  # the empty blocks of a one-level system
-        return terms.sum(axis=-2)
-    out = terms[..., 0, :]
-    for j in range(1, terms.shape[-2]):
-        out = out + terms[..., j, :]
+def _matvec(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j cols[j] * v[j]: a matrix times vectors, for the columns ``cols``
+    of the matrices and vectors ``v`` that broadcast against them, with the
+    points on the last axis. Elementwise, summed in column order one term at
+    a time, so that each product does not depend on the stack it is in."""
+    terms = cols * v
+    if len(terms) < 2:  # the empty or one-column blocks of a one-level system
+        return terms.sum(axis=0)
+    out = terms[0] + terms[1]
+    for term in terms[2:]:
+        out += term
     return out
 
 
 def _qubit_inverses(f: np.ndarray):
-    """Closed-form inverses (9, N), row-major, of the scaled qubit blocks M,
-    from the rows [g, M] (3 x 4) of the scaled generators below their trace
-    row, given flat as ``f`` (12, N); and where they are certified. Every
-    entry of a scaled block is at most 1 in magnitude, so
+    """Closed-form inverses (9, N) of the scaled qubit blocks M in column
+    layout, from the columns [g, M] (4 x 3) of the scaled generators below
+    their trace row, given flat as ``f`` (12, N); and where they are
+    certified. Every entry of a scaled block is at most 1 in magnitude, so
     ||M||_F ||M^-1||_F <= 9 max|M^-1|, and a block is certified where that
     bound is below CLOSED_FORM_LIMIT, which also requires det != 0 and every
     entry finite. Elementwise over the stack."""
     g = f[_ADJUGATE]
     adj = g[:9] * g[9:18] - g[18:27] * g[27:]
-    terms = f[1:4] * adj[::3]  # the first row of M times the first column of adj
+    terms = f[3::3] * adj[:3]  # the first row of M times the first column of adj
     det = terms[0] + terms[1] + terms[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = adj / det
@@ -231,73 +235,79 @@ def _lapack_inverses(ms: np.ndarray):
     return inv, singular, cond
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_trace_coordinate(dim: int) -> float:
+    """c_0 = 1 / Tr B_0 of a unit-trace state, from the stored B_0 = b I, so
+    that the state has unit trace in the basis as stored."""
+    return 1.0 / (dim * hermitian_basis(dim)[0, 0, 0].real)
+
+
 def _factor(G: np.ndarray):
     """Steady coherence vectors of a stack (N, d^2, d^2) of generators, as a
-    Batch, and ``solve(b, residual=float)``, the x with M x = b at every
-    point for right-hand sides b (..., d^2 - 1, N) with the points on the
-    last axis, for the derivatives.
+    Batch, and ``solve(b)``, M^-1 b at every point for right-hand sides b
+    (d^2 - 1, n_rhs, N), components first and the points last, for the
+    derivatives.
 
-    Each point's rows [g, M] are scaled by 2^shift, with the largest entry
-    in [1/2, 1). Qubit blocks are inverted by `_qubit_inverses` where it
-    certifies them, and every other block by `_lapack_inverses`, which finds
-    the failed points. A solve applies the inverse of the scaled block to
-    the scaled right-hand side and takes one step of residual correction,
-    x + M^-1 (b - M x), with the residual b - M x formed in the dtype
-    ``residual``: np.longdouble for the steady states.
+    Each point's columns [g, M] below the trace row are scaled by 2^shift,
+    with the largest entry in [1/2, 1). Qubit blocks are inverted by
+    `_qubit_inverses` where it certifies them, and every other block by
+    `_lapack_inverses`, which finds the failed points. A solve applies the
+    inverse of the scaled block to the scaled right-hand side. The steady
+    state then takes two steps of residual correction, x + M^-1 (b - M x),
+    in doubles: with them, its one-form is more accurate than from a LAPACK
+    inverse at every dephasing rate tested, which one step misses at strong
+    dephasing.
     """
     n, k = len(G), G.shape[-1] - 1
     shift = -np.frexp(np.abs(G).max(axis=(1, 2), initial=0.0))[1]
-    gs = np.empty((k, k + 1, n))  # the scaled rows [g, M], with the points on the last axis
-    np.ldexp(G[:, 1:].transpose(1, 2, 0), shift, out=gs)
-    ms = gs[:, 1:]
+    # the scaled columns [g, M] below the trace row, with the points last
+    cols = np.ldexp(G[:, 1:].transpose(2, 1, 0), shift, out=np.empty((k + 1, k, n)))
     if k == 3:
-        inv, ok = _qubit_inverses(gs.reshape(12, n))
+        inv, ok = _qubit_inverses(cols.reshape(12, n))
         inv = inv.reshape(3, 3, n)
     else:
         inv, ok = np.empty((k, k, n)), np.zeros(n, dtype=bool)
-    rest = np.flatnonzero(~ok)
-    failed, errors = rest, ()
-    if rest.size:
+    failed, errors = _NONE_FAILED, ()
+    if not ok.all():
+        rest = np.flatnonzero(~ok)
         inv_rest, singular, cond = _lapack_inverses(
-            np.ascontiguousarray(ms[..., rest].transpose(2, 0, 1)))
-        inv[..., rest] = inv_rest.transpose(1, 2, 0)
+            np.ascontiguousarray(cols[1:, :, rest].transpose(2, 1, 0)))
+        inv[..., rest] = inv_rest.transpose(2, 1, 0)
         bad = singular | ~(cond <= CONDITION_LIMIT)
         failed = rest[bad]
         errors = tuple(_solve_error(G[i], s, c)
                        for i, s, c in zip(failed, singular[bad], cond[bad]))
         # a failed point's inverse may have overflowed; keep it out of the solves
-        inv[..., failed] = gs[..., failed] = 0.0
+        inv[..., failed] = cols[..., failed] = 0.0
+    inv, ms, g = inv[:, :, None], cols[1:, :, None], cols[0, :, None]  # one right-hand side
 
-    def solve(b, residual=float):
-        b = np.ldexp(b, shift)
-        x = _matvec(inv, b)
-        r = b - _matvec(ms.astype(residual, copy=False), x.astype(residual, copy=False))
-        return x + _matvec(inv, r.astype(float, copy=False))
+    def correct(x):
+        return x + _matvec(inv, (g - _matvec(ms, x[:, None]))[:, None])
 
-    dim = math.isqrt(G.shape[-1])
-    c0 = 1.0 / (dim * hermitian_basis(dim)[0, 0, 0].real)  # unit trace in the stored basis
+    c0 = _unit_trace_coordinate(math.isqrt(G.shape[-1]))
     vectors = np.empty(G.shape[:2])
     vectors[:, 0] = c0
-    np.multiply(solve(G[:, 1:, 0].T, np.longdouble).T, -c0, out=vectors[:, 1:])
-    vectors[failed] = np.nan
-    return Batch(vectors, failed, errors), solve
+    np.multiply(correct(correct(_matvec(inv, g[:, None])))[:, 0].T, -c0, out=vectors[:, 1:])
+    if failed.size:
+        vectors[failed] = np.nan
+    return Batch(vectors, failed, errors), lambda b: _matvec(inv, np.ldexp(b, shift)[:, None])
 
 
 def _derivatives(G: np.ndarray, generator: np.ndarray) -> Batch:
     """d_i c for each family generator at a stack of generators G, with the
-    per-point generator stacks they were assembled from, by the solves that
-    also give the steady coherence vectors.
+    per-point generator stacks they were assembled from, by the inverses
+    that also give the steady coherence vectors.
 
     A failed point's state is NaN, so its right-hand side and solution are
     NaN too.
     """
     states, solve = _factor(G)
     c = states.values
-    # (G_i c) below the trace row, with the points on the last axis
-    rhs = _matvec(generator[:, 1:, 1:].transpose(1, 2, 3, 0), c.T)
-    x = np.empty((len(c), len(rhs), c.shape[1]))
+    # (G_i c) below the trace row, components first and the points last
+    rhs = _matvec(generator[:, 1:, 1:].transpose(3, 2, 1, 0), c.T[:, None, None])
+    x = np.empty((len(c), rhs.shape[1], c.shape[1]))
     x[..., 0] = c[:, None, 0] * 0.0  # d_i c_0 = 0, NaN where the point failed
-    np.negative(solve(rhs).transpose(2, 0, 1), out=x[..., 1:])
+    np.negative(solve(rhs).transpose(2, 1, 0), out=x[..., 1:])
     return states._replace(values=x)
 
 
@@ -314,17 +324,18 @@ def _solve_chunks(model, points, solve) -> Batch:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be a (N, n_params) stack, got shape {points.shape}")
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        n = int(np.argmin(finite))
+    if not np.isfinite(points).all():
+        n = int(np.argmin(np.isfinite(points).all(axis=1)))
         raise InvalidParametersError(f"control point {n} is not finite: {points[n].tolist()}")
     stack = point_stack(model, len(points))
     n_params = stack.generator.shape[1] - 1
     if points.shape[1] != n_params:
         raise ValueError(f"points must have {n_params} coordinates, got shape {points.shape}")
+    if len(points) <= CHUNK_POINTS:  # one chunk; an empty stack too, so the values keep their shape
+        generator = stack.generator[stack.index]
+        return solve(_assemble(generator, points), generator, stack.h[stack.index])
     parts = []
-    # an empty stack still runs one (empty) chunk, so the values keep their shape
-    for lo in range(0, max(1, len(points)), CHUNK_POINTS):
+    for lo in range(0, len(points), CHUNK_POINTS):
         index = stack.index[lo:lo + CHUNK_POINTS]
         generator = stack.generator[index]
         parts.append((lo, solve(_assemble(generator, points[lo:lo + CHUNK_POINTS]), generator,
@@ -374,10 +385,12 @@ def _tls_terms(delta, omega, gamma, gamma_phi):
     arguments; and e. The division is exact, and no intermediate of the
     divided arguments overflows. Raises InvalidParametersError unless D > 0
     everywhere."""
-    args = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                 for a in (delta, omega, gamma, gamma_phi)))
-    e = np.frexp(np.max(np.abs(args), axis=0))[1]
-    delta, omega, gamma, gamma_phi = np.ldexp(args, -e)
+    args = [np.asarray(a, dtype=float) for a in (delta, omega, gamma, gamma_phi)]
+    stacked = np.empty((4,) + np.broadcast(*args).shape)
+    for i, a in enumerate(args):
+        stacked[i] = a
+    e = np.frexp(np.abs(stacked).max(axis=0))[1]
+    delta, omega, gamma, gamma_phi = np.ldexp(stacked, -e)
     g2 = 0.5 * gamma + gamma_phi
     denom = 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
     if np.any(denom <= 0.0):
@@ -386,9 +399,18 @@ def _tls_terms(delta, omega, gamma, gamma_phi):
     return delta, omega, gamma, gamma_phi, g2, denom, e
 
 
-def _scalar_or_array(value):
-    """A Python float for a 0-d result, the array otherwise."""
-    return float(value) if np.ndim(value) == 0 else value
+def _quotient(numerator, denominator, exponent):
+    """numerator / denominator * 2^exponent, a Python float for 0-d values.
+
+    The closed forms take their products and quotients on frexp mantissas,
+    with the exponents summed apart, so that no partial product overflows
+    or underflows however far apart the factors' magnitudes are; only the
+    result rounds into the subnormal range. Where the plain products and
+    quotient stay normal numbers, each step rounds as they do, and the value
+    is theirs bit for bit.
+    """
+    value = np.ldexp(numerator / denominator, exponent)
+    return float(value) if value.ndim == 0 else value
 
 
 def tls_steady_closed_form(delta, omega, gamma, gamma_phi=0.0) -> BlochVector:
@@ -409,14 +431,18 @@ def tls_steady_closed_form(delta, omega, gamma, gamma_phi=0.0) -> BlochVector:
     y -> 2 omega / Gamma_2, both with relative correction
     -4 omega^2 / (gamma Gamma_2).
 
-    x, y and z are homogeneous of degree 0 in the arguments, so they are
-    evaluated on the arguments divided by a power of two (`_tls_terms`): no
-    intermediate overflows, and the values are the same bit for bit
-    wherever the intermediates stay normal numbers either way.
+    x, y and z are homogeneous of degree 0 in the arguments, so Gamma_2 and
+    D are formed of the arguments divided by a power of two (`_tls_terms`),
+    and the products and quotients of the formulas above on mantissas
+    (`_quotient`): no
+    intermediate overflows, and no product underflows where the value does
+    not. The values are those of the formulas as written, bit for bit,
+    wherever their intermediates stay normal numbers.
     """
     delta, omega, gamma, gamma_phi, g2, denom, _ = _tls_terms(delta, omega, gamma, gamma_phi)
-    return BlochVector(
-        _scalar_or_array(-2.0 * gamma * omega * delta / denom),
-        _scalar_or_array(2.0 * gamma * omega * g2 / denom),
-        _scalar_or_array(-gamma * (delta * delta + g2 * g2) / denom),
-    )
+    (mg, eg), (mw, ew), (md, ed), (m2, e2), (ms, es), (mD, eD) = (
+        np.frexp(v) for v in (gamma, omega, delta, g2, delta * delta + g2 * g2, denom))
+    gw, egw = mg * mw, eg + ew - eD
+    return BlochVector(_quotient(-(gw * md), mD, egw + ed + 1),
+                       _quotient(gw * m2, mD, egw + e2 + 1),
+                       _quotient(-(mg * ms), mD, eg + es - eD))

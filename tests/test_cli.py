@@ -31,18 +31,6 @@ TINY_FIELD = {
 }
 
 
-def test_csv_rows_are_formatted_like_each_cell():
-    # one %-format per row gives the cells of _fmt: 17 significant digits, a
-    # str as it is, NaN as an empty cell; a row that does not fit the first
-    # row's column kinds is formatted cell by cell
-    rows = [(0.1, "A", 1e-300, -0.0, 5),
-            (np.float64(2.5), "banana", float("nan"), float("inf"), True),
-            (np.int64(3), "nan", 1e155, 1 / 3, -7),
-            ("x", "B", 0.5, 2, 1e22)]
-    assert cli._csv_lines("h", rows) == ["h", *(",".join(map(cli._fmt, row)) for row in rows)]
-    assert cli._csv_lines("h", []) == ["h"]
-
-
 def test_field_run_writes_bundle(tmp_path, capsys):
     code, out = run(tmp_path, "field", TINY_FIELD)
     assert code == 0

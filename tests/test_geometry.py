@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,50 @@ def test_closed_forms_scale_bit_for_bit(delta, omega, gamma, gamma_phi, exponent
                     tls_steady_closed_form(delta, omega, gamma, gamma_phi))
     assert type(f) is float and _bits(f) == _bits(np.ldexp(f_one, -exponent))
     assert _bits(list(b)) == _bits(list(b_one))
+
+
+def _closed_forms_exact(delta, omega, gamma, gamma_phi):
+    """(x, y, z, F) of the TLS closed forms in exact rational arithmetic."""
+    d, w, g = Fraction(delta), Fraction(omega), Fraction(gamma)
+    g2 = g / 2 + Fraction(gamma_phi)
+    denom = 4 * w * w * g2 + g * (d * d + g2 * g2)
+    num = 2 * Fraction(gamma_phi) * d * d + g2 * (2 * g2 * g2 + g2 * g + 4 * w * w)
+    return (-2 * g * w * d / denom, 2 * g * w * g2 / denom, -g * (d * d + g2 * g2) / denom,
+            -2 * w * g * num / (denom * denom))
+
+
+@settings(max_examples=80, deadline=None)
+@given(args=st.tuples(_moderate, st.floats(0.05, 3.0), st.floats(0.1, 2.0),
+                      st.floats(0.0, 5.0).filter(lambda x: x == 0.0 or x >= 1e-6)),
+       which=st.integers(0, 3), power=st.floats(0.0, 150.0))
+@example(args=(0.5, 0.8, 1.0, 1.0), which=3, power=150.0)
+@example(args=(0.5, 0.8, 1.0, 0.3), which=0, power=150.0)
+def test_closed_forms_with_one_huge_argument(args, which, power):
+    # One argument up to 1e150 times the others. Divided by the power of two
+    # of the largest, the others come to about 1e-150, and a product of
+    # three of them would underflow: the closed forms stay within a few ulp
+    # of the exact rational values wherever those are normal numbers.
+    args = list(args)
+    args[which] = 10.0 ** power * (args[which] or 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [*tls_steady_closed_form(*args), curvature_closed_form_tls(*args)]
+    for value, exact in zip(values, _closed_forms_exact(*args)):
+        if abs(exact) >= np.finfo(float).tiny:
+            assert abs(Fraction(value) - exact) <= 8 * np.finfo(float).eps * abs(exact)
+
+
+def test_closed_forms_keep_the_formula_bits_where_it_does_not_overflow():
+    # gamma_phi 1e150 times the other arguments: D is about 1e300 and no
+    # intermediate of the plain formula leaves the normal range, so x, y and
+    # z are that formula's values bit for bit
+    delta, omega, gamma, gamma_phi = 0.5, 0.8, 1.0, 1e150
+    g2 = 0.5 * gamma + gamma_phi
+    denom = 4.0 * omega * omega * g2 + gamma * (delta * delta + g2 * g2)
+    x, y, z = tls_steady_closed_form(delta, omega, gamma, gamma_phi)
+    assert x == -2.0 * gamma * omega * delta / denom != 0.0
+    assert y == 2.0 * gamma * omega * g2 / denom
+    assert z == -gamma * (delta * delta + g2 * g2) / denom
 
 
 def test_curvature_antisymmetry_is_structural():
