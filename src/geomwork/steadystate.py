@@ -19,8 +19,8 @@ the fixed first coordinate c_0 = 1 / Tr B_0 = 1 / sqrt(d), taken from the
 stored B_0 = b I so that the state has unit trace in the basis as stored. The
 steady state is therefore c = (c_0, -c_0 M^-1 g), one solve with M.
 
-Each point's rows [g, M] are first scaled by a power of two, which is exact,
-so that their largest entry lies in [1/2, 1). A qubit block (d = 2, M is
+Each point's columns [g, M] are first scaled by a power of two, which is
+exact, so that their largest entry lies in [1/2, 1). A qubit block (d = 2, M is
 3 x 3) is inverted in closed form, by its adjugate over its determinant,
 elementwise over the stack. The closed form is used only where it is
 certified: det != 0, every entry finite, and a bound on the condition number
@@ -41,13 +41,14 @@ returned when it is unique and well determined:
   scaled matrices, so neither squared norm overflows, and the value equals
   the unscaled product wherever that does not overflow.
 
-Every solve, on either path, applies the inverse and then takes one step of
-residual correction, x + M^-1 (b - M x) (iterative refinement; Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12). The
-steady state's residual is formed in np.longdouble, which on x86-64 Linux
-carries 11 more bits than a double: with it, the one-form and the curvature
-come out more accurate than from the inverse alone at every dephasing rate
-tested, which a residual in doubles misses at strong dephasing.
+The steady state, on either path, applies the inverse and then takes two
+steps of residual correction, x + M^-1 (b - M x) (iterative refinement;
+Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12),
+all in doubles, with no wider float type that some platforms lack: with
+them the one-form is more accurate than from a LAPACK inverse at every
+dephasing rate tested, which one step misses at strong dephasing. The derivatives
+apply the inverse once; the curvature is then already more accurate than
+from a LAPACK inverse at every rate tested.
 
 The tests run as array comparisons over the stack, and error objects are
 built for the failed points only: a `Batch` holds them beside the ascending

@@ -212,8 +212,8 @@ _DEGENERATE = [(tls_model(0.0, 1.3), (0.7, 0.0), "null space not one-dimensional
                        min_size=1, max_size=6),
        degenerate=st.sampled_from(_DEGENERATE), at=st.integers(0, 6))
 def test_qubit_solves_match_inverse_and_keep_their_failures(family, exponent, points, degenerate, at):
-    # The closed-form inverses with their residual correction against a
-    # plain LAPACK inverse of the same blocks, for rates and points scaled by
+    # The closed-form inverses, with the state's residual correction, against
+    # a plain LAPACK inverse of the same blocks, for rates and points scaled by
     # 2^exponent: both are within a few ulp of the exact solution, times the
     # condition number of M. A failing point in the same stack fails alone,
     # with the error of its one-point call.
