@@ -21,10 +21,9 @@ from .errors import (ConfigError, DegenerateSteadyStateError, GeomworkError,
 from .operators import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorStack, LindbladModel,
                         ParamHamiltonian, tls_family, tls_model, tls_stack,
                         validate_density_matrix)
-from .steadystate import (Batch, BlochVector, bloch_components, liouvillians, steady_state,
-                          tls_steady_closed_form)
-from .geometry import (GridSpec, curvature, curvature_closed_form_tls,
-                       curvature_field, curvatures, work_one_forms)
+from .steadystate import (Batch, BlochVector, bloch_components, curvature_closed_form_tls,
+                          liouvillians, steady_state, tls_steady_closed_form)
+from .geometry import GridSpec, curvature, curvature_field, curvatures, work_one_forms
 from .cycles import (Circle, Cycle, Rectangle, cycle_from_json, cycle_to_json, flux_works,
                      line_integral_work, line_integral_works, reverse)
 from .dynamics import (ConvergencePoint, DriveSchedule, Trajectory, accumulated_work,

@@ -10,15 +10,11 @@ of raw values, its metadata fields, its stdout summary and any failed result
 gate. Every command takes the same three options, so the parser is one flat
 parser with the command as its positional argument.
 
-Evaluation is single-threaded and batched: each command makes one chunked
-steady-state call per quadrature kind. The line integrals of every
-(gamma_phi, cycle) cell of ``loops`` and ``orientation`` (forward and
-reversed) are one call, their fluxes another, with the model of each cell's
-gamma_phi in one GeneratorStack; ``scaling`` sweeps Gamma_2 and ``ssh``
-sweeps k the same way, and a linear-response field is one call over its
-grid. Each cell keeps its own ``math.fsum``, quadrature order and error: a
-run reports the first failing cell in output order, as a cell-by-cell run
-would. ``--threads`` is accepted for compatibility and ignored.
+Evaluation is single-threaded and batched: each command makes one
+steady-state call per quadrature kind, with the model of each cell (its
+gamma_phi, Gamma_2 or k) in one GeneratorStack. A run reports the first
+failing cell in output order, as a cell-by-cell run would. ``--threads`` is
+accepted for compatibility and ignored.
 
 Runners write nothing: ``main`` writes the config echo, and ``_run`` every
 other output, in order, and sets the exit code. A run writes
@@ -55,10 +51,10 @@ from . import __version__
 from .cycles import cycle_from_json, cycle_to_json, flux_works, line_integral_works, reverse
 from .dynamics import accumulated_work, errors_decreasing, quasistatic_convergence
 from .errors import ConfigError, GeomworkError, check_keys
-from .geometry import GridSpec, curvature_closed_form_tls, curvature_field, curvatures
+from .geometry import GridSpec, curvature_field, curvatures
 from .operators import tls_model, tls_stack
 from .ssh import ssh_model, ssh_stack
-from .steadystate import bloch_components, tls_steady_closed_form
+from .steadystate import bloch_components, curvature_closed_form_tls, tls_steady_closed_form
 
 ANTISYMMETRY_LIMIT = 1e-10
 
@@ -416,20 +412,27 @@ def _cmd_scaling(resolved: dict) -> Result:
     b = tls_steady_closed_form(delta, omega, gamma, gamma_phi)
     results = np.abs([sweep, curvature_closed_form_tls(delta, omega, gamma, gamma_phi),
                       pipeline.values, b.x, b.y]).T
-    logs = np.log10(results)
+    zero = results == 0.0  # a column that underflowed to 0 has no log-log slope
+    logs = np.log10(np.where(zero, 1.0, results))
     # each column's own least-squares slope, all columns in one fit
-    slopes = dict(zip(("F", "F_pipeline", "x", "y"),
-                      np.polyfit(logs[:, 0], logs[:, 1:], 1)[0].tolist()))
+    fit = np.polyfit(logs[:, 0], logs[:, 1:], 1)[0].tolist()
+    slopes = {key: None if zero[:, c].any() else fit[c - 1]
+              for c, key in enumerate(("F", "F_pipeline", "x", "y"), 1)}
+    failures = [f"|{key}| underflowed to 0 at gamma2={_fmt(sweep[int(np.argmax(zero[:, c]))])}"
+                for c, key in enumerate(slopes, 1) if slopes[key] is None]
     windows = resolved["windows"]
-    within = {key: bool(windows[key][0] <= slopes[key] <= windows[key][1])
-              for key in ("F", "x", "y")}
-    summary = [f"slope({key}) = {slopes[key]:+.4f}  window [{windows[key][0]}, "
-               f"{windows[key][1]}]  {'ok' if within[key] else 'OUTSIDE'}" for key in within]
-    summary.append(f"slope(F, generic pipeline) = {slopes['F_pipeline']:+.4f}")
-    bad = sorted(key for key, ok in within.items() if not ok)
+    within = {key: None if slopes[key] is None else bool(lo <= slopes[key] <= hi)
+              for key, (lo, hi) in windows.items()}
+    shown = {key: "null" if v is None else f"{v:+.4f}" for key, v in slopes.items()}
+    status = {True: "ok", False: "OUTSIDE", None: "UNDERFLOW"}
+    summary = [f"slope({key}) = {shown[key]}  window [{windows[key][0]}, "
+               f"{windows[key][1]}]  {status[within[key]]}" for key in within]
+    summary.append(f"slope(F, generic pipeline) = {shown['F_pipeline']}")
+    bad = sorted(key for key, ok in within.items() if ok is False)
+    failures += [f"slopes {bad} outside their windows"] if bad else []
     return Result({"scaling.csv": ("gamma2,abs_F,abs_x,abs_y", results[:, [0, 1, 3, 4]].tolist())},
                   {"slopes": slopes, "windows": windows, "within": within}, "\n".join(summary),
-                  f"slopes {bad} outside their windows" if bad else None)
+                  "; ".join(failures) or None)
 
 
 def _cmd_ssh(resolved: dict) -> Result:

@@ -9,11 +9,8 @@ integrands) and Gauss-Legendre on each rectangle edge, with no node on a
 corner, where the velocity jumps. ``area_rule(m)`` gives tensor-product
 Gauss-Legendre nodes over the enclosed region, mapped to the disk with
 Jacobian r1 r2 rho for circles, with the orientation sign folded into the
-weights. The integrals of many cycles, each with its own model, evaluate all
-of their samples or nodes in one batched call (`line_integral_works`,
-`flux_works`), and each cycle's integral is one correctly rounded weighted
-sum (``math.fsum``); a cycle's first failing sample, in its own sample
-order, is its error, with its location.
+weights. The integrals of many cycles, each with its own model, are one
+batched call (`line_integral_works`, `flux_works`).
 
 Positive orientation is counterclockwise in the (lambda_1, lambda_2) plane,
 and work follows the convention of work done on the system. Reversal keeps
@@ -234,8 +231,8 @@ def _weighted_sum(batch: Batch, points: np.ndarray, weights: np.ndarray, where):
 
 
 def _integrals(model, cycles, rule, evaluate) -> Batch:
-    """One weighted sum per cycle, from one batched ``evaluate`` call over the
-    nodes of every cycle.
+    """One correctly rounded weighted sum (``math.fsum``) per cycle, from one
+    batched ``evaluate`` call over the nodes of every cycle.
 
     ``rule(cycle)`` gives a cycle's nodes, weights and ``where`` (its node
     names for errors), built once per distinct cycle; ``model`` is a
@@ -275,23 +272,14 @@ def _area(cycle: Cycle, m: int):
 
 def line_integral_works(model, cycles, n: int = 1024) -> Batch:
     """Cycle work of each cycle as the closed line integral of the work
-    one-form, with every path sample of every cycle in one batched
-    `work_one_forms` call.
-
-    Parameters
-    ----------
-    model : LindbladModel, or GeneratorStack with one index entry per cycle
-    cycles : sequence of Circle or Rectangle
-    n : int
-        Path samples (>= 8), placed by ``cycle.path_rule(n)``. Circles
-        converge spectrally; rectangles integrate polynomials of degree
-        < 2 max(2, ceil(n/4)) exactly along each edge.
-
-    Returns
-    -------
-    Batch
-        One value per cycle, or NaN and the error that cycle raises alone:
-        its first failing sample's error, naming the sample and the point.
+    one-form, with every path sample of every cycle in one `work_one_forms`
+    call. ``model`` is a LindbladModel or a GeneratorStack with one index
+    entry per cycle. The ``n`` (>= 8) path samples are placed by
+    ``cycle.path_rule(n)``: circles converge spectrally, and rectangles
+    integrate polynomials of degree < 2 max(2, ceil(n/4)) exactly along each
+    edge. Returns a Batch of one value per cycle, or NaN and the error that
+    cycle raises alone: its first failing sample's, naming the sample and
+    the point.
     """
     if n < 8:
         raise ValueError(f"need at least 8 path samples, got {n}")
@@ -306,20 +294,10 @@ def line_integral_work(model: LindbladModel, cycle: Cycle, n: int = 1024) -> flo
 
 def flux_works(model, cycles, m: int = 64) -> Batch:
     """Cycle work of each cycle as the curvature flux through its enclosed
-    region, with every node of every cycle in one batched `curvatures` call.
-
-    Parameters
-    ----------
-    model : LindbladModel, or GeneratorStack with one index entry per cycle
-    cycles : sequence of Circle or Rectangle
-        The enclosed region is known analytically for both kinds.
-    m : int
-        Gauss-Legendre order per tensor direction (>= 4).
-
-    The sign follows each cycle's orientation: positive (counterclockwise)
-    orientation gives +flux. Failures are reported per cycle as in
-    `line_integral_works`, naming the flux node.
-    """
+    region, with every node of every cycle in one `curvatures` call and
+    ``m`` (>= 4) Gauss-Legendre nodes per tensor direction. The sign follows
+    each cycle's orientation, counterclockwise giving +flux; failures are
+    per cycle as in `line_integral_works`, naming the flux node."""
     if m < 4:
         raise ValueError(f"need Gauss order >= 4, got {m}")
     return _integrals(model, cycles, lambda cycle: _area(cycle, m),

@@ -1,43 +1,31 @@
 """Fixed-step Lindblad time evolution and quasistatic-limit verification.
 
-The integrator is classical fourth-order Runge-Kutta on the real coherence
-vector c of the state (rho = sum_a c_a B_a, see `operators`), with the
-generator G(lambda) evaluated as the drive moves the control point. For the
-linear master equation each RK4 step is a fixed real matrix R_k applied to
-c, built from the step's start, mid and end generators. A run integrates
-one drive period. Only every stride-th state is stored, and the period's
-steps run in chunks of whole strides, at most CHUNK_STEPS steps each,
-or in pieces of CHUNK_STEPS steps of a longer stride: the chunk's
-mid-step and end-of-step generators are formed in one broadcast call, and
-every R_k of the chunk as one stack. Each stride's steps (or the piece's)
-are folded into one matrix T_j = R_{(j+1)s-1} ... R_{js} by pairwise
-products, ceil(log2 s) batched rounds. The product phi carried in from the
-previous chunk is multiplied into the first T_j, and an inclusive log-depth
-prefix product over the chunk's T_j turns them into the propagators from
-the period start to its stored steps, with no loop over steps and no
-product formed at a step that is not stored. The stored states are one
-batched matrix-vector product of those propagators with the start state.
+`evolve` integrates one drive period of the real coherence vector c
+(rho = sum_a c_a B_a, see `operators`) by classical fourth-order
+Runge-Kutta. For the linear master equation each step is a fixed real
+matrix R_k applied to c, built from the generators G(lambda) at the step's
+start, middle and end. The steps run in chunks of whole strides, or in
+pieces of CHUNK_STEPS steps of a longer stride: a chunk's generators come
+from one broadcast call and its R_k as one stack. Each stride's steps fold
+into one matrix by pairwise products, and an inclusive log-depth prefix
+product over the strides, times the product carried in, gives the
+propagators from the period start to the stored steps, so no product is
+formed at a step that is not stored. The stored states are one batched
+matrix-vector product of those propagators with the start state.
 
-The trace row of every G is zero, so every R_k keeps the trace exactly, the
-one-period propagator P = phi has the trace row e_0, and every state is
-Hermitian by construction. P - I is then a generator with a zero trace row,
-and its steady state, from the same factorization as `steadystate`, is the
-periodic orbit's state at t = 0: P c = c. A run starts there unless it is
-given an initial state, so its period has no transient and ends where it
-began. The stored states are checked together: the first sample that is
-not finite (a blown-up step) raises StepTooLargeError, and the first with an
-eigenvalue below POSITIVITY_FLOOR raises IntegrationFailureError, whichever
-comes first in sample order. A failing run builds the period's propagators
-before any state is checked, and raises at the same sample, with the same
-message, as a step-by-step check would. The lowest eigenvalue over the
-states the run computed is its diagnostic.
+The trace row of every G is zero, so every R_k keeps the trace exactly and
+every state is Hermitian by construction. The one-period propagator P then
+has the trace row e_0, P - I is a generator, and its steady state
+(`steadystate`) is the periodic orbit's state at t = 0, P c = c. A run
+starts there unless it is given an initial state, so its period has no
+transient.
 
 Dynamic work integrates Tr(rho(t) H_i) lambda_dot_i along the actual (not
-steady) states of a trajectory, all samples at once, under the model and
-schedule it keeps: `dynamic_work` over the period, `accumulated_work` from
-t = 0 at every stored sample. Driving a cycle ever slower, the work on the
-periodic orbit converges to the geometric line integral of the work one-form;
-`quasistatic_convergence` tabulates that approach for increasing periods.
+steady) states of a trajectory: `dynamic_work` over the period,
+`accumulated_work` from t = 0 at every stored sample. Driving a cycle ever
+slower, the work on the periodic orbit converges to the geometric line
+integral of the work one-form; `quasistatic_convergence` tabulates that
+approach for increasing periods.
 """
 
 from __future__ import annotations
@@ -171,54 +159,27 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
            dt: float | None = None, max_store_per_period: int = 1000) -> Trajectory:
     """Integrate the driven master equation over one period.
 
-    Parameters
-    ----------
-    model : LindbladModel
-    schedule : DriveSchedule
-    rho0 : ndarray, optional
-        Valid initial density matrix. Without it the run starts on the
-        periodic orbit, the state that one period maps to itself.
-    dt : float, optional
-        Target step; defaults to the stability heuristic. The actual step is
-        shrunk so it divides the period exactly, which keeps stored samples
-        aligned with the period's end. Must be finite, positive and
-        <= T/1000.
-    max_store_per_period : int
-        Upper bound (>= 1) on stored samples per period (stride is chosen
-        from it).
+    Without ``rho0``, a valid initial density matrix, the run starts on the
+    periodic orbit, the state that one period maps to itself. ``dt`` is the
+    target step (finite, positive and <= T/1000), by default the stability
+    heuristic; the actual step is shrunk to divide the period exactly, so
+    that the stored samples end at the period's end. At most
+    ``max_store_per_period`` (an integer >= 1) samples are stored, at a
+    uniform stride. The Trajectory keeps ``model`` and ``schedule``; its
+    ``min_eigenvalue`` is over the stored states and the orbit's start
+    state, the only states formed.
 
-    Returns
-    -------
-    Trajectory
-        It keeps ``model`` and ``schedule``. Its ``min_eigenvalue`` is the lowest
-        eigenvalue over the states the run computed: the stored states, and the
-        orbit's start state; the states in between are never formed.
+    Raises ValueError for an unusable ``dt`` or ``max_store_per_period`` or
+    a ``rho0`` of the wrong dimension; StepTooLargeError where a stored
+    state or the one-period propagator is not finite;
+    IntegrationFailureError for a state eigenvalue below POSITIVITY_FLOOR;
+    and without ``rho0``, where the orbit is not unique or not well
+    determined, the steady-state error of the generator P - I, naming the
+    orbit.
 
-    Raises
-    ------
-    ValueError
-        ``dt`` is not finite and positive, or above T/1000;
-        ``max_store_per_period`` is not an integer >= 1; ``rho0`` does not
-        match the model's dimension.
-    StepTooLargeError
-        A stored state, or the one-period propagator, is not finite.
-    IntegrationFailureError
-        State eigenvalue below -1e-6.
-    DegenerateSteadyStateError, NoSteadyStateError
-        Without ``rho0``: the periodic orbit is not unique or not well
-        determined, as for a steady state (`steadystate`) of the generator
-        P - I; the message names the orbit.
-
-    Notes
-    -----
-    Memory: a chunk of n <= CHUNK_STEPS steps holds about 7 n matrices
-    of d^4 floats at once (its mid and end generators, the start generators
-    and RK4 stages, the fold's first round); at n = CHUNK_STEPS and
-    d = 2 its generators take 128 KiB. A stride longer than CHUNK_STEPS
-    steps, as with a small ``max_store_per_period``, runs in pieces of
-    CHUNK_STEPS steps, each folded into the carried product, so the
-    chunk does not grow with the stride. The stored propagators of the
-    period take n_per / stride matrices.
+    Memory: a chunk of n <= CHUNK_STEPS steps holds about 7 n matrices of
+    d^4 floats (128 KiB of generators at n = CHUNK_STEPS, d = 2), whatever
+    the stride; the stored propagators take n_per / stride matrices.
     """
     if dt is not None and not 0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -243,12 +204,8 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
     eye = np.eye(d * d)
     half = 0.5 * step
     sixth = step / 6.0
-    # steps per chunk: whole strides, at most CHUNK_STEPS steps (a mid
-    # and an end generator each); a longer stride is one chunk, run in
-    # pieces of CHUNK_STEPS steps
-    chunk = stride * max(1, CHUNK_STEPS // stride)
-    # phi carries the product R_k ... R_0 from the period start from piece
-    # to piece; it is stored at the end of every stride
+    chunk = stride * max(1, CHUNK_STEPS // stride)  # whole strides, or one long stride
+    # phi = R_k ... R_0 from the period start, carried from piece to piece
     phi = eye
     stored_props = []
     l_end = liouvillians(model, schedule.point_at(np.zeros(1)))
@@ -263,11 +220,9 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
             l_mids, l_ends = stack[:len(t)], stack[len(t):]
             l_starts = np.concatenate([l_end, l_ends[:-1]])
             l_end = l_ends[-1:]
-            # RK4 stages as matrices: the stages of step k are l_starts[k] v,
-            # k2[k] v, k3[k] v and k4[k] v, with k2 = l_mids + half l_mids
-            # l_starts, k3 = l_mids + half l_mids k2, k4 = l_ends + step l_ends
-            # k3, and R_k = eye + sixth (l_starts + 2 k2 + 2 k3 + k4), formed
-            # in place in k2 by the same operations in the same order
+            # the RK4 stages as matrices, k2 = l_mids (I + half l_starts),
+            # k3 = l_mids (I + half k2), k4 = l_ends (I + step k3), and
+            # R_k = I + sixth (l_starts + 2 k2 + 2 k3 + k4), formed in place in k2
             k2 = l_mids @ l_starts
             k2 *= half
             k2 += l_mids
@@ -284,9 +239,7 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
             k2 += k4
             k2 *= sixth
             k2 += eye
-            # fold each stride (or the piece of a long one) into one matrix,
-            # then take the inclusive prefix product over them: its rows are
-            # the propagators to their last steps, the last one carried on
+            # each row: the propagator to the last step of a stride
             prop = _fold_strides(k2.reshape(-1, min(stride, hi - lo), d * d, d * d))
             prop[0] = prop[0] @ phi
             off = 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import LindbladModel, _ordered_sum
-from .steadystate import Batch, _derivatives, _factor, _quotient, _solve_chunks, _tls_terms
+from .steadystate import Batch, _solve
 
 
 def gradient_traces(h: np.ndarray, vectors) -> np.ndarray:
@@ -36,70 +36,25 @@ def gradient_traces(h: np.ndarray, vectors) -> np.ndarray:
     return _ordered_sum(np.asarray(vectors, dtype=float), h.swapaxes(-1, -2), 1)
 
 
-def _one_forms(G, generator, h) -> Batch:
-    """One-form components at a chunk of assembled generators G, with the
-    per-point coefficients h."""
-    states = _factor(G)[0]
+def work_one_forms(model, points) -> Batch:
+    """One-form components A_i = Tr(rho_ss H_i) at a stack of points, for a
+    LindbladModel or a GeneratorStack with one index entry per point: a Batch
+    of shape (N, n_params), with NaN rows and the steady-state error where a
+    point's steady state fails."""
+    states, h = _solve(model, points)
     return states._replace(values=gradient_traces(h, states.values))
 
 
-def work_one_forms(model, points) -> Batch:
-    """One-form components A_i = Tr(rho_ss H_i) at a stack of points.
-
-    ``model`` is a LindbladModel or a GeneratorStack with one index entry
-    per point. Returns a Batch whose ``values`` has shape (N, n_params),
-    with NaN rows and the steady-state error where a point's steady state
-    fails.
-    """
-    return _solve_chunks(model, points, _one_forms)
-
-
-def curvature_closed_form_tls(delta, omega, gamma, gamma_phi=0.0):
-    """Closed-form TLS curvature F_{delta omega}.
-
-    Scalar arguments give a Python float; arrays broadcast, and each element
-    is the value of its scalar call. Raises InvalidParametersError unless
-    D > 0 at every point.
-
-    F = -2 omega gamma (2 gamma_phi delta^2
-        + Gamma_2 (2 Gamma_2^2 + Gamma_2 gamma + 4 omega^2)) / D^2
-    with Gamma_2 and D as in the closed-form steady state.
-
-    Under strong dephasing the population response -(1/2) d z_ss / d omega
-    dominates and F -> -4 omega / (gamma Gamma_2) as Gamma_2 -> infinity, with
-    relative correction (gamma^2 - 16 omega^2) / (2 gamma Gamma_2).
-
-    F is homogeneous of degree -1 in the arguments, so its numerator sum
-    and D are formed of the arguments divided by 2^e (`_tls_terms`), and
-    the products and the quotient on mantissas (`_quotient`), times 2^-e:
-    no intermediate overflows, and no product underflows where F does not.
-    The value is that of the formula as written, bit for bit, wherever its
-    intermediates stay normal numbers.
-    """
-    delta, omega, gamma, gamma_phi, g2, denom, e = _tls_terms(delta, omega, gamma, gamma_phi)
-    num = 2.0 * gamma_phi * delta * delta + g2 * (2.0 * g2 * g2 + g2 * gamma + 4.0 * omega * omega)
-    (mw, ew), (mg, eg), (mn, en), (mD, eD) = (np.frexp(v) for v in (omega, gamma, num, denom))
-    return _quotient(-((mw * mg) * mn), mD * mD, ew + eg + en + 1 - 2 * eD - e)
-
-
 def curvatures(model, points, i: int = 0, j: int = 1) -> Batch:
-    """Exact curvature F_ij = h_j . d_i c - h_i . d_j c at a stack of nodes.
-
-    ``model`` is a LindbladModel or a GeneratorStack with one index entry
-    per node. The state derivatives come from the chunked factorization of
-    `steady_vector_derivatives`, so the whole stack costs one chunked call
-    and no step size enters. A node fails, with NaN and the error of its
-    steady state, only where its own steady state fails, never because of a
-    neighbouring point. Antisymmetric by construction: swapping (i, j)
-    produces exactly the negated values, and i == j returns exactly 0 at
-    every node that has a steady state.
-    """
-    def solve(G, generator, h):
-        derivs = _derivatives(G, generator)
-        traces = gradient_traces(h[:, None], derivs.values)  # [n, k, l] = h_l . d_k c
-        return derivs._replace(values=traces[:, i, j] - traces[:, j, i])
-
-    return _solve_chunks(model, points, solve)
+    """Exact curvature F_ij = h_j . d_i c - h_i . d_j c at a stack of nodes,
+    for a model as in `work_one_forms`, by linear response: no step size
+    enters. A node fails, with NaN and the error of its steady state, only
+    where its own steady state fails. Antisymmetric by construction: swapping
+    (i, j) negates the values exactly, and i == j gives exactly 0 at every
+    node that has a steady state."""
+    derivs, h = _solve(model, points, derivatives=True)
+    traces = gradient_traces(h[:, None], derivs.values)  # [n, k, l] = h_l . d_k c
+    return derivs._replace(values=traces[:, i, j] - traces[:, j, i])
 
 
 def curvature(model: LindbladModel, point, i: int = 0, j: int = 1) -> float:
@@ -142,7 +97,8 @@ def curvature_field(model: LindbladModel, grid: GridSpec) -> np.ndarray:
     every node, shape ``grid.shape``, indexed like ``grid.axes()``, with NaN
     at every node whose steady state fails; the sweep never aborts on
     individual nodes. The TLS closed form on a grid is
-    `curvature_closed_form_tls` on ``np.meshgrid(*grid.axes(), indexing="ij")``.
+    `steadystate.curvature_closed_form_tls` on
+    ``np.meshgrid(*grid.axes(), indexing="ij")``.
     """
     nodes = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 2)
     return curvatures(model, nodes).values.reshape(grid.shape)

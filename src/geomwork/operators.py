@@ -11,15 +11,11 @@ Hermitian when the family is built, and evaluates stacks of control points
 with array arithmetic.
 
 Every kernel works on coherence vectors: rho = sum_a c_a B_a in the
-orthonormal Hermitian basis of `hermitian_basis` (B_0 = I / sqrt(d), then
-the generalized Gell-Mann matrices; Pauli / sqrt(2) for d = 2), where the
-master equation is the real linear system dc/dt = G(lambda) c. The map from
-column-stacked vec(rho) to c is unitary, so G has the eigenvalues of the
-complex Liouvillian. A model builds its affine generator stack and the
-coefficients of its Hamiltonian generators once, with the model. The trace
-row of G is exactly zero, so evolution conserves the trace exactly and keeps
-every state Hermitian by construction, and a steady state is one solve with
-the block of G below that row (`steadystate`).
+orthonormal Hermitian basis of `hermitian_basis`, where the master equation
+is the real linear system dc/dt = G(lambda) c. The map from column-stacked
+vec(rho) to c is unitary, so G has the eigenvalues of the complex
+Liouvillian, and its trace row is exactly zero, so evolution conserves the
+trace exactly and keeps every state Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -49,23 +45,30 @@ SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
 SIGMA_MINUS = _read_only(np.array([[0, 0], [1, 0]], dtype=complex))
 
 
-def _ordered_sum(coeffs: np.ndarray, terms: np.ndarray, item_ndim: int, base=None) -> np.ndarray:
-    """base + sum_k coeffs[..., k] * terms[..., k, <item>], where <item> is
-    the last ``item_ndim`` axes of ``terms``; leading axes broadcast.
+def _fold(terms, base=None):
+    """base + terms[0] + terms[1] + ..., added one term at a time in order;
+    without a base the first term starts the sum.
 
-    The sum runs in k order, one term at a time, so each result does not
+    This is the package's one in-order sum, so that each result does not
     depend on the stack it is in: a reduction (`sum`, `@`, `einsum`) may
     group the terms differently for different stack shapes, and a batched
     value would then differ from its one-point call in the last bit. The
-    affine sums, the basis expansions and the one-form's dot products all go
-    through here. Without a base the first term starts the sum.
+    affine sums, the basis expansions, the one-form's dot products and the
+    steady-state solves' matrix-vector products all go through here.
     """
-    expand, item = (None,) * item_ndim, (slice(None),) * item_ndim
     out = base
-    for k in range(coeffs.shape[-1]):
-        term = coeffs[(..., k) + expand] * terms[(..., k) + item]
+    for term in terms:
         out = term if out is None else out + term
     return out
+
+
+def _ordered_sum(coeffs: np.ndarray, terms: np.ndarray, item_ndim: int, base=None) -> np.ndarray:
+    """base + sum_k coeffs[..., k] * terms[..., k, <item>] by `_fold`, where
+    <item> is the last ``item_ndim`` axes of ``terms``; leading axes
+    broadcast."""
+    expand, item = (None,) * item_ndim, (slice(None),) * item_ndim
+    return _fold((coeffs[(..., k) + expand] * terms[(..., k) + item]
+                  for k in range(coeffs.shape[-1])), base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,22 +173,6 @@ def _basis_tensors(d: int):
     return _read_only(basis), _read_only(projector), _read_only(structure.reshape(d * d, -1))
 
 
-@functools.lru_cache(maxsize=64)
-def _channel_generator(d: int, op: bytes) -> np.ndarray:
-    """The real generator (d^2, d^2) of the unit-rate channel D[L], with L
-    the d x d complex collapse operator whose bytes are ``op``.
-
-    Cached and read-only: models are built many times over the same few
-    collapse operators, with only the rates changing.
-    """
-    L = np.frombuffer(op, dtype=complex).reshape(d, d)
-    basis, projector, _ = _basis_tensors(d)
-    Ld = L.conj().T
-    LdL = Ld @ L
-    image = L @ basis @ Ld - 0.5 * (LdL @ basis + basis @ LdL)  # D[L](B_b)
-    return _read_only((image.reshape(d * d, d * d) @ projector).real.T.copy())
-
-
 def hermitian_basis(d: int) -> np.ndarray:
     """The read-only orthonormal Hermitian basis (d^2, d, d) of coherence vectors."""
     return _basis_tensors(d)[0]
@@ -229,23 +216,28 @@ def _generators(h: np.ndarray, rates: np.ndarray, ops) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _channel_generators(d: int, ops: tuple) -> np.ndarray:
-    """The read-only stack (n_channels, d^2, d^2) of `_channel_generator`
-    for the collapse operators whose bytes are ``ops``, in order."""
-    return _read_only(np.array([_channel_generator(d, op) for op in ops]))
+    """The read-only stack (n_channels, d^2, d^2) of the real generators of
+    the unit-rate channels D[L], for the d x d complex collapse operators L
+    whose bytes are ``ops``, in order. Cached: models are built many times
+    over the same few collapse operators, with only the rates changing."""
+    basis, projector, _ = _basis_tensors(d)
+    channels = []
+    for op in ops:
+        L = np.frombuffer(op, dtype=complex).reshape(d, d)
+        Ld = L.conj().T
+        LdL = Ld @ L
+        image = L @ basis @ Ld - 0.5 * (LdL @ basis + basis @ LdL)  # D[L](B_b)
+        channels.append((image.reshape(d * d, d * d) @ projector).real.T)
+    return _read_only(np.array(channels))
 
 
 class GeneratorStack(NamedTuple):
-    """The generators of every point of a batched evaluation.
-
-    Point n evaluates with the stack ``generator[index[n]]``
-    (1 + n_params, d^2, d^2), laid out like `LindbladModel.generator`, and
-    the coefficients ``h[index[n]]`` (n_params, d^2) of `LindbladModel.h`.
-    The tables hold one entry per distinct model, so a sweep over rates or
-    over a frozen Hamiltonian parameter is one call, and the kernels gather
-    the per-point stacks one chunk of points at a time, never all at once.
-    A single model is the broadcast case: a table of one entry, the
-    model's own arrays, that every point indexes (`point_stack`).
-    """
+    """The generators of every point of a batched evaluation: point n
+    evaluates with ``generator[index[n]]`` and ``h[index[n]]``, laid out like
+    `LindbladModel.generator` and `LindbladModel.h`. The tables hold one
+    entry per distinct model, so a sweep over rates or over a frozen
+    Hamiltonian parameter is one call; a single model is a table of one
+    entry that every point indexes (`point_stack`)."""
 
     generator: np.ndarray
     h: np.ndarray
@@ -261,16 +253,13 @@ class LindbladModel:
     caller that wants a route specific to its family, such as the TLS closed
     forms, takes it from the rates it built the model with.
 
-    In coherence coordinates, rho = sum_a c_a B_a over the orthonormal
-    Hermitian basis of `hermitian_basis`, the master equation is the real
-    linear system dc/dt = G(lambda) c with the affine generator
-    G(lambda) = G_0 + sum_i lambda_i G_i. ``generator`` is the read-only
-    stack (1 + n_params, d^2, d^2) of G_0 (coherent base part plus every
-    channel) and the G_i of the family's generators H_i, built once here
-    because it does not depend on the control point. Its first row is exactly
-    zero, so the trace c_0 sqrt(d) is conserved exactly. ``h`` is the
+    ``generator`` is the read-only stack (1 + n_params, d^2, d^2) of the
+    affine generator G(lambda) = G_0 + sum_i lambda_i G_i in coherence
+    coordinates: G_0 (the coherent base part plus every channel) and the G_i
+    of the family's H_i, with the first row exactly zero. ``h`` is the
     read-only (n_params, d^2) stack of h_i[a] = Tr(B_a H_i), so that
-    Tr(rho H_i) = h_i . c. Equality and hashing are by identity.
+    Tr(rho H_i) = h_i . c. Both are built once, here. Equality and hashing
+    are by identity.
     """
 
     hamiltonian: ParamHamiltonian

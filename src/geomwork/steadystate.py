@@ -1,74 +1,40 @@
-"""Real Liouvillian generators and steady-state extraction.
+"""Real Liouvillian generators, steady states and the two-level closed forms.
 
-The master equation is solved in coherence coordinates, rho = sum_a c_a B_a
-over the orthonormal Hermitian basis of `operators.hermitian_basis`, where
-it is the real linear system dc/dt = G(lambda) c with a d^2 x d^2 matrix G.
-Every kernel takes a stack of control points and, for each point, the
-affine generator stack (G_0, G_1, ..., G_n) of its model: the per-point
-stack (N, 1 + n_params, d^2, d^2), with the per-point coefficients h
-(N, n_params, d^2) of the one-form. A `GeneratorStack` holds them as tables
-of distinct models and a per-point index, so a sweep over rates or over a
-frozen Hamiltonian parameter is one call; a single LindbladModel is the
-broadcast case, one table entry for every point. `_assemble` is the one
-assembly path: G_0 + sum_i lambda_i G_i at every point, for steady states,
-dynamics (`liouvillians`) and tests alike.
+Kernels work on coherence vectors c (`operators`), where the master equation
+is dc/dt = G(lambda) c, at a stack of control points, each with the affine
+generator stack (G_0, ..., G_n) of its model: a `GeneratorStack`, or one
+LindbladModel broadcast to every point. `_assemble` is the one assembly
+path, G_0 + sum_i lambda_i G_i, for steady states, dynamics (`liouvillians`)
+and tests alike.
 
 The trace row of every generator is exactly zero, so G = [[0, 0], [g, M]]
-with M the (d^2 - 1) x (d^2 - 1) block below it, and a unit-trace state has
-the fixed first coordinate c_0 = 1 / Tr B_0 = 1 / sqrt(d), taken from the
-stored B_0 = b I so that the state has unit trace in the basis as stored. The
-steady state is therefore c = (c_0, -c_0 M^-1 g), one solve with M.
+and a unit-trace state has the fixed first coordinate c_0 = 1 / Tr B_0. The
+steady state is c = (c_0, -c_0 M^-1 g), and d_i c solves G d_i c = -G_i c
+(Avron, Fraas, Graf & Grech, Commun. Math. Phys. 314, 163 (2012)):
+d_i c_0 = 0 and the other coordinates are -M^-1 (G_i c)_{1:}, with the same M.
 
-Each point's columns [g, M] are first scaled by a power of two, which is
-exact, so that their largest entry lies in [1/2, 1). A qubit block (d = 2, M is
-3 x 3) is inverted in closed form, by its adjugate over its determinant,
-elementwise over the stack. The closed form is used only where it is
-certified: det != 0, every entry finite, and a bound on the condition number
-of at most CLOSED_FORM_LIMIT, a fixed fraction of CONDITION_LIMIT. Every
-other block, and every block of a larger system, goes to a stacked LAPACK
-`inv`, which alone decides whether a point fails. So a steady state is only
-returned when it is unique and well determined:
+`_factor` scales each point's columns [g, M] by a power of two, exactly, so
+that their largest entry lies in [1/2, 1). A qubit block (M is 3 x 3) is
+inverted by its adjugate over its determinant where that is certified:
+det != 0, every entry finite, and a condition bound of at most
+CLOSED_FORM_LIMIT. LAPACK inverts every other block and alone decides
+whether a point fails:
 
-- G identically zero: DegenerateSteadyStateError, every state is stationary.
-- M exactly singular (a zero pivot: `inv` raises, and the sign from
-  `np.linalg.slogdet` is 0): DegenerateSteadyStateError. A Lindblad
-  generator always has a steady state c, so M r = 0 makes (0, r) a second
-  null direction beside it.
-- Frobenius condition number ||M||_F ||M^-1||_F of the scaled block above
-  CONDITION_LIMIT, or not finite because a nearly singular M overflowed its
-  inverse: NoSteadyStateError. It bounds the 2-norm condition number from
-  above, within a factor d^2 - 1. Both norms are taken of power-of-two
-  scaled matrices, so neither squared norm overflows, and the value equals
-  the unscaled product wherever that does not overflow.
+- G identically zero: DegenerateSteadyStateError.
+- M exactly singular (`inv` raises and `slogdet` gives the sign 0):
+  DegenerateSteadyStateError, since M r = 0 makes (0, r) a second null
+  direction beside the steady state.
+- ||M||_F ||M^-1||_F of the scaled block above CONDITION_LIMIT, or not
+  finite: NoSteadyStateError. It bounds the 2-norm condition number from
+  above, within a factor d^2 - 1.
 
-The steady state, on either path, applies the inverse and then takes two
-steps of residual correction, x + M^-1 (b - M x) (iterative refinement;
-Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12),
-all in doubles, with no wider float type that some platforms lack: with
-them the one-form is more accurate than from a LAPACK inverse at every
-dephasing rate tested, which one step misses at strong dephasing. The derivatives
-apply the inverse once; the curvature is then already more accurate than
-from a LAPACK inverse at every rate tested.
-
-The tests run as array comparisons over the stack, and error objects are
-built for the failed points only: a `Batch` holds them beside the ascending
-indices of those points, so a stack with no failure carries no per-point
-entries.
-
-`steady_vectors` solves a stack of control points in chunks of
-CHUNK_POINTS, gathering the chunk's per-point generators from the tables, so
-the generator temporaries stay at chunk size. The closed form, the
-correction and the matrix-vector products are elementwise, with the points
-on the last axis; LAPACK inverts each block on its own. So each point's
-arithmetic does not depend on the stack it is in or on the models of the
-other points, and `steady_state`, the density matrix of a one-point call, is
-bit-identical to the state of its point in any stack.
-
-`steady_vector_derivatives` reuses each chunk's inverses for the exact
-linear response: d_i c solves G d_i c = -G_i c (Avron, Fraas, Graf & Grech,
-Commun. Math. Phys. 314, 163 (2012)). The trace stays fixed, d_i c_0 = 0,
-and the first row of G_i is zero too, so the other coordinates are
--M^-1 (G_i c)_{1:}, an ordinary solve with the same M.
+The state applies the inverse, then two steps of residual correction
+x + M^-1 (b - M x) in doubles (iterative refinement; Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., ch. 12); the derivatives apply
+the inverse once. `_solve` runs a stack in chunks of CHUNK_POINTS and
+returns a `Batch`. All arithmetic but LAPACK's inverse of each block is
+elementwise, with the points on the last axis, so each point's bits do not
+depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -80,12 +46,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, InvalidParametersError, NoSteadyStateError
-from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, _ordered_sum,
+from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, _fold, _ordered_sum,
                         density_matrices, hermitian_basis, point_stack)
 
 CONDITION_LIMIT = 1e8
-# a qubit block is inverted in closed form only where a bound on its
-# condition number is below this, so that LAPACK alone decides near the limit
 CLOSED_FORM_LIMIT = CONDITION_LIMIT / 16
 CHUNK_POINTS = 1024
 _NONE_FAILED = np.empty(0, dtype=np.intp)
@@ -98,6 +62,7 @@ _NONE_FAILED.flags.writeable = False
 # (4 x 3) of a generator below its trace row
 _ADJUGATE = np.array([[3 * (1 + (i + b) % 3) + (j + a) % 3 for j in range(3) for i in range(3)]
                       for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]).ravel()
+
 
 class BlochVector(NamedTuple):
     x: float
@@ -182,32 +147,23 @@ def _solve_error(generator: np.ndarray, singular: bool, cond: float):
 
 
 def _matvec(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_j cols[j] * v[j]: a matrix times vectors, for the columns ``cols``
-    of the matrices and vectors ``v`` that broadcast against them, with the
-    points on the last axis. Elementwise, summed in column order one term at
-    a time, so that each product does not depend on the stack it is in."""
-    terms = cols * v
-    if len(terms) < 2:  # the empty or one-column blocks of a one-level system
-        return terms.sum(axis=0)
-    out = terms[0] + terms[1]
-    for term in terms[2:]:
-        out += term
-    return out
+    """sum_j cols[j] * v[j] for matrices given by their columns ``cols`` and
+    vectors ``v`` with as many axes, the points on the last, summed in column
+    order by `_fold`."""
+    if not len(cols):  # the empty blocks of a one-level system
+        return (cols * v).sum(axis=0)
+    return _fold(cols * v)
 
 
 def _qubit_inverses(f: np.ndarray):
     """Closed-form inverses (9, N) of the scaled qubit blocks M in column
-    layout, from the columns [g, M] (4 x 3) of the scaled generators below
-    their trace row, given flat as ``f`` (12, N); and where they are
-    certified. Every entry of a scaled block is at most 1 in magnitude, so
-    ||M||_F ||M^-1||_F <= 9 max|M^-1|, and a block is certified where that
-    bound is below CLOSED_FORM_LIMIT, which also requires det != 0 and every
-    entry finite. Elementwise over the stack."""
+    layout, from the columns [g, M] (4 x 3) below their trace row, flat as
+    ``f`` (12, N); and where they are certified. Every entry of a scaled
+    block is at most 1 in magnitude, so ||M||_F ||M^-1||_F <= 9 max|M^-1|."""
     g = f[_ADJUGATE]
     adj = g[:9] * g[9:18] - g[18:27] * g[27:]
-    terms = f[3::3] * adj[:3]  # the first row of M times the first column of adj
-    det = terms[0] + terms[1] + terms[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    det = _matvec(f[3::3], adj[:3])  # the first row of M times the first column of adj
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = adj / det
         # false where det = 0 or an entry is not finite: inv holds an inf or a nan
         ok = np.abs(inv).max(axis=0) < CLOSED_FORM_LIMIT / 9.0
@@ -216,13 +172,10 @@ def _qubit_inverses(f: np.ndarray):
 
 def _lapack_inverses(ms: np.ndarray):
     """Inverses of a stack (n, k, k) of scaled blocks by LAPACK, whether each
-    is exactly singular, and their Frobenius condition numbers.
-
-    `inv` raises for the whole stack if one block is singular. Only then are
-    the exactly singular blocks found by `slogdet` and replaced by the
-    identity, and the stack inverted again. Each inverse is scaled by a power
-    of two before its norm is taken, so that no squared norm overflows.
-    """
+    is exactly singular, and their Frobenius condition numbers. Only where
+    `inv` raises are the singular blocks found by `slogdet` and replaced by
+    the identity; each inverse is scaled by a power of two before its norm
+    is taken, so that no squared norm overflows."""
     try:
         inv = np.linalg.inv(ms)
     except np.linalg.LinAlgError:
@@ -246,19 +199,7 @@ def _unit_trace_coordinate(dim: int) -> float:
 def _factor(G: np.ndarray):
     """Steady coherence vectors of a stack (N, d^2, d^2) of generators, as a
     Batch, and ``solve(b)``, M^-1 b at every point for right-hand sides b
-    (d^2 - 1, n_rhs, N), components first and the points last, for the
-    derivatives.
-
-    Each point's columns [g, M] below the trace row are scaled by 2^shift,
-    with the largest entry in [1/2, 1). Qubit blocks are inverted by
-    `_qubit_inverses` where it certifies them, and every other block by
-    `_lapack_inverses`, which finds the failed points. A solve applies the
-    inverse of the scaled block to the scaled right-hand side. The steady
-    state then takes two steps of residual correction, x + M^-1 (b - M x),
-    in doubles: with them, its one-form is more accurate than from a LAPACK
-    inverse at every dephasing rate tested, which one step misses at strong
-    dephasing.
-    """
+    (d^2 - 1, n_rhs, N), components first and the points last."""
     n, k = len(G), G.shape[-1] - 1
     shift = -np.frexp(np.abs(G).max(axis=(1, 2), initial=0.0))[1]
     # the scaled columns [g, M] below the trace row, with the points last
@@ -294,15 +235,10 @@ def _factor(G: np.ndarray):
     return Batch(vectors, failed, errors), lambda b: _matvec(inv, np.ldexp(b, shift)[:, None])
 
 
-def _derivatives(G: np.ndarray, generator: np.ndarray) -> Batch:
-    """d_i c for each family generator at a stack of generators G, with the
-    per-point generator stacks they were assembled from, by the inverses
-    that also give the steady coherence vectors.
-
-    A failed point's state is NaN, so its right-hand side and solution are
-    NaN too.
-    """
-    states, solve = _factor(G)
+def _derivatives(states: Batch, solve, generator: np.ndarray) -> Batch:
+    """d_i c (N, n_params, d^2) from `_factor`'s states and ``solve`` at a
+    stack of generators, and the per-point generator stacks they were
+    assembled from; NaN where the state failed."""
     c = states.values
     # (G_i c) below the trace row, components first and the points last
     rhs = _matvec(generator[:, 1:, 1:].transpose(3, 2, 1, 0), c.T[:, None, None])
@@ -312,10 +248,10 @@ def _derivatives(G: np.ndarray, generator: np.ndarray) -> Batch:
     return states._replace(values=x)
 
 
-def _solve_chunks(model, points, solve) -> Batch:
-    """``solve(G, generator, h)`` on each chunk of CHUNK_POINTS points, joined
-    into one Batch over the stack: G are the chunk's assembled generators,
-    ``generator`` and ``h`` its per-point generator stacks and coefficients.
+def _solve(model, points, derivatives: bool = False):
+    """The steady coherence vectors (N, d^2) at a stack of points, or with
+    ``derivatives`` their derivatives d c / d lambda_i (N, n_params, d^2),
+    as one Batch; and the per-point coefficients h (N, n_params, d^2).
 
     ``model`` is a LindbladModel, broadcast to every point, or a
     GeneratorStack with one index entry per point (`point_stack`). A
@@ -332,32 +268,29 @@ def _solve_chunks(model, points, solve) -> Batch:
     n_params = stack.generator.shape[1] - 1
     if points.shape[1] != n_params:
         raise ValueError(f"points must have {n_params} coordinates, got shape {points.shape}")
-    if len(points) <= CHUNK_POINTS:  # one chunk; an empty stack too, so the values keep their shape
-        generator = stack.generator[stack.index]
-        return solve(_assemble(generator, points), generator, stack.h[stack.index])
+    starts = range(0, max(len(points), 1), CHUNK_POINTS)  # an empty stack is one empty chunk
     parts = []
-    for lo in range(0, len(points), CHUNK_POINTS):
-        index = stack.index[lo:lo + CHUNK_POINTS]
-        generator = stack.generator[index]
-        parts.append((lo, solve(_assemble(generator, points[lo:lo + CHUNK_POINTS]), generator,
-                                stack.h[index])))
-    return Batch(np.concatenate([part.values for _, part in parts]),
-                 np.concatenate([part.failed + lo for lo, part in parts]),
-                 tuple(err for _, part in parts for err in part.errors))
+    for lo in starts:
+        generator = stack.generator[stack.index[lo:lo + CHUNK_POINTS]]
+        states, solve = _factor(_assemble(generator, points[lo:lo + CHUNK_POINTS]))
+        parts.append(_derivatives(states, solve, generator) if derivatives else states)
+    return (Batch(np.concatenate([part.values for part in parts]),
+                  np.concatenate([part.failed + lo for lo, part in zip(starts, parts)]),
+                  tuple(err for part in parts for err in part.errors)),
+            stack.h[stack.index])
 
 
 def steady_vectors(model, points) -> Batch:
     """Steady coherence vectors c, with rho = sum_a c_a B_a, at a stack of
-    points: shape (N, d^2), with NaN where a point fails and ``error(n)``
-    the DegenerateSteadyStateError (null space not one-dimensional) or
-    NoSteadyStateError (ill-conditioned block M) of a failed point n."""
-    return _solve_chunks(model, points, lambda G, generator, h: _factor(G)[0])
+    points: shape (N, d^2), with NaN and the steady-state error where a
+    point fails."""
+    return _solve(model, points)[0]
 
 
 def steady_vector_derivatives(model, points) -> Batch:
     """Exact d c / d lambda_i at a stack of points, shape (N, n_params, d^2),
-    from the same chunked factorization as `steady_vectors`."""
-    return _solve_chunks(model, points, lambda G, generator, h: _derivatives(G, generator))
+    from the same factorization as `steady_vectors`."""
+    return _solve(model, points, derivatives=True)[0]
 
 
 def steady_state(model: LindbladModel, point) -> np.ndarray:
@@ -403,12 +336,12 @@ def _tls_terms(delta, omega, gamma, gamma_phi):
 def _quotient(numerator, denominator, exponent):
     """numerator / denominator * 2^exponent, a Python float for 0-d values.
 
-    The closed forms take their products and quotients on frexp mantissas,
-    with the exponents summed apart, so that no partial product overflows
-    or underflows however far apart the factors' magnitudes are; only the
-    result rounds into the subnormal range. Where the plain products and
-    quotient stay normal numbers, each step rounds as they do, and the value
-    is theirs bit for bit.
+    The closed forms form their sums of the `_tls_terms`, then take their
+    products and quotient on frexp mantissas with the exponents summed
+    apart, so that no partial product overflows or underflows; only the
+    result rounds into the subnormal range. Where the plain formula's
+    intermediates stay normal numbers, each step rounds as they do, and the
+    value is the formula's bit for bit.
     """
     value = np.ldexp(numerator / denominator, exponent)
     return float(value) if value.ndim == 0 else value
@@ -419,10 +352,7 @@ def tls_steady_closed_form(delta, omega, gamma, gamma_phi=0.0) -> BlochVector:
 
     Scalar arguments give Python floats; arrays broadcast, and each element
     is the value of its scalar call. Raises InvalidParametersError unless
-    D > 0 at every point.
-
-    With Gamma_2 = gamma/2 + gamma_phi and
-    D = 4 omega^2 Gamma_2 + gamma (delta^2 + Gamma_2^2):
+    D > 0 at every point. With Gamma_2 and D as in `_tls_terms`:
 
         x = -2 gamma omega delta / D
         y =  2 gamma omega Gamma_2 / D
@@ -430,15 +360,7 @@ def tls_steady_closed_form(delta, omega, gamma, gamma_phi=0.0) -> BlochVector:
 
     As Gamma_2 -> infinity, x -> -2 omega delta / Gamma_2^2 and
     y -> 2 omega / Gamma_2, both with relative correction
-    -4 omega^2 / (gamma Gamma_2).
-
-    x, y and z are homogeneous of degree 0 in the arguments, so Gamma_2 and
-    D are formed of the arguments divided by a power of two (`_tls_terms`),
-    and the products and quotients of the formulas above on mantissas
-    (`_quotient`): no
-    intermediate overflows, and no product underflows where the value does
-    not. The values are those of the formulas as written, bit for bit,
-    wherever their intermediates stay normal numbers.
+    -4 omega^2 / (gamma Gamma_2). x, y and z are homogeneous of degree 0.
     """
     delta, omega, gamma, gamma_phi, g2, denom, _ = _tls_terms(delta, omega, gamma, gamma_phi)
     (mg, eg), (mw, ew), (md, ed), (m2, e2), (ms, es), (mD, eD) = (
@@ -447,3 +369,21 @@ def tls_steady_closed_form(delta, omega, gamma, gamma_phi=0.0) -> BlochVector:
     return BlochVector(_quotient(-(gw * md), mD, egw + ed + 1),
                        _quotient(gw * m2, mD, egw + e2 + 1),
                        _quotient(-(mg * ms), mD, eg + es - eD))
+
+
+def curvature_closed_form_tls(delta, omega, gamma, gamma_phi=0.0):
+    """Closed-form TLS curvature F_{delta omega}, with the scalar and array
+    behaviour of `tls_steady_closed_form`:
+
+    F = -2 omega gamma (2 gamma_phi delta^2
+        + Gamma_2 (2 Gamma_2^2 + Gamma_2 gamma + 4 omega^2)) / D^2
+
+    Under strong dephasing the population response -(1/2) d z_ss / d omega
+    dominates and F -> -4 omega / (gamma Gamma_2) as Gamma_2 -> infinity, with
+    relative correction (gamma^2 - 16 omega^2) / (2 gamma Gamma_2). F is
+    homogeneous of degree -1, hence the final factor 2^-e.
+    """
+    delta, omega, gamma, gamma_phi, g2, denom, e = _tls_terms(delta, omega, gamma, gamma_phi)
+    num = 2.0 * gamma_phi * delta * delta + g2 * (2.0 * g2 * g2 + g2 * gamma + 4.0 * omega * omega)
+    (mw, ew), (mg, eg), (mn, en), (mD, eD) = (np.frexp(v) for v in (omega, gamma, num, denom))
+    return _quotient(-((mw * mg) * mn), mD * mD, ew + eg + en + 1 - 2 * eD - e)

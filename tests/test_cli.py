@@ -574,6 +574,29 @@ def test_scaling_condition_number_does_not_overflow(tmp_path, capsys):
                                        "point=[0.5, 0.80000000000000004]]\n")
 
 
+def test_scaling_underflow_names_each_column_and_writes_null(tmp_path, capsys):
+    # at gamma = 1e300, |F| and |x| (about 1e-600) round to 0 at every Gamma_2,
+    # which has no log-log slope: each such slope is null, not NaN (which is
+    # not JSON), the run exits 1 naming the column and its first Gamma_2, and
+    # no RuntimeWarning is raised (tier-1 turns one into an error)
+    config = {"model": {"gamma": 1e300}, "gamma2_sweep": [1e300, 1e303], "point": [-1, -1]}
+    code, out = run(tmp_path, "scaling", config)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "numeric failure: |F| underflowed to 0 at gamma2=1.0000000000000001e+300; "
+        "|F_pipeline| underflowed to 0 at gamma2=1.0000000000000001e+300; "
+        "|x| underflowed to 0 at gamma2=1.0000000000000001e+300\n")
+    text = (out / "metadata.json").read_text()
+    assert "NaN" not in text
+    meta = json.loads(text)
+    assert {key: v for key, v in meta["slopes"].items() if key != "y"} == {
+        "F": None, "F_pipeline": None, "x": None}
+    assert meta["slopes"]["y"] == pytest.approx(-1.0, abs=1e-9)
+    assert meta["within"] == {"F": None, "x": None, "y": True}
+    _, rows = read_csv(out / "scaling.csv")
+    assert [(r[1], r[2]) for r in rows] == [("0", "0")] * 2
+
+
 @pytest.mark.parametrize("method", ["linear_response", "closed_form"])
 def test_field_at_a_huge_decay_rate(tmp_path, capsys, method):
     # every block is well conditioned (about 2), and F is about 1e-600, which

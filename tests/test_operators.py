@@ -9,6 +9,7 @@ from complex_oracle import dissipator, lindblad_rhs
 from geomwork import (SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, InvalidParametersError,
                       LindbladModel, ParamHamiltonian, ssh_family, tls_family, tls_model,
                       validate_density_matrix)
+from geomwork.operators import _ordered_sum
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 
@@ -163,3 +164,32 @@ def test_validate_density_matrix():
         validate_density_matrix(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError):
         validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 5), item_ndim=st.integers(0, 2), rows=st.integers(1, 5),
+       with_base=st.booleans(), shared_terms=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_ordered_sum_rows_match_one_row_calls_and_the_left_to_right_sum(
+        k, item_ndim, rows, with_base, shared_terms, seed):
+    # values over many binades, so that another grouping of the terms would
+    # show in the last bits
+    rng = np.random.default_rng(seed)
+    item = (3, 2)[:item_ndim]
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 2.0 ** rng.integers(-40, 40, shape)
+
+    coeffs = draw(rows, k)
+    terms = draw(1 if shared_terms else rows, k, *item)
+    base = draw(rows, *item) if with_base else None
+    batched = _ordered_sum(coeffs, terms, item_ndim, base)
+    assert batched.shape == (rows, *item)
+    for n in range(rows):
+        t = terms[0 if shared_terms else n]
+        one = _ordered_sum(coeffs[n:n + 1], t[None], item_ndim,
+                           None if base is None else base[n:n + 1])[0]
+        total = None if base is None else base[n]
+        for j in range(k):
+            total = coeffs[n, j] * t[j] if total is None else total + coeffs[n, j] * t[j]
+        assert np.asarray(batched[n]).tobytes() == np.asarray(one).tobytes()
+        assert np.asarray(batched[n]).tobytes() == np.asarray(total).tobytes()

@@ -9,7 +9,8 @@ from closed_forms import density_from_bloch
 from complex_oracle import complex_liouvillians, hamiltonian_superop, lindblad_rhs, vec
 from geomwork import (DegenerateSteadyStateError, InvalidParametersError, LindbladModel,
                       NoSteadyStateError, ParamHamiltonian, bloch_components, curvature,
-                      liouvillians, ssh_model, steady_state, tls_model, tls_steady_closed_form)
+                      curvatures, liouvillians, ssh_model, steady_state, tls_model, tls_stack,
+                      tls_steady_closed_form, work_one_forms)
 from geomwork.operators import coherence_vectors, density_matrices
 from geomwork.steadystate import steady_vector_derivatives, steady_vectors
 
@@ -164,6 +165,18 @@ def test_overflowing_inverse_is_a_typed_error():
         curvature(model, (0.0, 1.0))
 
 
+def test_subnormal_determinant_fails_as_a_typed_error_without_warning():
+    # at gamma = 1e-323 the qubit blocks of two points have a subnormal
+    # determinant, so adj / det overflows; the closed form is not certified
+    # there, and LAPACK fails them, while the first point keeps its value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = curvatures(ssh_model(1e-323, 0.2, 0.0), [(1.0, 0.5), (0.0, 0.0), (-1.0, 1.0)])
+    assert batch.failed.tolist() == [1, 2]
+    assert all(type(err) is NoSteadyStateError for err in batch.errors)
+    assert np.isfinite(batch.values[0])
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_points_are_rejected_before_assembly(bad):
     model = tls_model(1.0, 0.2)
@@ -183,13 +196,14 @@ def test_non_finite_points_are_rejected_before_assembly(bad):
 
 
 def test_empty_stack_keeps_its_shape():
-    model = tls_model(1.0, 0.2)
-    states = steady_vectors(model, np.zeros((0, 2)))
-    derivs = steady_vector_derivatives(model, np.zeros((0, 2)))
-    assert states.values.shape == (0, 4) and states.failed.size == 0 and states.errors == ()
-    assert density_matrices(states.values).shape == (0, 2, 2)
-    assert derivs.values.shape == (0, 2, 4) and derivs.failed.size == 0 and derivs.errors == ()
-    assert density_matrices(derivs.values).shape == (0, 2, 2, 2)
+    empty = np.zeros((0, 2))
+    for model in (tls_model(1.0, 0.2), tls_stack(np.zeros(0), 0.2)):
+        for call, shape in ((steady_vectors, (0, 4)), (steady_vector_derivatives, (0, 2, 4)),
+                            (work_one_forms, (0, 2)), (curvatures, (0,))):
+            batch = call(model, empty)
+            assert batch.values.shape == shape and batch.failed.size == 0 and batch.errors == ()
+        assert density_matrices(steady_vectors(model, empty).values).shape == (0, 2, 2)
+        assert density_matrices(steady_vector_derivatives(model, empty).values).shape == (0, 2, 2, 2)
 
 
 def test_bloch_round_trip():
