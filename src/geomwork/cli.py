@@ -213,27 +213,21 @@ def _resolve_field(cfg: dict) -> dict:
             "grid": {"lo": lo, "hi": hi, "shape": shape}, "method": method}
 
 
+def _resolve_orientation(cfg: dict, extra=()) -> dict:
+    """The loop studies' shared keys; the caller resolves its ``extra`` keys."""
+    check_keys(cfg, {"model", "cycles", "gamma_phi_sweep", "n_path", *extra}, "config")
+    return {
+        "model": _resolve_model(cfg),
+        "cycles": _resolve_cycles(cfg),
+        "gamma_phi_sweep": _as_sweep(cfg.get("gamma_phi_sweep", DEFAULT_GAMMA_PHI_SWEEP),
+                                     "gamma_phi_sweep", minimum=0.0),
+        "n_path": _as_int(cfg.get("n_path", 1024), "n_path", 8),
+    }
+
+
 def _resolve_loops(cfg: dict) -> dict:
-    check_keys(cfg, {"model", "cycles", "gamma_phi_sweep", "n_path", "m_quad"}, "config")
-    return {
-        "model": _resolve_model(cfg),
-        "cycles": _resolve_cycles(cfg),
-        "gamma_phi_sweep": _as_sweep(cfg.get("gamma_phi_sweep", DEFAULT_GAMMA_PHI_SWEEP),
-                                     "gamma_phi_sweep", minimum=0.0),
-        "n_path": _as_int(cfg.get("n_path", 1024), "n_path", 8),
-        "m_quad": _as_int(cfg.get("m_quad", 64), "m_quad", 4),
-    }
-
-
-def _resolve_orientation(cfg: dict) -> dict:
-    check_keys(cfg, {"model", "cycles", "gamma_phi_sweep", "n_path"}, "config")
-    return {
-        "model": _resolve_model(cfg),
-        "cycles": _resolve_cycles(cfg),
-        "gamma_phi_sweep": _as_sweep(cfg.get("gamma_phi_sweep", DEFAULT_GAMMA_PHI_SWEEP),
-                                     "gamma_phi_sweep", minimum=0.0),
-        "n_path": _as_int(cfg.get("n_path", 1024), "n_path", 8),
-    }
+    return {**_resolve_orientation(cfg, ("m_quad",)),
+            "m_quad": _as_int(cfg.get("m_quad", 64), "m_quad", 4)}
 
 
 def _resolve_quasistatic(cfg: dict) -> dict:
@@ -476,23 +470,19 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="geomwork", formatter_class=argparse.RawDescriptionHelpFormatter,
-        description="Steady-state work one-forms, curvature fields, and cycle work "
-                    "for driven Lindblad systems.",
-        epilog="commands:\n" + "\n".join(f"  {name:<12} {text}"
-                                           for name, (text, _, _) in _COMMANDS.items()))
-    parser.add_argument("command", choices=_COMMANDS, help="the experiment to run")
-    parser.add_argument("--config", help="JSON experiment configuration (defaults apply if omitted)")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored: evaluation is "
-                             "batched and single-threaded")
-    return parser
-
-
-_PARSER = _build_parser()  # built once per process; parsing does not change it
+# built once per process; parsing does not change it
+_PARSER = argparse.ArgumentParser(
+    prog="geomwork", formatter_class=argparse.RawDescriptionHelpFormatter,
+    description="Steady-state work one-forms, curvature fields, and cycle work "
+                "for driven Lindblad systems.",
+    epilog="commands:\n" + "\n".join(f"  {name:<12} {text}"
+                                       for name, (text, _, _) in _COMMANDS.items()))
+_PARSER.add_argument("command", choices=_COMMANDS, help="the experiment to run")
+_PARSER.add_argument("--config", help="JSON experiment configuration (defaults apply if omitted)")
+_PARSER.add_argument("--out", required=True, help="output directory")
+_PARSER.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility and ignored: evaluation is "
+                          "batched and single-threaded")
 
 
 def _run(run, resolved: dict, outdir: str) -> int:

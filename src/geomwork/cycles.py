@@ -220,16 +220,6 @@ def cycle_from_json(obj: dict) -> Cycle:
         raise ConfigError(f"invalid {kind} cycle: {exc}") from exc
 
 
-def _weighted_sum(batch: Batch, points: np.ndarray, weights: np.ndarray, where):
-    """(correctly rounded sum of ``batch.values * weights``, None), or
-    (NaN, error) where a point failed: the first failed point's error, with
-    ``where(n)`` and the point appended."""
-    err = batch.first_failure(lambda n: f"{where(n)}, point={np.asarray(points[n]).tolist()}")
-    if err is not None:
-        return np.nan, err
-    return math.fsum((batch.values * weights).ravel()), None
-
-
 def _integrals(model, cycles, rule, evaluate) -> Batch:
     """One correctly rounded weighted sum (``math.fsum``) per cycle, from one
     batched ``evaluate`` call over the nodes of every cycle.
@@ -254,7 +244,10 @@ def _integrals(model, cycles, rule, evaluate) -> Batch:
     for c, (lo, size) in enumerate(zip(np.cumsum([0] + sizes), sizes)):
         a, b = np.searchsorted(batch.failed, (lo, lo + size))
         part = Batch(batch.values[lo:lo + size], batch.failed[a:b] - lo, batch.errors[a:b])
-        values[c], errors[c] = _weighted_sum(part, *rules[c])
+        points, weights, where = rules[c]
+        errors[c] = part.first_failure(lambda n: f"{where(n)}, point={points[n].tolist()}")
+        if errors[c] is None:
+            values[c] = math.fsum((part.values * weights).ravel())
     failed = [c for c, err in enumerate(errors) if err is not None]
     return Batch(values, np.array(failed, dtype=np.intp), tuple(errors[c] for c in failed))
 

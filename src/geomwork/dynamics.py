@@ -40,11 +40,11 @@ from .errors import IntegrationFailureError, StepTooLargeError
 from .geometry import gradient_traces
 from .operators import (LindbladModel, _ordered_sum, coherence_vectors, density_matrices,
                         validate_density_matrix)
-from .steadystate import _factor, liouvillians
+from .steadystate import CHUNK_POINTS, _factor, liouvillians
 
 POSITIVITY_FLOOR = -1e-6
 ERROR_JITTER = 0.10  # fractional rise allowed per step by `errors_decreasing`
-CHUNK_STEPS = 512  # RK4 steps per chunk of `evolve`
+CHUNK_STEPS = CHUNK_POINTS // 2  # RK4 steps per chunk of `evolve`: n steps assemble 2n generators
 
 
 @dataclass(frozen=True)

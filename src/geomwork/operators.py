@@ -126,18 +126,6 @@ class ParamHamiltonian:
         return _ordered_sum(points, self.generators, 2, self.base)
 
 
-_TLS_FAMILY = ParamHamiltonian(np.zeros((2, 2)), [0.5 * SIGMA_Z, SIGMA_X])
-
-
-def tls_family() -> ParamHamiltonian:
-    """The (delta, omega) two-level family: H_0 = 0, H_delta = sigma_z / 2, H_omega = sigma_x.
-
-    The family is frozen and its arrays are read-only, so every call returns
-    the same instance, built and validated once at import.
-    """
-    return _TLS_FAMILY
-
-
 @functools.lru_cache(maxsize=8)
 def _basis_tensors(d: int):
     """The orthonormal Hermitian basis of d x d matrices, its projector and its
@@ -292,6 +280,21 @@ class LindbladModel:
         return self.hamiltonian.dim
 
 
+_TLS_FAMILY = ParamHamiltonian(np.zeros((2, 2)), [0.5 * SIGMA_Z, SIGMA_X])
+# the coherence coefficients (3, 4) of the TLS family's H_0 and generators
+_TLS_COEFFICIENTS = _read_only(coherence_vectors(np.concatenate([_TLS_FAMILY.base[None],
+                                                                 _TLS_FAMILY.generators])))
+
+
+def tls_family() -> ParamHamiltonian:
+    """The (delta, omega) two-level family: H_0 = 0, H_delta = sigma_z / 2, H_omega = sigma_x.
+
+    The family is frozen and its arrays are read-only, so every call returns
+    the same instance, built and validated once at import.
+    """
+    return _TLS_FAMILY
+
+
 _TLS_OPS = (SIGMA_MINUS, SIGMA_Z)  # the TLS channels' collapse operators, in order
 
 
@@ -348,15 +351,7 @@ def tls_stack(gamma, gamma_phi) -> GeneratorStack:
     """The `tls_model` of every pair of rates (arrays broadcast to M entries)
     as one GeneratorStack, indexed in order; each entry is bit-identical to
     ``tls_model(gamma[m], gamma_phi[m])``."""
-    return _tls_stack(_tls_coefficients(), gamma, gamma_phi)
-
-
-@functools.lru_cache(maxsize=1)
-def _tls_coefficients() -> np.ndarray:
-    """The read-only coherence coefficients (3, 4) of the TLS family's H_0
-    and generators, computed once."""
-    family = tls_family()
-    return _read_only(coherence_vectors(np.concatenate([family.base[None], family.generators])))
+    return _tls_stack(_TLS_COEFFICIENTS, gamma, gamma_phi)
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:

@@ -39,7 +39,6 @@ depend on the stack it is in.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -52,8 +51,6 @@ from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, LindbladModel, _fold, _ordere
 CONDITION_LIMIT = 1e8
 CLOSED_FORM_LIMIT = CONDITION_LIMIT / 16
 CHUNK_POINTS = 1024
-_NONE_FAILED = np.empty(0, dtype=np.intp)
-_NONE_FAILED.flags.writeable = False
 
 # the four factors of each adjugate entry of a qubit block M, with the
 # adjugate in column layout (entry [j, i] is adj[i, j]): adj[i, j] =
@@ -141,6 +138,9 @@ def _solve_error(generator: np.ndarray, singular: bool, cond: float):
     if singular:
         return DegenerateSteadyStateError(
             "null space not one-dimensional: the generator block below the trace row is singular")
+    if not math.isfinite(cond):
+        return NoSteadyStateError(
+            "condition number of the generator block below the trace row is not finite")
     return NoSteadyStateError(
         f"condition number {cond:.3e} of the generator block below the trace row "
         f"exceeds {CONDITION_LIMIT:.0e}")
@@ -189,13 +189,6 @@ def _lapack_inverses(ms: np.ndarray):
     return inv, singular, cond
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_trace_coordinate(dim: int) -> float:
-    """c_0 = 1 / Tr B_0 of a unit-trace state, from the stored B_0 = b I, so
-    that the state has unit trace in the basis as stored."""
-    return 1.0 / (dim * hermitian_basis(dim)[0, 0, 0].real)
-
-
 def _factor(G: np.ndarray):
     """Steady coherence vectors of a stack (N, d^2, d^2) of generators, as a
     Batch, and ``solve(b)``, M^-1 b at every point for right-hand sides b
@@ -209,7 +202,7 @@ def _factor(G: np.ndarray):
         inv = inv.reshape(3, 3, n)
     else:
         inv, ok = np.empty((k, k, n)), np.zeros(n, dtype=bool)
-    failed, errors = _NONE_FAILED, ()
+    failed, errors = np.empty(0, dtype=np.intp), ()
     if not ok.all():
         rest = np.flatnonzero(~ok)
         inv_rest, singular, cond = _lapack_inverses(
@@ -226,7 +219,9 @@ def _factor(G: np.ndarray):
     def correct(x):
         return x + _matvec(inv, (g - _matvec(ms, x[:, None]))[:, None])
 
-    c0 = _unit_trace_coordinate(math.isqrt(G.shape[-1]))
+    # c_0 = 1 / Tr B_0 from the stored B_0 = b I, unit trace in the basis as stored
+    d = math.isqrt(G.shape[-1])
+    c0 = 1.0 / (d * hermitian_basis(d)[0, 0, 0].real)
     vectors = np.empty(G.shape[:2])
     vectors[:, 0] = c0
     np.multiply(correct(correct(_matvec(inv, g[:, None])))[:, 0].T, -c0, out=vectors[:, 1:])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +232,16 @@ def test_help_lists_every_command(capsys):
     text = capsys.readouterr().out
     for name, (help_line, _, _) in cli._COMMANDS.items():
         assert f"  {name}" in text and help_line in text
+
+
+def test_module_entry_point_prints_help():
+    # `python -m geomwork` runs the package's __main__
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "geomwork", "--help"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: geomwork ")
+    assert all(f"  {name}" in proc.stdout for name in cli._COMMANDS)
 
 
 LOOPS_SMALL = {
@@ -632,6 +646,17 @@ def test_ssh_pipeline_failure_names_the_first_failing_momentum(tmp_path, capsys)
     ("quasistatic", '{"cycle": []}', "cycle: expected an object"),
     ("loops", None, "{cfg}: No such file or directory"),
     ("loops", "[1, 2]", "{cfg}: top-level config must be a JSON object"),
+    ("ssh", '{"point": [true, 0.5]}', "point[0]: expected a number, got True"),
+    ("loops", '{"gamma_phi_sweep": [-1.0]}', "gamma_phi_sweep[0]: must be >= 0.0, got -1.0"),
+    ("ssh", '{"k_values": []}', "k_values: expected a non-empty list"),
+    ("ssh", '{"point": [1.0]}', "point: expected a [lambda1, lambda2] pair"),
+    ("field", '{"model": 3}', "model: expected an object"),
+    ("orientation", '{"cycles": []}', "cycles: expected a non-empty list"),
+    ("field", '{"grid": []}', "grid: expected an object"),
+    ("loops", '{"m_quad": 8, "h": 1}', "config: unknown keys ['h']; allowed keys are "
+                                       "['cycles', 'gamma_phi_sweep', 'm_quad', 'model', 'n_path']"),
+    ("orientation", '{"m_quad": 8}', "config: unknown keys ['m_quad']; allowed keys are "
+                                     "['cycles', 'gamma_phi_sweep', 'model', 'n_path']"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "config.json"

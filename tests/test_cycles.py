@@ -91,6 +91,8 @@ def test_cycle_validation():
         Rectangle((0.0, 0.0), (-1.0, 1.0))
     with pytest.raises(ValueError):
         Circle((0.0, 0.0), (0.1, 0.2), orientation=2)
+    with pytest.raises(ValueError, match=r"^orientation must be \+1 or -1$"):
+        Rectangle((0.0, 0.0), (1.0, 1.0), orientation=0)
 
 
 def test_degenerate_cycle_has_zero_work():

@@ -390,6 +390,9 @@ def test_evolve_validates_inputs():
         evolve(model, sched, np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError):
         evolve(model, sched, np.diag([0.0, 1.0]).astype(complex), dt=0.5)
+    with pytest.raises(ValueError, match=r"^initial state shape \(3, 3\) does not match "
+                                         r"model dimension 2$"):
+        evolve(model, sched, np.eye(3) / 3.0)
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -263,6 +263,10 @@ def test_grid_spec_validation():
         GridSpec((0.0, 0.0), (1.0, 1.0), (1, 5))
     with pytest.raises(ValueError):
         GridSpec((0.0, 2.0), (1.0, 1.0), (4, 4))
+    with pytest.raises(ValueError, match="^grid must be two-dimensional$"):
+        GridSpec((0.0,), (1.0,), (4,))
+    with pytest.raises(ValueError, match="^grid bounds must be finite$"):
+        GridSpec((0.0, -np.inf), (1.0, 1.0), (4, 4))
     axes = GridSpec((-1.0, 0.0), (1.0, 2.0), (3, 5)).axes()
     np.testing.assert_allclose(axes[0], [-1.0, 0.0, 1.0])
     assert len(axes[1]) == 5

@@ -148,12 +148,16 @@ def test_negative_rate_rejected():
         tls_model(-1.0)
     with pytest.raises(InvalidParametersError):
         tls_model(1.0, -0.5)
+    # LindbladModel's own check, apart from tls_model's
+    with pytest.raises(InvalidParametersError, match=r"^negative channel rate -1\.0$"):
+        LindbladModel(tls_family(), ((-1.0, SIGMA_MINUS),))
 
 
 def test_collapse_operator_shape_checked():
-    from geomwork import LindbladModel, tls_family
     with pytest.raises(ValueError):
         LindbladModel(tls_family(), ((1.0, np.eye(3)),))
+    with pytest.raises(ValueError, match="^collapse operator has non-finite entries$"):
+        LindbladModel(tls_family(), ((1.0, np.array([[0.0, np.nan], [0.0, 0.0]])),))
 
 
 def test_validate_density_matrix():
@@ -164,6 +168,10 @@ def test_validate_density_matrix():
         validate_density_matrix(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError):
         validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(ValueError, match=r"^density matrix must be square, got shape \(2, 3\)$"):
+        validate_density_matrix(np.ones((2, 3)) / 2.0)
+    with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+        validate_density_matrix(np.diag([np.nan, 1.0]))
 
 
 @settings(max_examples=80, deadline=None)

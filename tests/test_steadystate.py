@@ -159,10 +159,14 @@ def test_overflowing_inverse_is_a_typed_error():
     # leaves a subnormal pivot, so the inverse overflows instead of raising;
     # the point fails on its non-finite condition number, without a RuntimeWarning
     model = ssh_model(0.0, 0.0, 2.2250738585e-313)
-    with pytest.raises(NoSteadyStateError, match=r"condition number (inf|nan) "):
+    message = "^condition number of the generator block below the trace row is not finite$"
+    with pytest.raises(NoSteadyStateError, match=message):
         steady_state(model, (0.0, 1.0))
-    with pytest.raises(NoSteadyStateError, match=r"condition number (inf|nan) "):
+    with pytest.raises(NoSteadyStateError, match=message):
         curvature(model, (0.0, 1.0))
+    # an inverse with both inf and nan entries, whose Frobenius product is nan
+    with pytest.raises(NoSteadyStateError, match=message):
+        curvatures(ssh_model(1e-323, 0.2, 0.0), [(0.0, 0.0)]).at(0)
 
 
 def test_subnormal_determinant_fails_as_a_typed_error_without_warning():
@@ -204,6 +208,30 @@ def test_empty_stack_keeps_its_shape():
             assert batch.values.shape == shape and batch.failed.size == 0 and batch.errors == ()
         assert density_matrices(steady_vectors(model, empty).values).shape == (0, 2, 2)
         assert density_matrices(steady_vector_derivatives(model, empty).values).shape == (0, 2, 2, 2)
+
+
+@pytest.mark.parametrize("call, model, points, message", [
+    (liouvillians, tls_model(1.0), np.zeros((4, 3)),
+     r"^points must have 2 coordinates, got shape \(4, 3\)$"),
+    (steady_vectors, tls_model(1.0), np.zeros(2),
+     r"^points must be a \(N, n_params\) stack, got shape \(2,\)$"),
+    (steady_vectors, tls_model(1.0), np.zeros((4, 3)),
+     r"^points must have 2 coordinates, got shape \(4, 3\)$"),
+    (work_one_forms, tls_stack(1.0, [0.0, 0.5]), np.zeros((1, 2)),
+     r"^generator stack indexes 2 points, expected 1$"),
+])
+def test_points_of_the_wrong_shape_are_rejected(call, model, points, message):
+    with pytest.raises(ValueError, match=message):
+        call(model, points)
+
+
+def test_one_level_model_has_the_unit_state():
+    # d = 1: the generator has no block below its trace row, and the only
+    # state is [[1]]
+    model = LindbladModel(ParamHamiltonian(np.zeros((1, 1)), [np.eye(1)]), ((1.0, np.eye(1)),))
+    np.testing.assert_array_equal(steady_state(model, (0.3,)), [[1.0]])
+    assert work_one_forms(model, [(0.3,), (-2.0,)]).values.tolist() == [[1.0], [1.0]]
+    assert curvatures(model, [(0.3,)], 0, 0).values.tolist() == [0.0]
 
 
 def test_bloch_round_trip():
