@@ -240,16 +240,14 @@ def _integrals(model, cycles, rule, evaluate) -> Batch:
     sizes = [len(nodes) for nodes, _, _ in rules]
     nodes = np.concatenate([nodes for nodes, _, _ in rules] or [np.empty((0, 2))])
     batch = evaluate(stack._replace(index=np.repeat(stack.index, sizes)), nodes)
-    values, errors = np.full(len(cycles), np.nan), [None] * len(cycles)
+    out = Batch(np.full(len(cycles), np.nan), np.empty(len(cycles), dtype=object))
     for c, (lo, size) in enumerate(zip(np.cumsum([0] + sizes), sizes)):
-        a, b = np.searchsorted(batch.failed, (lo, lo + size))
-        part = Batch(batch.values[lo:lo + size], batch.failed[a:b] - lo, batch.errors[a:b])
+        part = Batch(batch.values[lo:lo + size], batch.errors[lo:lo + size])
         points, weights, where = rules[c]
-        errors[c] = part.first_failure(lambda n: f"{where(n)}, point={points[n].tolist()}")
-        if errors[c] is None:
-            values[c] = math.fsum((part.values * weights).ravel())
-    failed = [c for c, err in enumerate(errors) if err is not None]
-    return Batch(values, np.array(failed, dtype=np.intp), tuple(errors[c] for c in failed))
+        out.errors[c] = part.first_failure(lambda n: f"{where(n)}, point={points[n].tolist()}")
+        if out.errors[c] is None:
+            out.values[c] = math.fsum((part.values * weights).ravel())
+    return out
 
 
 def _path(cycle: Cycle, n: int):

@@ -36,7 +36,7 @@ from numbers import Integral
 import numpy as np
 
 from .cycles import Cycle, line_integral_work
-from .errors import IntegrationFailureError, StepTooLargeError
+from .errors import IntegrationFailureError, InvalidParametersError, StepTooLargeError
 from .geometry import gradient_traces
 from .operators import (LindbladModel, _ordered_sum, coherence_vectors, density_matrices,
                         validate_density_matrix)
@@ -45,6 +45,7 @@ from .steadystate import CHUNK_POINTS, _factor, liouvillians
 POSITIVITY_FLOOR = -1e-6
 ERROR_JITTER = 0.10  # fractional rise allowed per step by `errors_decreasing`
 CHUNK_STEPS = CHUNK_POINTS // 2  # RK4 steps per chunk of `evolve`: n steps assemble 2n generators
+MAX_STEPS = 10**7  # the step budget of one `evolve` period
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,10 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
     state, the only states formed.
 
     Raises ValueError for an unusable ``dt`` or ``max_store_per_period`` or
-    a ``rho0`` of the wrong dimension; StepTooLargeError where a stored
-    state or the one-period propagator is not finite;
+    a ``rho0`` of the wrong dimension; InvalidParametersError, naming the
+    period, the step and the count, before anything is assembled, where the
+    period needs more than MAX_STEPS target steps; StepTooLargeError where
+    a stored state or the one-period propagator is not finite;
     IntegrationFailureError for a state eigenvalue below POSITIVITY_FLOOR;
     and without ``rho0``, where the orbit is not unique or not well
     determined, the steady-state error of the generator P - I, naming the
@@ -196,7 +199,12 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
     dt_target = float(dt)
     if dt_target > period / 1000.0:
         raise ValueError(f"dt={dt_target} too coarse; need dt <= period/1000 = {period / 1000.0}")
-    n_per = int(np.ceil(period / dt_target))
+    steps = period / dt_target  # a float: a count that overflows reads inf
+    if steps > MAX_STEPS:
+        raise InvalidParametersError(
+            f"period {period:g} at step {dt_target:.3g} needs {steps:.3g} RK4 steps, "
+            f"more than the budget MAX_STEPS = {MAX_STEPS:.0e}")
+    n_per = int(np.ceil(steps))
     stride = max(1, n_per // max_store_per_period)
     n_per = stride * int(np.ceil(n_per / stride))
     step = period / n_per
@@ -255,7 +263,7 @@ def evolve(model: LindbladModel, schedule: DriveSchedule, rho0: np.ndarray | Non
         if not np.isfinite(phi).all():
             raise StepTooLargeError("non-finite one-period propagator; reduce the step")
         orbit = _factor((phi - eye)[None])[0]
-        err = orbit.error(0)
+        err = orbit.errors[0]
         if err is not None:
             raise type(err)(f"no periodic orbit: {err}, where the generator is P - I "
                             "for the one-period propagator P") from err

@@ -264,9 +264,10 @@ class LindbladModel:
                 raise InvalidParametersError(f"negative channel rate {rate}")
             L = np.asarray(L, dtype=complex)
             if L.shape != (d, d):
-                raise ValueError(f"collapse operator shape {L.shape} does not match dimension {d}")
+                raise InvalidParametersError(
+                    f"collapse operator shape {L.shape} does not match dimension {d}")
             if not np.all(np.isfinite(L)):
-                raise ValueError("collapse operator has non-finite entries")
+                raise InvalidParametersError("collapse operator has non-finite entries")
             checked.append((rate, L))
         h = coherence_vectors(np.concatenate([self.hamiltonian.base[None],
                                               self.hamiltonian.generators]))

@@ -71,27 +71,22 @@ class Batch(NamedTuple):
     """Per-point results over a stack of control points.
 
     ``values[n]`` is the result at point n, or NaN where point n failed.
-    ``failed`` holds the indices of the failed points in ascending order, and
-    ``errors[j]`` the error that point ``failed[j]`` raises when evaluated
-    alone.
+    ``errors`` is an object array with one slot per point: ``errors[n]`` is
+    the error that point n raises when evaluated alone, or None where it
+    succeeded.
     """
 
     values: np.ndarray
-    failed: np.ndarray
-    errors: tuple
+    errors: np.ndarray
 
-    def error(self, n: int):
-        """The error of point n, or None where it succeeded."""
-        n = range(len(self.values))[n]
-        return dict(zip(self.failed.tolist(), self.errors)).get(n)
-
-    def first_error(self):
-        """(index, error) of the first failed point in stack order, or None."""
-        return (int(self.failed[0]), self.errors[0]) if len(self.failed) else None
+    @property
+    def failed(self) -> np.ndarray:
+        """The indices of the failed points, in ascending order."""
+        return np.flatnonzero(np.not_equal(self.errors, None))
 
     def at(self, n: int):
         """The value of point n; raises that point's error."""
-        err = self.error(n)
+        err = self.errors[n]
         if err is not None:
             raise err
         return self.values[n]
@@ -100,10 +95,11 @@ class Batch(NamedTuple):
         """The first failed point's error, re-typed with `` [where(n)]``
         appended to its message and the original as its ``__cause__``, so
         that it names its point in the sweep; None if no point failed."""
-        first = self.first_error()
-        if first is None:
+        failed = self.failed
+        if not failed.size:
             return None
-        n, exc = first
+        n = int(failed[0])
+        exc = self.errors[n]
         err = type(exc)(f"{exc} [{where(n)}]")
         err.__cause__ = exc
         return err
@@ -202,7 +198,7 @@ def _factor(G: np.ndarray):
         inv = inv.reshape(3, 3, n)
     else:
         inv, ok = np.empty((k, k, n)), np.zeros(n, dtype=bool)
-    failed, errors = np.empty(0, dtype=np.intp), ()
+    errors, failed = np.empty(n, dtype=object), []  # every slot None
     if not ok.all():
         rest = np.flatnonzero(~ok)
         inv_rest, singular, cond = _lapack_inverses(
@@ -210,8 +206,8 @@ def _factor(G: np.ndarray):
         inv[..., rest] = inv_rest.transpose(2, 1, 0)
         bad = singular | ~(cond <= CONDITION_LIMIT)
         failed = rest[bad]
-        errors = tuple(_solve_error(G[i], s, c)
-                       for i, s, c in zip(failed, singular[bad], cond[bad]))
+        for i, s, c in zip(failed, singular[bad], cond[bad]):
+            errors[i] = _solve_error(G[i], s, c)
         # a failed point's inverse may have overflowed; keep it out of the solves
         inv[..., failed] = cols[..., failed] = 0.0
     inv, ms, g = inv[:, :, None], cols[1:, :, None], cols[0, :, None]  # one right-hand side
@@ -225,9 +221,8 @@ def _factor(G: np.ndarray):
     vectors = np.empty(G.shape[:2])
     vectors[:, 0] = c0
     np.multiply(correct(correct(_matvec(inv, g[:, None])))[:, 0].T, -c0, out=vectors[:, 1:])
-    if failed.size:
-        vectors[failed] = np.nan
-    return Batch(vectors, failed, errors), lambda b: _matvec(inv, np.ldexp(b, shift)[:, None])
+    vectors[failed] = np.nan
+    return Batch(vectors, errors), lambda b: _matvec(inv, np.ldexp(b, shift)[:, None])
 
 
 def _derivatives(states: Batch, solve, generator: np.ndarray) -> Batch:
@@ -263,16 +258,13 @@ def _solve(model, points, derivatives: bool = False):
     n_params = stack.generator.shape[1] - 1
     if points.shape[1] != n_params:
         raise ValueError(f"points must have {n_params} coordinates, got shape {points.shape}")
-    starts = range(0, max(len(points), 1), CHUNK_POINTS)  # an empty stack is one empty chunk
     parts = []
-    for lo in starts:
+    for lo in range(0, max(len(points), 1), CHUNK_POINTS):  # an empty stack is one empty chunk
         generator = stack.generator[stack.index[lo:lo + CHUNK_POINTS]]
         states, solve = _factor(_assemble(generator, points[lo:lo + CHUNK_POINTS]))
         parts.append(_derivatives(states, solve, generator) if derivatives else states)
-    return (Batch(np.concatenate([part.values for part in parts]),
-                  np.concatenate([part.failed + lo for lo, part in zip(starts, parts)]),
-                  tuple(err for part in parts for err in part.errors)),
-            stack.h[stack.index])
+    values, errors = zip(*parts)
+    return Batch(np.concatenate(values), np.concatenate(errors)), stack.h[stack.index]
 
 
 def steady_vectors(model, points) -> Batch:

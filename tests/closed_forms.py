@@ -41,9 +41,8 @@ def gauge_shift_residual(model, cycle, grad_chi, n=1024):
     points = cycle.position(s)
     dl = cycle.velocity(s) * w[:, None]
     one_forms = work_one_forms(model, points)
-    first = one_forms.first_error()
-    if first is not None:
-        raise first[1]
+    if one_forms.failed.size:
+        raise one_forms.errors[one_forms.failed[0]]
     grads = np.array([np.asarray(grad_chi(p), dtype=float) for p in points])
     return abs(math.fsum(((one_forms.values + grads) * dl).ravel())
                - math.fsum((one_forms.values * dl).ravel()))

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomwork import (DriveSchedule, bloch_components, cli, cycle_from_json, dynamics,
                       tls_model)
@@ -471,6 +477,51 @@ def test_quasistatic_rejects_unusable_periods_and_dt(tmp_path, capsys, config, m
     code, _ = run(tmp_path, "quasistatic", config)
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    # a subnormal dt: the step count overflows to inf
+    ({"periods": [100.0], "dt": 5e-324, "n_path": 8}, "period 100 at step 4.94e-324 needs inf"),
+    # the step heuristic's 0.05 / scale at a huge decay rate
+    ({"model": {"gamma": 1e16}, "periods": [1.0], "n_path": 8},
+     "period 1 at step 5e-18 needs 2e+17"),
+    ({"periods": [1e12]}, "period 1e+12 at step 0.05 needs 2e+13"),
+])
+def test_quasistatic_over_the_step_budget_exits_1(tmp_path, capsys, config, message):
+    start = time.perf_counter()
+    code, out = run(tmp_path, "quasistatic", config)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert capsys.readouterr().err == (f"numeric failure: {message} RK4 steps, "
+                                       f"more than the budget MAX_STEPS = 1e+07\n")
+    assert sorted(p.name for p in out.iterdir()) == ["config_echo.json"]
+
+
+_FUZZ_VALUES = st.sampled_from([0.0, 0.1, 1.0, 7.0, 1e16, 1e155, 1e300, 5e-324])
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.fixed_dictionaries({"kind": st.sampled_from(["tls", "ssh"]), "gamma": _FUZZ_VALUES,
+                                    "gamma_phi": _FUZZ_VALUES}),
+       k=_FUZZ_VALUES, kind=st.sampled_from(["circle", "rectangle"]),
+       first=st.tuples(_FUZZ_VALUES, _FUZZ_VALUES), second=st.tuples(_FUZZ_VALUES, _FUZZ_VALUES),
+       periods=st.sets(st.sampled_from([1.0, 10.0, 100.0, 1e12]), min_size=1).map(sorted),
+       dt=st.sampled_from([None, 5e-324, "T/1000"]))
+def test_quasistatic_ends_with_a_typed_outcome(model, k, kind, first, second, periods, dt):
+    # every accepted configuration exits 0 or 1 in bounded time, an invalid
+    # one exits 2, no exception escapes main, and no RuntimeWarning is
+    # raised (tier-1 turns one into an error)
+    if model["kind"] == "ssh":
+        model["k"] = k
+    keys = ("center", "radii") if kind == "circle" else ("lo", "hi")
+    config = {"model": model, "cycle": {"kind": kind, keys[0]: list(first), keys[1]: list(second)},
+              "periods": periods, "n_path": 8}
+    if dt is not None:
+        config["dt"] = periods[0] / 1000.0 if dt == "T/1000" else dt
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code, _ = run(Path(tmp), "quasistatic", config)
+    assert code in (0, 1, 2)
 
 
 def test_scaling_default_windows_pass(tmp_path, capsys):

@@ -210,16 +210,16 @@ def test_two_failing_cycles_in_one_call():
     for batched, single, order in ((line_integral_works, line_integral_work, 20),
                                    (flux_works, flux_work, 5)):
         batch = batched(tls_stack(gamma, gamma_phi), cycs, order)
-        assert batch.failed.tolist() == [1, 3] and batch.first_error()[0] == 1
+        assert batch.failed.tolist() == [1, 3] and len(batch.errors) == len(cycs)
         for c, (cyc, g, gp) in enumerate(cells):
             if c in (1, 3):
                 with pytest.raises(DegenerateSteadyStateError) as one:
                     single(tls_model(g, gp), cyc, order)
-                assert type(batch.error(c)) is type(one.value)
-                assert str(batch.error(c)) == str(one.value)
+                assert type(batch.errors[c]) is type(one.value)
+                assert str(batch.errors[c]) == str(one.value)
                 assert np.isnan(batch.values[c])
             else:
-                assert batch.error(c) is None
+                assert batch.errors[c] is None
                 assert batch.values[c] == single(tls_model(g, gp), cyc, order)
 
 
@@ -473,12 +473,12 @@ def test_cycle_batches_match_one_model_per_cycle(cells, failing_at, n, m):
     for batched, single, order in ((line_integral_works, line_integral_work, 4 * n),
                                    (flux_works, flux_work, m)):
         batch = batched(stack, cycs, order)
-        assert batched is flux_works or isinstance(batch.error(at), DegenerateSteadyStateError)
+        assert batched is flux_works or isinstance(batch.errors[at], DegenerateSteadyStateError)
         for c, (cyc, g, gp) in enumerate(cells):
             try:
                 one = single(tls_model(g, gp), cyc, order)
             except GeomworkError as exc:
-                assert type(batch.error(c)) is type(exc) and str(batch.error(c)) == str(exc)
+                assert type(batch.errors[c]) is type(exc) and str(batch.errors[c]) == str(exc)
                 assert np.isnan(batch.values[c])
             else:
-                assert batch.error(c) is None and batch.values[c] == one
+                assert batch.errors[c] is None and batch.values[c] == one

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomwork import (Circle, DriveSchedule, GeomworkError,
-                      IntegrationFailureError, LindbladModel, NoSteadyStateError,
-                      ParamHamiltonian, Rectangle, StepTooLargeError,
+                      IntegrationFailureError, InvalidParametersError, LindbladModel,
+                      NoSteadyStateError, ParamHamiltonian, Rectangle, StepTooLargeError,
                       accumulated_work, bloch_components, dynamic_work,
                       errors_decreasing, evolve, quasistatic_convergence,
                       reverse, steady_state, tls_model)
@@ -413,6 +413,28 @@ def test_evolve_validates_inputs():
 def test_evolve_rejects_unusable_arguments(kwargs, match):
     with pytest.raises(ValueError, match=match):
         evolve(tls_model(1.0, 0.0), DriveSchedule(LOOP_B, 10.0), **kwargs)
+
+
+def test_evolve_rejects_a_period_over_the_step_budget(monkeypatch):
+    # the count is checked as a float, before int() and before any assembly;
+    # the default step at T = 10^12 is 0.05 / scale, with scale 1
+    def no_assembly(*args):
+        raise AssertionError("assembled a generator")
+
+    monkeypatch.setattr(dynamics, "liouvillians", no_assembly)
+    model = tls_model(1.0, 0.0)
+    for kwargs, message in (({}, r"^period 1e\+12 at step 0\.05 needs 2e\+13 RK4 steps"),
+                            ({"dt": 5e-324}, r"^period 1e\+12 at step 4\.94e-324 needs inf RK4")):
+        with pytest.raises(InvalidParametersError, match=message):
+            evolve(model, DriveSchedule(LOOP_B, 1e12), **kwargs)
+    assert dynamics.MAX_STEPS == 10**7
+    # a period of exactly the budget runs
+    monkeypatch.undo()
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 2000)
+    assert evolve(model, DriveSchedule(LOOP_B, 10.0), dt=0.005).n_steps == 2000
+    with pytest.raises(InvalidParametersError, match=r"needs 2\.04e\+03 RK4 steps, more than "
+                                                     r"the budget MAX_STEPS = 2e\+03$"):
+        evolve(model, DriveSchedule(LOOP_B, 10.0), dt=0.0049)
 
 
 def test_trajectory_keeps_its_model_and_schedule():

@@ -224,8 +224,8 @@ def test_failed_node_fails_alone_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             batch = curvatures(model, points)
-        assert isinstance(batch.error(0), DegenerateSteadyStateError)
-        assert message in str(batch.error(0))
+        assert isinstance(batch.errors[0], DegenerateSteadyStateError)
+        assert message in str(batch.errors[0])
         assert np.isnan(batch.values[0])
         assert batch.failed.tolist() == [0]
         assert np.all(np.isfinite(batch.values[1:]))
@@ -331,10 +331,10 @@ def test_batched_matches_per_point(gamma, gamma_phi, points, degenerate_delta, d
             one = _error_or_value(single, model, node)
             if failed:
                 assert isinstance(one, DegenerateSteadyStateError)
-                assert type(batch.error(n)) is type(one) and str(batch.error(n)) == str(one)
+                assert type(batch.errors[n]) is type(one) and str(batch.errors[n]) == str(one)
                 assert np.all(np.isnan(batch.values[n]))
             else:
-                assert batch.error(n) is None
+                assert batch.errors[n] is None
                 assert _bits(batch.values[n]) == _bits(one)
     assert len(curvs.failed) == (gamma == 0.0)
 
@@ -378,10 +378,10 @@ def test_sweep_stack_matches_one_model_per_point(family, entries, failing_at):
             one = _error_or_value(single, model, point)
             if m == at:
                 assert isinstance(one, GeomworkError)
-                assert type(batch.error(n)) is type(one) and str(batch.error(n)) == str(one)
+                assert type(batch.errors[n]) is type(one) and str(batch.errors[n]) == str(one)
                 assert np.all(np.isnan(batch.values[n]))
             else:
-                assert batch.error(n) is None
+                assert batch.errors[n] is None
                 assert _bits(batch.values[n]) == _bits(one)
 
 
@@ -475,16 +475,16 @@ def test_failures_in_several_chunks_keep_their_indices():
     for batched, single in ((steady_vectors, steady_vector), (work_one_forms, work_one_form),
                             (curvatures, curvature)):
         batch = batched(stack, points)
-        assert batch.failed.tolist() == failing and batch.first_error()[0] == failing[0]
-        assert batch.error(-1) is batch.error(n - 1) is not None
+        assert batch.failed.tolist() == failing and len(batch.errors) == n
+        assert batch.errors[-1] is batch.errors[n - 1] is not None
         with pytest.raises(IndexError):
-            batch.error(n)
+            batch.at(n)
         for m, (model, point) in enumerate(zip(models, points)):
             one = _error_or_value(single, model, point)
             if m in failing:
                 assert isinstance(one, DegenerateSteadyStateError)
-                assert type(batch.error(m)) is type(one) and str(batch.error(m)) == str(one)
+                assert type(batch.errors[m]) is type(one) and str(batch.errors[m]) == str(one)
                 assert np.all(np.isnan(batch.values[m]))
             else:
-                assert batch.error(m) is None
+                assert batch.errors[m] is None
                 assert _bits(batch.values[m]) == _bits(one)

@@ -154,9 +154,10 @@ def test_negative_rate_rejected():
 
 
 def test_collapse_operator_shape_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParametersError,
+                       match=r"^collapse operator shape \(3, 3\) does not match dimension 2$"):
         LindbladModel(tls_family(), ((1.0, np.eye(3)),))
-    with pytest.raises(ValueError, match="^collapse operator has non-finite entries$"):
+    with pytest.raises(InvalidParametersError, match="^collapse operator has non-finite entries$"):
         LindbladModel(tls_family(), ((1.0, np.array([[0.0, np.nan], [0.0, 0.0]])),))
 
 

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from closed_forms import ssh_hamiltonian
 from geomwork import (SIGMA_X, SIGMA_Y, Circle, curvature, line_integral_work, ssh_family,
                       ssh_model)
+from geomwork.cli import main
 
 
 def test_hamiltonian_reduces_at_band_edge():
@@ -60,3 +63,35 @@ def test_displaced_momentum_gives_finite_work():
     model = ssh_model(1.0, 0.1, np.pi - 0.3)
     loop = Circle((1.0, 0.6), (0.2, 0.2))
     assert abs(line_integral_work(model, loop, 256)) > 1e-5
+
+
+def _ssh_curvature_closed_form(t1, t2, k, gamma, gamma_phi):
+    """F_{t1 t2} under the TLS channels: 4 gamma^2 Gamma_2 sin k /
+    (gamma Gamma_2 + 4 |h|^2)^2, with |h|^2 = (t1 + t2 cos k)^2 + (t2 sin k)^2
+    and Gamma_2 = gamma/2 + gamma_phi."""
+    g2 = 0.5 * gamma + gamma_phi
+    h2 = (t1 + t2 * np.cos(k)) ** 2 + (t2 * np.sin(k)) ** 2
+    return 4.0 * gamma**2 * g2 * np.sin(k) / (gamma * g2 + 4.0 * h2) ** 2
+
+
+@pytest.mark.parametrize("config", [
+    None,
+    {"model": {"gamma": 0.7, "gamma_phi": 2.0}, "point": [-0.4, 1.3],
+     "k_values": [-3.0, -1.0, 0.0, 0.5, 2.0, np.pi]},
+])
+def test_ssh_csv_matches_the_closed_form(tmp_path, config):
+    # every cell of ssh.csv against the closed form, the second route to F;
+    # sin(pi) is about 1.2e-16, so the k = pi row needs a small absolute floor
+    options = []
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        options = ["--config", str(tmp_path / "config.json")]
+    assert main(["ssh", *options, "--out", str(tmp_path / "out")]) == 0
+    resolved = json.loads((tmp_path / "out" / "config_echo.json").read_text())
+    gamma, gamma_phi = resolved["model"]["gamma"], resolved["model"]["gamma_phi"]
+    rows = (tmp_path / "out" / "ssh.csv").read_text().splitlines()
+    assert rows[0] == "k,t1,t2,F" and len(rows) == 1 + len(resolved["k_values"])
+    for row in rows[1:]:
+        k, t1, t2, f = map(float, row.split(","))
+        exact = _ssh_curvature_closed_form(t1, t2, k, gamma, gamma_phi)
+        assert abs(f - exact) <= 1e-13 * abs(exact) + 1e-16, row
